@@ -22,6 +22,7 @@ import numpy as np
 
 from .channel import SnrProfile, flat_profile
 from .rng import make_rng
+from .sounding import rotation_grid
 
 _LN2 = math.log(2.0)
 
@@ -359,7 +360,7 @@ def phase_offset_loss(num_bins: int, snr: float, grid_size: int, samples: int,
     if grid_size < 1:
         raise ValueError("grid must be nonempty")
     rng = make_rng(seed)
-    thetas = 2.0 * np.pi * np.arange(grid_size) / grid_size
+    thetas = rotation_grid(grid_size)
     t_idx = np.empty(samples, dtype=int)
     psi = np.empty(samples)
     sigma2 = np.full(num_bins, snr)

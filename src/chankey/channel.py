@@ -186,26 +186,45 @@ def bin_power_fractions(config: ChannelConfig) -> np.ndarray:
 
 
 def sample_paths(config: ChannelConfig, seed=None) -> PathSet:
-    """Draw one realization's path delays and complex Gaussian gains.
+    """Draw path delays and complex Gaussian gains for one or more blocks.
 
     Delays are i.i.d. uniform on [0, tau_max].  Gain variances follow the
     configured power-delay profile and are normalized per realization so the
     total path power equals sigma_h2.
+
+    ``seed`` is any form ``make_rng`` accepts, giving one realization with
+    ``(n_paths,)`` delays and gains.  A list of Generators (one per coherence
+    block, e.g. from ``split_streams``) gives a batch with ``(blocks,
+    n_paths)`` delays and gains, whose row i is exactly what a single call
+    on stream i would return.
+
+    Reproducibility contract: each stream draws, in this order, the P
+    uniform delays (one ``uniform(0, tau_max, P)`` call) and then the 2P
+    gain normals (one ``standard_normal(2P)`` call: P real parts, then P
+    imaginary parts), where P = n_paths.
     """
     if config.n_paths < 1:
         raise ValueError("need at least one path")
     if config.tau_max_s < 0:
         raise ValueError("tau_max_s must be nonnegative")
-    rng = make_rng(seed)
-    delays = rng.uniform(0.0, config.tau_max_s, size=config.n_paths)
+    batched = (isinstance(seed, list) and len(seed) > 0
+               and isinstance(seed[0], np.random.Generator))
+    rngs = seed if batched else [make_rng(seed)]
+    P = config.n_paths
+    delays = np.empty((len(rngs), P))
+    normals = np.empty((len(rngs), 2 * P))
+    for i, rng in enumerate(rngs):
+        delays[i] = rng.uniform(0.0, config.tau_max_s, size=P)
+        rng.standard_normal(out=normals[i])
     if config.profile == "exponential" and config.tau_max_s > 0:
         weights = np.exp(-delays / config.decay_s)
     else:
-        weights = np.ones(config.n_paths)
-    variances = config.sigma_h2 * weights / weights.sum()
+        weights = np.ones_like(delays)
+    variances = config.sigma_h2 * weights / weights.sum(axis=1, keepdims=True)
     scale = np.sqrt(variances / 2.0)
-    gains = scale * (rng.standard_normal(config.n_paths)
-                     + 1j * rng.standard_normal(config.n_paths))
+    gains = scale * (normals[:, :P] + 1j * normals[:, P:])
+    if not batched:
+        delays, gains = delays[0], gains[0]
     return PathSet(delays=delays, gains=gains)
 
 
@@ -222,12 +241,16 @@ def time_coefficients(paths: PathSet, config: ChannelConfig,
 
     ``bin`` mode aggregates each path's gain into the bin containing its
     delay (bin l covers ((l-0.5)/W, (l+0.5)/W]); ``sinc`` mode evaluates the
-    interpolation kernel truncated to +/- SINC_LOBES bins.
+    interpolation kernel truncated to +/- SINC_LOBES bins.  Bin mode also
+    takes a batch of realizations (paths along the last axis) and returns
+    one row of L coefficients per realization; sinc mode takes one.
     """
     L = config.num_delay_bins
     root_m = math.sqrt(config.m_tones)
     tau_bins = paths.delays * config.bandwidth_hz
     if interpolation == "sinc":
+        if tau_bins.ndim != 1:
+            raise ValueError("sinc interpolation takes one realization")
         ell = np.arange(L)
         kernel = np.sinc(ell[:, None] - tau_bins[None, :])
         kernel[np.abs(ell[:, None] - tau_bins[None, :]) > SINC_LOBES] = 0.0
@@ -235,9 +258,16 @@ def time_coefficients(paths: PathSet, config: ChannelConfig,
     if interpolation != "bin":
         raise ValueError("interpolation must be 'bin' or 'sinc'")
     idx = np.ceil(tau_bins - 0.5).astype(int)
-    idx = np.clip(idx, 0, L - 1)
-    out = np.zeros(L, dtype=complex)
-    np.add.at(out, idx, paths.gains)
+    idx = np.clip(idx, 0, L - 1).reshape(-1, tau_bins.shape[-1])
+    rows = idx.shape[0]
+    # one bincount over all rows, row r's bins offset by r*L; it adds each
+    # bin's gains in path order, so the sums match a per-row accumulation
+    flat = (idx + L * np.arange(rows)[:, None]).ravel()
+    out = np.empty(tau_bins.shape[:-1] + (L,), dtype=complex)
+    out.real = np.bincount(flat, weights=paths.gains.real.ravel(),
+                           minlength=rows * L).reshape(out.shape)
+    out.imag = np.bincount(flat, weights=paths.gains.imag.ravel(),
+                           minlength=rows * L).reshape(out.shape)
     return root_m * out
 
 

@@ -41,6 +41,7 @@ from .pipeline import (
 )
 from .quantize import Quantizer
 from .rng import derive_seed, split_streams
+from .sounding import rotation_grid
 
 TABLE1_DEFAULTS = dict(m_tones=52, bandwidth_hz=16.25e6, duration_s=3.2e-6,
                        n_paths=300, tau_max_s=800e-9)
@@ -468,7 +469,7 @@ def cmd_phase_demo(args) -> int:
     code = make_plane_code(n_data, 0.25, "irregular",
                            derive_seed(args.seed, 0xC0DE))
     quantizer = Quantizer.equiprobable(2)
-    grid = 2.0 * np.pi * np.arange(grid_size) / grid_size
+    grid = rotation_grid(grid_size)
     half = math.pi / grid_size
     thetas = sorted(set(list(grid) + [g + half for g in grid]))
 

@@ -33,7 +33,7 @@ from .codec import (
 )
 from .quantize import Quantizer, hard_evidence, quantize, soft_evidence
 from .rng import derive_seed, split_streams
-from .sounding import MeasurementPair, interleave
+from .sounding import interleave, rotation_grid
 
 PHASE_MODES = ("none", "constant_theta", "per_block_theta")
 DECODING_MODES = ("soft", "hard")
@@ -63,6 +63,9 @@ class SessionConfig:
     seed: int | tuple = 0
 
     def __post_init__(self):
+        if not math.isfinite(self.snr_f_db):
+            raise ValueError(
+                f"snr_f_db must be finite for a key session, got {self.snr_f_db}")
         if self.decoding_mode not in DECODING_MODES:
             raise ValueError(f"decoding_mode must be one of {DECODING_MODES}")
         if self.phase_mode not in PHASE_MODES:
@@ -142,12 +145,17 @@ def monobit_z(bits: np.ndarray) -> float:
 
 
 def _session_vectors(config: SessionConfig):
-    """Simulate all blocks: Alice/Bob data vectors plus per-entry law."""
+    """Simulate all blocks: Alice/Bob data vectors plus per-entry law.
+
+    All blocks are simulated in one batched pass; each block keeps its own
+    stream and per-stream draw order (see ``rng.split_streams``), so the
+    vectors are bit-identical to simulating the blocks one at a time.
+    """
     profile = build_snr_profile(config.channel, config.snr_f_db)
     L = config.channel.num_delay_bins
     streams = split_streams(config.seed, config.blocks + 1)
-    theta_rng = streams[-1]
-    grid = 2.0 * np.pi * np.arange(config.theta_grid_size) / config.theta_grid_size
+    block_streams, theta_rng = streams[:-1], streams[-1]
+    grid = rotation_grid(config.theta_grid_size)
 
     if config.phase_mode == "none":
         thetas = np.zeros(config.blocks)
@@ -158,21 +166,17 @@ def _session_vectors(config: SessionConfig):
     else:  # per_block_theta
         thetas = grid[theta_rng.integers(0, grid.size, size=config.blocks)]
 
+    h = time_coefficients(sample_paths(config.channel, block_streams),
+                          config.channel)
+    normals = np.empty((config.blocks, 4 * L))
+    for rng, row in zip(block_streams, normals):
+        rng.standard_normal(out=row)
+    # per block: real parts (Alice's L, Bob's L), then imaginary parts
+    noise = (normals[:, :2 * L] + 1j * normals[:, 2 * L:]).reshape(
+        config.blocks, 2, L)
     noise_scale = math.sqrt(profile.noise_var / 2.0)
-    a_rows = np.empty((config.blocks, 2 * L))
-    b_obs = np.empty((config.blocks, L), dtype=complex)
-    for i in range(config.blocks):
-        rng = streams[i]
-        h = time_coefficients(sample_paths(config.channel, rng), config.channel)
-        noise = rng.standard_normal((2, L)) + 1j * rng.standard_normal((2, L))
-        pair = MeasurementPair(
-            obs_a=h + noise_scale * noise[0],
-            obs_b=(h + noise_scale * noise[1]) * np.exp(1j * thetas[i]),
-            noise_var=profile.noise_var,
-            phase_offset=thetas[i],
-        )
-        a_rows[i] = interleave(pair.obs_a)
-        b_obs[i] = pair.obs_b
+    obs_a = h + noise_scale * noise[:, 0]
+    b_obs = (h + noise_scale * noise[:, 1]) * np.exp(1j * thetas)[:, None]
 
     sigma_h2 = profile.per_bin_snr * profile.noise_var
     sigma_complex = np.sqrt(sigma_h2 + profile.noise_var)
@@ -181,7 +185,7 @@ def _session_vectors(config: SessionConfig):
     per_block_sigma = np.repeat(sigma_complex, 2)
     rho_vec = np.tile(per_block_rho, config.blocks)
     sigma_vec = np.tile(per_block_sigma, config.blocks)
-    return a_rows.reshape(-1), b_obs, rho_vec, sigma_vec, thetas
+    return interleave(obs_a), b_obs, rho_vec, sigma_vec, thetas
 
 
 def run_session(config: SessionConfig) -> KeySessionResult:
@@ -190,7 +194,7 @@ def run_session(config: SessionConfig) -> KeySessionResult:
     q = config.quantizer
     source_std = sigma_vec / math.sqrt(2.0)
     alice = quantize(x_raw, q, scale=source_std)
-    y_raw = np.concatenate([interleave(row) for row in b_obs])
+    y_raw = interleave(b_obs)
 
     theta_error = None
     if q.levels == 2:
@@ -199,8 +203,7 @@ def run_session(config: SessionConfig) -> KeySessionResult:
         public = s
         key_a = coset_index(pcm, alice.symbols)
         if config.phase_mode != "none":
-            grid = 2.0 * np.pi * np.arange(config.theta_grid_size) \
-                / config.theta_grid_size
+            grid = rotation_grid(config.theta_grid_size)
             groups = None
             if config.phase_mode == "per_block_theta":
                 L = config.channel.num_delay_bins

@@ -49,6 +49,16 @@ def split_streams(seed, n: int) -> list[np.random.Generator]:
 
     Used to give each coherence block / trial its own stream, so blocks can
     be generated in any order (or in parallel) without changing the result.
+
+    A key session splits ``blocks + 1`` streams: stream i < blocks belongs to
+    coherence block i, the last one draws the rotation offsets.  Block
+    stream i draws, in this order, the P uniform path delays and the 2P gain
+    normals of ``channel.sample_paths`` (P = n_paths), then the session's 4L
+    noise normals (Alice's L real parts, Bob's L real parts, then the two
+    parties' imaginary parts in the same order).  This per-stream order is
+    the reproducibility contract: a batched simulation may draw every
+    stream's path values before any stream's noise, since streams are
+    independent, but must keep the order within each stream.
     """
     if isinstance(seed, np.random.Generator):
         # Derive a child SeedSequence from the generator's own stream.

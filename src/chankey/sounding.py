@@ -97,11 +97,20 @@ def apply_phase_offset(pair: MeasurementPair, theta: float) -> MeasurementPair:
     return replace(pair, obs_b=pair.obs_b * np.exp(1j * theta), phase_offset=theta)
 
 
+def rotation_grid(size: int) -> np.ndarray:
+    """The ``size`` equispaced rotation hypotheses 2 pi k / size, k < size."""
+    return 2.0 * np.pi * np.arange(size) / size
+
+
 def interleave(obs: np.ndarray) -> np.ndarray:
-    """Complex length-L vector -> real length-2L [Re, Im, Re, Im, ...]."""
+    """Complex length-L vector -> real length-2L [Re, Im, Re, Im, ...].
+
+    A multi-block array is interleaved in row-major order, which equals the
+    concatenation of its interleaved rows.
+    """
     out = np.empty(2 * obs.size)
-    out[0::2] = obs.real
-    out[1::2] = obs.imag
+    out[0::2] = obs.real.reshape(-1)
+    out[1::2] = obs.imag.reshape(-1)
     return out
 
 

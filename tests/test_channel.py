@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chankey.channel import (
     ChannelConfig,
@@ -86,6 +88,66 @@ def test_sample_paths_rejects_bad_inputs():
         ChannelConfig(**{**TABLE1, "n_paths": 0})
     with pytest.raises(ValueError):
         ChannelConfig(**{**TABLE1, "tau_max_s": -1e-9})
+
+
+def _reference_paths(config, rng):
+    """Single-realization draw as two separate gain-normal calls."""
+    delays = rng.uniform(0.0, config.tau_max_s, size=config.n_paths)
+    if config.profile == "exponential" and config.tau_max_s > 0:
+        weights = np.exp(-delays / config.decay_s)
+    else:
+        weights = np.ones(config.n_paths)
+    variances = config.sigma_h2 * weights / weights.sum()
+    scale = np.sqrt(variances / 2.0)
+    gains = scale * (rng.standard_normal(config.n_paths)
+                     + 1j * rng.standard_normal(config.n_paths))
+    return delays, gains
+
+
+@st.composite
+def channel_configs(draw):
+    m = draw(st.integers(1, 16))
+    w = 2.5e6
+    duration = m / w
+    tau_max = draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])) * duration
+    return ChannelConfig(m_tones=m, bandwidth_hz=w, duration_s=duration,
+                         n_paths=draw(st.integers(1, 40)), tau_max_s=tau_max,
+                         profile=draw(st.sampled_from(["exponential", "flat"])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=channel_configs(), blocks=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_batched_paths_match_per_block_draws(cfg, blocks, seed):
+    batch = sample_paths(cfg, split_streams(seed, blocks))
+    assert batch.delays.shape == batch.gains.shape == (blocks, cfg.n_paths)
+    h_batch = time_coefficients(batch, cfg)
+    assert h_batch.shape == (blocks, cfg.num_delay_bins)
+    for i, rng in enumerate(split_streams(seed, blocks)):
+        delays, gains = _reference_paths(cfg, rng)
+        assert np.array_equal(batch.delays[i], delays)
+        assert np.array_equal(batch.gains[i], gains)
+        h = time_coefficients(PathSet(delays=delays, gains=gains), cfg)
+        assert np.array_equal(h_batch[i], h)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cfg=channel_configs(), seed=st.integers(0, 2**32 - 1))
+def test_single_stream_batch_equals_single_seed(cfg, seed):
+    single = sample_paths(cfg, make_rng(seed))
+    batch = sample_paths(cfg, [make_rng(seed)])
+    assert np.array_equal(batch.delays[0], single.delays)
+    assert np.array_equal(batch.gains[0], single.gains)
+    ref_delays, ref_gains = _reference_paths(cfg, make_rng(seed))
+    assert np.array_equal(single.delays, ref_delays)
+    assert np.array_equal(single.gains, ref_gains)
+
+
+def test_sinc_interpolation_rejects_batches():
+    cfg = ChannelConfig(**TABLE1)
+    batch = sample_paths(cfg, split_streams(3, 2))
+    with pytest.raises(ValueError):
+        time_coefficients(batch, cfg, interpolation="sinc")
 
 
 def test_freq_coefficients_zero_delay_path():

@@ -1,11 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from chankey.channel import ChannelConfig
+from chankey.channel import (
+    ChannelConfig,
+    build_snr_profile,
+    sample_paths,
+    time_coefficients,
+)
 from chankey.pipeline import (
     SessionConfig,
+    _session_vectors,
     feasible_regular_rates,
     make_plane_code,
     monobit_z,
@@ -14,6 +21,8 @@ from chankey.pipeline import (
     waterfall_thresholds,
 )
 from chankey.quantize import Quantizer
+from chankey.rng import split_streams
+from chankey.sounding import interleave, rotation_grid
 
 TABLE1 = ChannelConfig(m_tones=52, bandwidth_hz=16.25e6, duration_s=3.2e-6,
                        n_paths=300, tau_max_s=800e-9)
@@ -46,6 +55,14 @@ def test_config_validation():
         SessionConfig(channel=SMALL, snr_f_db=10, blocks=16, quantizer=Q2,
                       code=code, phase_mode="constant_theta",
                       decoding_mode="hard")
+
+
+@pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_snr(snr_db):
+    code = make_plane_code(N_SMALL, 0.5, "regular", 7)
+    with pytest.raises(ValueError, match="snr_f_db"):
+        SessionConfig(channel=SMALL, snr_f_db=snr_db, blocks=16,
+                      quantizer=Q2, code=code)
 
 
 def test_noiseless_session_agrees():
@@ -171,6 +188,67 @@ def test_phase_session_per_block_single_node_matches_constant():
         res_ct = run_session(SessionConfig(phase_mode="constant_theta", **base))
         assert res_pb.agreed == res_ct.agreed
         assert res_pb.theta_error == pytest.approx(res_ct.theta_error)
+
+
+def _reference_session_vectors(config):
+    """Block-at-a-time simulation: Alice's vector, Bob's vector, rotations."""
+    L = config.channel.num_delay_bins
+    streams = split_streams(config.seed, config.blocks + 1)
+    grid = rotation_grid(config.theta_grid_size)
+    if config.phase_mode == "none":
+        thetas = np.zeros(config.blocks)
+    elif config.phase_mode == "constant_theta":
+        thetas = np.full(config.blocks, grid[streams[-1].integers(0, grid.size)])
+    else:
+        thetas = grid[streams[-1].integers(0, grid.size, size=config.blocks)]
+    profile = build_snr_profile(config.channel, config.snr_f_db)
+    noise_scale = math.sqrt(profile.noise_var / 2.0)
+    a_parts, b_parts = [], []
+    for i in range(config.blocks):
+        rng = streams[i]
+        h = time_coefficients(sample_paths(config.channel, rng), config.channel)
+        noise = rng.standard_normal((2, L)) + 1j * rng.standard_normal((2, L))
+        a_parts.append(interleave(h + noise_scale * noise[0]))
+        b_parts.append(interleave(
+            (h + noise_scale * noise[1]) * np.exp(1j * thetas[i])))
+    return np.concatenate(a_parts), np.concatenate(b_parts), thetas
+
+
+FLAT_1BIN = ChannelConfig(m_tones=4, bandwidth_hz=1e6, duration_s=4e-6,
+                          n_paths=6, tau_max_s=0.0, profile="flat")
+EXP_1PATH = ChannelConfig(m_tones=8, bandwidth_hz=2.5e6, duration_s=3.2e-6,
+                          n_paths=1, tau_max_s=1.6e-6)
+
+
+@pytest.mark.parametrize("channel", [TABLE1, SMALL, FLAT_1BIN, EXP_1PATH],
+                         ids=["exponential", "flat", "tau0", "one_path"])
+@pytest.mark.parametrize("phase_mode", ["none", "constant_theta",
+                                        "per_block_theta"])
+@pytest.mark.parametrize("snr_db", [-30.0, 10.0, 60.0])
+def test_batched_session_vectors_match_block_loop(channel, phase_mode, snr_db):
+    blocks = 5
+    n_data = 2 * blocks * channel.num_delay_bins
+    code = make_plane_code(n_data, 0.5, "regular", 7)
+    cfg = SessionConfig(channel=channel, snr_f_db=snr_db, blocks=blocks,
+                        quantizer=Q2, code=code, phase_mode=phase_mode,
+                        theta_grid_size=8, seed=(21, blocks))
+    x_raw, b_obs, _, _, thetas = _session_vectors(cfg)
+    ref_a, ref_b, ref_thetas = _reference_session_vectors(cfg)
+    assert np.array_equal(thetas, ref_thetas)
+    assert np.array_equal(x_raw, ref_a)
+    assert np.array_equal(interleave(b_obs), ref_b)
+
+
+@pytest.mark.parametrize("phase_mode", ["none", "constant_theta",
+                                        "per_block_theta"])
+def test_session_extreme_snr_emits_no_runtime_warning(phase_mode):
+    for snr_db in (-30.0, 60.0):
+        cfg = _small_session(snr_db, seed=4, rate=0.25, family="irregular",
+                             phase_mode=phase_mode, theta_grid_size=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = run_session(cfg)
+        assert res.key_length == cfg.key_bits
 
 
 def test_feasible_regular_rates_table1_lengths():
