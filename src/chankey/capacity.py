@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import SnrProfile, flat_profile
+from .channel import SnrProfile
 from .rng import make_rng
 from .sounding import rotation_grid
 
@@ -376,8 +376,3 @@ def phase_offset_loss(num_bins: int, snr: float, grid_size: int, samples: int,
         t_idx, _sector_bins(psi, PHASE_SECTORS), grid_size, PHASE_SECTORS,
         "histogram",
     )
-
-
-def ideal_profile_for(snr_tau: float, num_bins: int, m_tones: int) -> SnrProfile:
-    """Convenience alias used by sweep commands."""
-    return flat_profile(snr_tau, num_bins, m_tones)

@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -139,13 +140,18 @@ def _config_dict(cfg: ChannelConfig) -> dict:
     }
 
 
-def _parse_overrides(pairs) -> dict:
+def _parse_overrides(pairs, accepted) -> dict:
+    """``--set`` pairs as a dict; a key outside ``accepted`` is an error."""
     out = {}
     for pair in pairs or ():
         if "=" not in pair:
             raise ConfigError(f"override '{pair}' is not key=value")
         key, _, val = pair.partition("=")
-        out[key.strip()] = val.strip()
+        key = key.strip()
+        if key not in accepted:
+            raise ConfigError(f"unknown override '{key}' (accepted: "
+                              f"{', '.join(accepted)})")
+        out[key] = val.strip()
     return out
 
 
@@ -159,7 +165,7 @@ def _float_list(text: str):
 
 def cmd_capacity_sweep(args) -> int:
     cfg, coherence = _channel_from_args(args)
-    over = _parse_overrides(args.set)
+    over = _parse_overrides(args.set, ("snr_db",))
     grid = _float_list(over.get("snr_db", "")) or [
         -5.0 + 2.5 * k for k in range(15)]
     run = Run("capacity_sweep", args,
@@ -191,7 +197,7 @@ def cmd_capacity_sweep(args) -> int:
 
 
 def cmd_rssi_compare(args) -> int:
-    over = _parse_overrides(args.set)
+    over = _parse_overrides(args.set, ("m_tones", "bins", "snr_db", "samples"))
     m_tones = int(over.get("m_tones", 10))
     bins_list = [int(x) for x in over.get("bins", "2,5,10").split(",")]
     grid = _float_list(over.get("snr_db", "")) or [0.0, 5.0, 10.0, 15.0, 20.0, 25.0]
@@ -239,7 +245,7 @@ def cmd_rssi_compare(args) -> int:
 
 
 def cmd_magphase(args) -> int:
-    over = _parse_overrides(args.set)
+    over = _parse_overrides(args.set, ("snr_db", "samples"))
     grid = _float_list(over.get("snr_db", "")) or [0.0, 5.0, 10.0, 15.0, 20.0]
     samples = int(over.get("samples", 1_000_000 if args.full else 200_000))
     run = Run("magphase", args, {"snr_grid_db": grid, "samples": samples})
@@ -273,7 +279,7 @@ def cmd_magphase(args) -> int:
 
 def cmd_corr_matrix(args) -> int:
     cfg, _ = _channel_from_args(args)
-    over = _parse_overrides(args.set)
+    over = _parse_overrides(args.set, ("realizations",))
     realizations = int(over.get("realizations",
                                 1_000_000 if args.full else 100_000))
     run = Run("corr_matrix", args,
@@ -329,7 +335,8 @@ WATERFALL_VARIANTS = {
 
 def cmd_ldpc_waterfall(args) -> int:
     cfg, _ = _channel_from_args(args)
-    over = _parse_overrides(args.set)
+    over = _parse_overrides(
+        args.set, ("rates", "variants", "blocks", "snr_step", "snr_db"))
     rates = _float_list(over.get("rates", "0.25,0.5,0.625,0.75"))
     variants = over.get("variants", ",".join(WATERFALL_VARIANTS)).split(",")
     blocks = int(over.get("blocks", 120))
@@ -408,7 +415,9 @@ def cmd_ldpc_waterfall(args) -> int:
 
 def cmd_keygen(args) -> int:
     cfg, _ = _channel_from_args(args)
-    over = _parse_overrides(args.set)
+    over = _parse_overrides(
+        args.set, ("rate", "levels", "quantizer.levels",
+                   "quantizer.thresholds", "mode", "blocks", "snr_db"))
     rate = float(over.get("rate", 0.5))
     levels = int(over.get("quantizer.levels", over.get("levels", 2)))
     mode = over.get("mode", "soft")
@@ -455,7 +464,7 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_phase_demo(args) -> int:
-    over = _parse_overrides(args.set)
+    over = _parse_overrides(args.set, ("grid", "snr_db", "blocks"))
     grid_size = int(over.get("grid", 8))
     snr_db = float(over.get("snr_db", 18.0))
     blocks = int(over.get("blocks", 20))
@@ -468,7 +477,8 @@ def cmd_phase_demo(args) -> int:
     n_data = 2 * blocks * cfg.num_delay_bins
     code = make_plane_code(n_data, 0.25, "irregular",
                            derive_seed(args.seed, 0xC0DE))
-    quantizer = Quantizer.equiprobable(2)
+    template = SessionConfig(channel=cfg, snr_f_db=snr_db, blocks=blocks,
+                             quantizer=Quantizer.equiprobable(2), code=code)
     grid = rotation_grid(grid_size)
     half = math.pi / grid_size
     thetas = sorted(set(list(grid) + [g + half for g in grid]))
@@ -476,23 +486,17 @@ def cmd_phase_demo(args) -> int:
     def batch(theta, tracked):
         ok = 0
         errs = []
-        base = dict(channel=cfg, snr_f_db=snr_db, blocks=blocks,
-                    quantizer=quantizer, code=code)
+        if tracked:
+            base = replace(template, phase_mode="constant_theta",
+                           theta_grid_size=grid_size, theta=theta)
+        elif theta:
+            # rotation applied but not tracked: decode assuming zero
+            base = replace(template, phase_mode="constant_theta",
+                           theta_grid_size=1, theta=theta)
+        else:
+            base = template
         for t in range(trials):
-            if tracked:
-                session = SessionConfig(phase_mode="constant_theta",
-                                        theta_grid_size=grid_size,
-                                        theta=theta,
-                                        seed=derive_seed(args.seed, t), **base)
-            elif theta:
-                # rotation applied but not tracked: decode assuming zero
-                session = SessionConfig(phase_mode="constant_theta",
-                                        theta_grid_size=1, theta=theta,
-                                        seed=derive_seed(args.seed, t), **base)
-            else:
-                session = SessionConfig(phase_mode="none",
-                                        seed=derive_seed(args.seed, t), **base)
-            res = run_session(session)
+            res = run_session(replace(base, seed=derive_seed(args.seed, t)))
             ok += int(res.agreed)
             if tracked and res.theta_error is not None:
                 errs.append(res.theta_error)

@@ -12,7 +12,6 @@ from .matrix import (
     construct_irregular,
     construct_regular,
     coset_index,
-    syndrome,
 )
 
 __all__ = [
@@ -25,5 +24,4 @@ __all__ = [
     "decode_quaternary",
     "decode_with_phase_offset",
     "evidence_to_llr",
-    "syndrome",
 ]

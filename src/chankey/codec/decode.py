@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..quantize import Quantizer, soft_evidence
+from ..quantize import Quantizer, bit_planes, soft_evidence
 from ..sounding import interleave
 from .matrix import SparseParityCheck
 
@@ -227,9 +227,9 @@ def decode_quaternary(pcm_m: SparseParityCheck, pcm_l: SparseParityCheck,
         _, _, to_sym = _plane_evidence(g, ext_m, ext_l)
         belief = g * to_sym
         estimate = np.argmax(belief, axis=1).astype(np.uint8)
-        ok_m = np.array_equal(pcm_m.syndrome(estimate // 2), s_m)
-        ok_l = np.array_equal(pcm_l.syndrome(estimate % 2), s_l)
-        if ok_m and ok_l:
+        est_m, est_l = bit_planes(estimate)
+        if (np.array_equal(pcm_m.syndrome(est_m), s_m)
+                and np.array_equal(pcm_l.syndrome(est_l), s_l)):
             return DecodeResult(estimate, True, it, True)
         if max(sp_m.last_delta, sp_l.last_delta) < MESSAGE_TOL:
             return DecodeResult(estimate, True, it, False)

@@ -165,11 +165,6 @@ class SparseParityCheck:
         return cls(rows, n)
 
 
-def syndrome(pcm: SparseParityCheck, x: np.ndarray) -> np.ndarray:
-    """Module-level alias for pcm.syndrome."""
-    return pcm.syndrome(x)
-
-
 # ---------------------------------------------------------------------------
 # GF(2) elimination on bit-packed rows
 

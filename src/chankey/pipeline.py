@@ -16,7 +16,7 @@ rate/SNR grid and reports the waterfall threshold per rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,7 +31,13 @@ from .codec import (
     decode_with_phase_offset,
     evidence_to_llr,
 )
-from .quantize import Quantizer, hard_evidence, quantize, soft_evidence
+from .quantize import (
+    Quantizer,
+    bit_planes,
+    hard_evidence,
+    quantize,
+    soft_evidence,
+)
 from .rng import derive_seed, split_streams
 from .sounding import interleave, rotation_grid
 
@@ -54,7 +60,6 @@ class SessionConfig:
     blocks: int
     quantizer: Quantizer
     code: SparseParityCheck
-    code_lsb: SparseParityCheck | None = None
     decoding_mode: str = "soft"
     phase_mode: str = "none"
     theta_grid_size: int = 16
@@ -74,10 +79,6 @@ class SessionConfig:
         if self.code.n != n_data:
             raise ValueError(
                 f"code length {self.code.n} != data length 2nL = {n_data}")
-        if self.quantizer.levels == 4:
-            lsb = self.code_lsb if self.code_lsb is not None else self.code
-            if lsb.n != n_data:
-                raise ValueError("LSB plane code length mismatch")
         if self.phase_mode != "none":
             if self.quantizer.levels != 2 or self.decoding_mode != "soft":
                 raise ValueError("rotation tracking needs binary soft decoding")
@@ -85,18 +86,12 @@ class SessionConfig:
                 raise ValueError("theta_grid_size must be >= 1")
 
     @property
-    def planes(self):
-        if self.quantizer.levels == 2:
-            return (self.code,)
-        return (self.code, self.code_lsb if self.code_lsb is not None else self.code)
-
-    @property
     def public_message_bits(self) -> int:
-        return sum(p.m for p in self.planes)
+        return self.quantizer.levels // 2 * self.code.m
 
     @property
     def key_bits(self) -> int:
-        return sum(p.n - p.m for p in self.planes)
+        return self.quantizer.levels // 2 * (self.code.n - self.code.m)
 
 
 @dataclass
@@ -189,55 +184,54 @@ def _session_vectors(config: SessionConfig):
 
 
 def run_session(config: SessionConfig) -> KeySessionResult:
-    """Execute one full key-generation session."""
+    """Execute one full key-generation session.
+
+    Alice publishes the syndrome of each bit plane of her symbols (the
+    symbols themselves for 2 levels, their two ``bit_planes`` for 4) and
+    keeps the planes' coset indices as her key; Bob decodes her symbols and
+    takes the same indices.
+    """
     x_raw, b_obs, rho_vec, sigma_vec, thetas = _session_vectors(config)
     q = config.quantizer
+    pcm = config.code
     source_std = sigma_vec / math.sqrt(2.0)
-    alice = quantize(x_raw, q, scale=source_std)
-    y_raw = interleave(b_obs)
+
+    def planes(symbols):
+        return (symbols,) if q.levels == 2 else bit_planes(symbols)
+
+    alice = planes(quantize(x_raw, q, scale=source_std))
+    syndromes = [pcm.syndrome(p) for p in alice]
+    key_a = np.concatenate([coset_index(pcm, p) for p in alice])
 
     theta_error = None
-    if q.levels == 2:
-        pcm = config.code
-        s = pcm.syndrome(alice.symbols)
-        public = s
-        key_a = coset_index(pcm, alice.symbols)
-        if config.phase_mode != "none":
-            grid = rotation_grid(config.theta_grid_size)
-            groups = None
-            if config.phase_mode == "per_block_theta":
-                L = config.channel.num_delay_bins
-                groups = np.repeat(np.arange(config.blocks), 2 * L)
-            result = decode_with_phase_offset(
-                pcm, s, b_obs.reshape(-1), grid, rho_vec, sigma_vec, q,
-                config.max_iter, groups=groups)
-            hats = np.atleast_1d(result.theta_hat)
-            ref = thetas if hats.size > 1 else thetas[:1]
-            err = np.angle(np.exp(1j * (hats - ref)))
-            theta_error = float(np.max(np.abs(err)))
-        elif config.decoding_mode == "soft":
-            ev = soft_evidence(y_raw, rho_vec, sigma_vec, q)
-            result = decode_binary(pcm, s, evidence_to_llr(ev), config.max_iter)
-        else:
-            bob = quantize(y_raw, q, scale=source_std)
-            ev = hard_evidence(bob.symbols, rho_vec, q)
-            result = decode_binary(pcm, s, evidence_to_llr(ev), config.max_iter)
-        key_b = coset_index(pcm, result.estimate)
+    if config.phase_mode != "none":
+        groups = None
+        if config.phase_mode == "per_block_theta":
+            L = config.channel.num_delay_bins
+            groups = np.repeat(np.arange(config.blocks), 2 * L)
+        result = decode_with_phase_offset(
+            pcm, syndromes[0], b_obs.reshape(-1),
+            rotation_grid(config.theta_grid_size), rho_vec, sigma_vec, q,
+            config.max_iter, groups=groups)
+        hats = np.atleast_1d(result.theta_hat)
+        ref = thetas if hats.size > 1 else thetas[:1]
+        err = np.angle(np.exp(1j * (hats - ref)))
+        theta_error = float(np.max(np.abs(err)))
     else:
-        pcm_m, pcm_l = config.planes
-        s_m = pcm_m.syndrome(alice.plane_m)
-        s_l = pcm_l.syndrome(alice.plane_l)
-        public = np.concatenate([s_m, s_l])
-        key_a = np.concatenate([coset_index(pcm_m, alice.plane_m),
-                                coset_index(pcm_l, alice.plane_l)])
+        y_raw = interleave(b_obs)
         if config.decoding_mode == "soft":
             ev = soft_evidence(y_raw, rho_vec, sigma_vec, q)
         else:
             bob = quantize(y_raw, q, scale=source_std)
-            ev = hard_evidence(bob.symbols, rho_vec, q)
-        result = decode_quaternary(pcm_m, pcm_l, s_m, s_l, ev, config.max_iter)
-        key_b = np.concatenate([coset_index(pcm_m, result.estimate // 2),
-                                coset_index(pcm_l, result.estimate % 2)])
+            ev = hard_evidence(bob, rho_vec, q)
+        if q.levels == 2:
+            result = decode_binary(pcm, syndromes[0], evidence_to_llr(ev),
+                                   config.max_iter)
+        else:
+            result = decode_quaternary(pcm, pcm, *syndromes, ev,
+                                       config.max_iter)
+    key_b = np.concatenate([coset_index(pcm, p)
+                            for p in planes(result.estimate)])
 
     agreed = bool(np.array_equal(key_a, key_b))
     ber = float(np.mean(key_a != key_b)) if key_a.size else 0.0
@@ -253,7 +247,7 @@ def run_session(config: SessionConfig) -> KeySessionResult:
         iterations_used=result.iterations_used,
         syndrome_satisfied=result.syndrome_satisfied,
         theta_error=theta_error,
-        public_message=public,
+        public_message=np.concatenate(syndromes),
     )
 
 
@@ -317,19 +311,8 @@ def sweep_rate_vs_snr(template: SessionConfig, rates, snr_grid, trials: int,
             agreed = 0
             key_bits = 0
             for t in range(trials):
-                cfg = SessionConfig(
-                    channel=template.channel,
-                    snr_f_db=snr_db,
-                    blocks=template.blocks,
-                    quantizer=template.quantizer,
-                    code=code,
-                    decoding_mode=template.decoding_mode,
-                    phase_mode=template.phase_mode,
-                    theta_grid_size=template.theta_grid_size,
-                    max_iter=template.max_iter,
-                    seed=derive_seed(template.seed, t),
-                )
-                res = run_session(cfg)
+                res = run_session(replace(template, code=code, snr_f_db=snr_db,
+                                          seed=derive_seed(template.seed, t)))
                 errors += int(round(res.bit_error_rate * res.key_length))
                 bits += res.key_length
                 agreed += int(res.agreed)

@@ -59,15 +59,6 @@ class Quantizer:
 
 
 @dataclass(frozen=True)
-class QuantizedBlock:
-    """Symbol vector plus, for 4-level data, its two bit planes."""
-
-    symbols: np.ndarray
-    plane_m: np.ndarray | None = None
-    plane_l: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class Evidence:
     """Per-symbol posteriors over Alice's levels (rows sum to one)."""
 
@@ -83,16 +74,13 @@ class Evidence:
         if np.any(np.abs(sums - 1.0) > 1e-9):
             raise ValueError("posterior rows must sum to 1")
 
-    @property
-    def num_levels(self) -> int:
-        return self.posteriors.shape[1]
 
-
-def quantize(x: np.ndarray, quantizer: Quantizer, scale=1.0) -> QuantizedBlock:
+def quantize(x: np.ndarray, quantizer: Quantizer, scale=1.0) -> np.ndarray:
     """Map each value to its cell index; boundary values go to the upper cell.
 
-    ``scale`` is the source standard deviation (scalar or per-element) by
-    which the quantizer's normalized thresholds are multiplied.
+    Returns the ``uint8`` symbols in the shape of ``x``.  ``scale`` is the
+    source standard deviation (scalar or per-element) by which the
+    quantizer's normalized thresholds are multiplied.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
@@ -102,11 +90,7 @@ def quantize(x: np.ndarray, quantizer: Quantizer, scale=1.0) -> QuantizedBlock:
         np.asarray(scale, dtype=float), x.shape
     ).reshape(-1, 1)
     symbols = (x.reshape(-1, 1) >= scaled).sum(axis=1).astype(np.uint8)
-    symbols = symbols.reshape(x.shape)
-    if quantizer.levels == 4:
-        m, l = bit_planes(symbols)
-        return QuantizedBlock(symbols=symbols, plane_m=m, plane_l=l)
-    return QuantizedBlock(symbols=symbols)
+    return symbols.reshape(x.shape)
 
 
 def bit_planes(symbols: np.ndarray):
@@ -115,11 +99,6 @@ def bit_planes(symbols: np.ndarray):
     if symbols.size and (symbols.min() < 0 or symbols.max() > 3):
         raise ValueError("symbols out of range for 4-level data")
     return (symbols // 2).astype(np.uint8), (symbols % 2).astype(np.uint8)
-
-
-def combine_planes(plane_m: np.ndarray, plane_l: np.ndarray) -> np.ndarray:
-    """Inverse of bit_planes."""
-    return (np.asarray(plane_l) + 2 * np.asarray(plane_m)).astype(np.uint8)
 
 
 def soft_evidence(y: np.ndarray, rho: np.ndarray | float, sigma: np.ndarray | float,

@@ -355,7 +355,7 @@ def test_criterion_9_rotation_tracking():
         x_raw = sx * rng.standard_normal(PHASE_N)
         y_raw = rho * x_raw + math.sqrt(1 - rho * rho) * sx \
             * rng.standard_normal(PHASE_N)
-        xa = quantize(x_raw, Q2, scale=sx).symbols
+        xa = quantize(x_raw, Q2, scale=sx)
         s = code.syndrome(xa)
         obs = y_raw[0::2] + 1j * y_raw[1::2]
         res_b1 = decode_with_phase_offset(code, s, obs, np.array([0.0]), rho,

@@ -85,6 +85,15 @@ def test_malformed_override_exits_2(tmp_path):
     assert run_cli("keygen", "--out", tmp_path / "x", "--set", "blocks") == 2
 
 
+@pytest.mark.parametrize("subcommand, typo", [("keygen", "rat=0.9"),
+                                              ("ldpc-waterfall", "block=12")])
+def test_unknown_override_exits_2(tmp_path, capsys, subcommand, typo):
+    key = typo.partition("=")[0]
+    assert run_cli(subcommand, "--out", tmp_path / "x", "--trials", 1,
+                   "--set", typo, "--set", "snr_db=20") == 2
+    assert f"unknown override '{key}'" in capsys.readouterr().err
+
+
 def test_self_check_failure_exits_3(tmp_path):
     # with tau_max = T every tone is independent: the tone-correlation
     # self-check of corr-matrix must fail

@@ -13,7 +13,7 @@ from chankey.codec import (
     evidence_to_llr,
 )
 from chankey.codec.decode import _plane_evidence
-from chankey.quantize import Quantizer, quantize, soft_evidence
+from chankey.quantize import Quantizer, bit_planes, quantize, soft_evidence
 from chankey.rng import make_rng
 
 Q2 = Quantizer.equiprobable(2)
@@ -165,8 +165,7 @@ def test_quaternary_deterministic_evidence():
     g = np.full((64, 4), 1e-12)
     g[np.arange(64), symbols] = 1.0
     g /= g.sum(axis=1, keepdims=True)
-    s_m = pcm.syndrome(symbols // 2)
-    s_l = pcm.syndrome(symbols % 2)
+    s_m, s_l = (pcm.syndrome(p) for p in bit_planes(symbols))
     res = decode_quaternary(pcm, pcm, s_m, s_l, g)
     np.testing.assert_array_equal(res.estimate, symbols)
     assert res.syndrome_satisfied and res.iterations_used == 1
@@ -182,11 +181,11 @@ def test_quaternary_toy_operating_point():
     for _ in range(50):
         x_raw = rng.standard_normal(512)
         y_raw = rho * x_raw + math.sqrt(1 - rho**2) * rng.standard_normal(512)
-        blk = quantize(x_raw, Q4)
+        symbols = quantize(x_raw, Q4)
         ev = soft_evidence(y_raw, rho, math.sqrt(2), Q4)
-        res = decode_quaternary(pcm, pcm, pcm.syndrome(blk.plane_m),
-                                pcm.syndrome(blk.plane_l), ev)
-        sym_err += int(np.sum(res.estimate != blk.symbols))
+        s_m, s_l = (pcm.syndrome(p) for p in bit_planes(symbols))
+        res = decode_quaternary(pcm, pcm, s_m, s_l, ev)
+        sym_err += int(np.sum(res.estimate != symbols))
         total += 512
     assert sym_err / total <= 1e-3
 
@@ -217,7 +216,7 @@ def test_phase_single_point_grid_equals_plain_decoder():
     rng = make_rng(9)
     x_raw = rng.standard_normal(256)
     y_raw = rho * x_raw + math.sqrt(1 - rho**2) * rng.standard_normal(256)
-    xa = quantize(x_raw, Q2).symbols
+    xa = quantize(x_raw, Q2)
     s = pcm.syndrome(xa)
     obs = y_raw[0::2] + 1j * y_raw[1::2]
     res_phase = decode_with_phase_offset(pcm, s, obs, np.array([0.0]), rho,
@@ -238,7 +237,7 @@ def test_phase_noiseless_on_grid_exact():
     rho = 1 - 1e-9
     for _ in range(20):
         x_raw = rng.standard_normal(256)
-        xa = quantize(x_raw, Q2).symbols
+        xa = quantize(x_raw, Q2)
         theta = grid[rng.integers(0, B)]
         obs = (x_raw[0::2] + 1j * x_raw[1::2]) * np.exp(1j * theta)
         res = decode_with_phase_offset(pcm, pcm.syndrome(xa), obs, grid, rho,
@@ -256,7 +255,7 @@ def test_phase_off_grid_midpoint_adjacent():
     for _ in range(15):
         x_raw = rng.standard_normal(256)
         y_raw = rho * x_raw + math.sqrt(1 - rho**2) * rng.standard_normal(256)
-        xa = quantize(x_raw, Q2).symbols
+        xa = quantize(x_raw, Q2)
         k = int(rng.integers(0, B))
         theta = (k + 0.5) * 2 * np.pi / B
         obs = (y_raw[0::2] + 1j * y_raw[1::2]) * np.exp(1j * theta)
@@ -288,7 +287,7 @@ def test_phase_joint_exhaustive_oracle_small():
     trials = 30
     for _ in range(trials):
         x_raw = rng.standard_normal(8)
-        xa = quantize(x_raw, Q2).symbols
+        xa = quantize(x_raw, Q2)
         s = pcm.syndrome(xa)
         theta = grid[rng.integers(0, B)]
         obs = (x_raw[0::2] + 1j * x_raw[1::2]) * np.exp(1j * theta)

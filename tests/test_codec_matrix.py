@@ -8,7 +8,6 @@ from chankey.codec import (
     construct_irregular,
     construct_regular,
     coset_index,
-    syndrome,
 )
 from chankey.rng import make_rng
 
@@ -123,13 +122,13 @@ def test_irregular_mixed_profile_girth_attempt():
 
 def test_syndrome_zero_vector():
     pcm = construct_regular(16, 8, 2, seed=8)
-    np.testing.assert_array_equal(syndrome(pcm, np.zeros(16, dtype=np.uint8)),
+    np.testing.assert_array_equal(pcm.syndrome(np.zeros(16, dtype=np.uint8)),
                                   np.zeros(8, dtype=np.uint8))
 
 
 def test_syndrome_hand_example():
     pcm = SparseParityCheck([np.array([0, 1]), np.array([1, 2, 3])], 4)
-    s = syndrome(pcm, np.array([1, 0, 1, 1], dtype=np.uint8))
+    s = pcm.syndrome(np.array([1, 0, 1, 1], dtype=np.uint8))
     np.testing.assert_array_equal(s, [1, 0])
 
 
@@ -139,15 +138,15 @@ def test_syndrome_linearity():
     for _ in range(20):
         x = rng.integers(0, 2, size=48).astype(np.uint8)
         y = rng.integers(0, 2, size=48).astype(np.uint8)
-        lhs = syndrome(pcm, x ^ y)
-        rhs = syndrome(pcm, x) ^ syndrome(pcm, y)
+        lhs = pcm.syndrome(x ^ y)
+        rhs = pcm.syndrome(x) ^ pcm.syndrome(y)
         np.testing.assert_array_equal(lhs, rhs)
 
 
 def test_syndrome_rejects_length_mismatch():
     pcm = construct_regular(16, 8, 2, seed=11)
     with pytest.raises(ValueError):
-        syndrome(pcm, np.zeros(15, dtype=np.uint8))
+        pcm.syndrome(np.zeros(15, dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------

@@ -274,3 +274,20 @@ def test_sweep_excludes_low_rates():
     rows = sweep_rate_vs_snr(template, rates=[0.1, 0.5], snr_grid=[25.0],
                              trials=2)
     assert {row.rate for row in rows} == {0.5}
+
+
+def test_sweep_keeps_template_rotation():
+    # an untracked quarter-turn (one-point grid) must reach every session
+    # of the sweep, not be dropped when the sweep swaps code and SNR
+    wide = ChannelConfig(m_tones=52, bandwidth_hz=16.25e6, duration_s=3.2e-6,
+                         n_paths=100, tau_max_s=800e-9, profile="flat")
+    n_data = 2 * 10 * wide.num_delay_bins
+    template = SessionConfig(channel=wide, snr_f_db=0.0, blocks=10,
+                             quantizer=Q2,
+                             code=make_plane_code(n_data, 0.5, "regular", 7),
+                             phase_mode="constant_theta", theta_grid_size=1,
+                             theta=np.pi / 2, seed=31)
+    (row,) = sweep_rate_vs_snr(template, rates=[0.5], snr_grid=[25.0],
+                               trials=4)
+    assert row.agreed == 0
+    assert row.ber > 0.3

@@ -8,14 +8,9 @@ from chankey.channel import ChannelConfig, build_snr_profile, realize
 from chankey.rng import make_rng, split_streams
 from chankey.sounding import (
     MeasurementPair,
-    StackedObservation,
     apply_phase_offset,
-    data_entries,
-    deinterleave,
     interleave,
-    stack_observations,
     two_way_sound,
-    unstack,
 )
 
 FLAT = ChannelConfig(m_tones=8, bandwidth_hz=2.5e6, duration_s=3.2e-6,
@@ -119,64 +114,18 @@ def test_rotation_invariance_of_distribution():
     assert ks.pvalue > 0.01
 
 
-def test_stack_single_block_layout():
-    pair = _pair([1.0 + 2.0j], [3.0 - 4.0j])
-    sa, sb = stack_observations([pair], m_tones=2)
-    np.testing.assert_array_equal(sa.values, [1.0, 2.0, 0.0, 0.0])
-    np.testing.assert_array_equal(sb.values, [3.0, -4.0, 0.0, 0.0])
-
-
-def test_stack_padding_count():
+def test_interleave_layout():
+    np.testing.assert_array_equal(interleave(np.array([1 + 2j, 3 - 4j])),
+                                  [1.0, 2.0, 3.0, -4.0])
+    # a multi-block array interleaves block after block
     rng = make_rng(5)
-    pairs = [_pair(rng.standard_normal(13) + 1j * rng.standard_normal(13),
-                   rng.standard_normal(13) + 1j * rng.standard_normal(13))
-             for _ in range(2)]
-    sa, _ = stack_observations(pairs, m_tones=52)
-    assert sa.values.size == 2 * 2 * 52 == 208
-    assert np.count_nonzero(sa.values == 0.0) >= 2 * 2 * (52 - 13) == 156
-    assert data_entries(sa).size == 52
-
-
-def test_stack_paper_block_length():
-    rng = make_rng(6)
-    pairs = [_pair(rng.standard_normal(13) * (1 + 0j),
-                   rng.standard_normal(13) * (1 + 0j)) for _ in range(30)]
-    sa, sb = stack_observations(pairs, m_tones=52)
-    assert sa.values.size == 3120
-    assert sb.values.size == 3120
-
-
-def test_stack_rejects_mixed_dof():
-    pairs = [_pair([1j], [1j]), _pair([1j, 2j], [1j, 2j])]
-    with pytest.raises(ValueError):
-        stack_observations(pairs, m_tones=4)
-
-
-def test_unstack_roundtrip():
-    rng = make_rng(8)
-    pairs = [_pair(rng.standard_normal(3) + 1j * rng.standard_normal(3),
-                   rng.standard_normal(3) + 1j * rng.standard_normal(3))
-             for _ in range(4)]
-    sa, _ = stack_observations(pairs, m_tones=5)
-    blocks = unstack(sa)
-    assert len(blocks) == 4
-    for pair, block in zip(pairs, blocks):
-        np.testing.assert_allclose(block, pair.obs_a)
+    obs = rng.standard_normal((2, 13)) + 1j * rng.standard_normal((2, 13))
+    np.testing.assert_array_equal(
+        interleave(obs), np.concatenate([interleave(row) for row in obs]))
 
 
 def test_interleave_roundtrip():
     rng = make_rng(10)
     obs = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-    np.testing.assert_allclose(deinterleave(interleave(obs)), obs)
-
-
-def test_csv_roundtrip(tmp_path):
-    rng = make_rng(12)
-    pairs = [_pair(rng.standard_normal(2) + 1j * rng.standard_normal(2),
-                   rng.standard_normal(2) + 1j * rng.standard_normal(2))]
-    sa, _ = stack_observations(pairs, m_tones=3)
-    path = tmp_path / "stack.csv"
-    sa.to_csv(path)
-    back = StackedObservation.from_csv(path)
-    np.testing.assert_array_equal(back.values, sa.values)
-    assert (back.blocks, back.per_block_dof, back.m_tones) == (1, 2, 3)
+    values = interleave(obs)
+    np.testing.assert_array_equal(values[0::2] + 1j * values[1::2], obs)
