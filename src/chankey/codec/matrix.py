@@ -9,6 +9,12 @@ degree distributions (girth >= 6 attempted, best effort).
 The key of an observation is its index within the coset selected by the
 syndrome: after a one-time column classification into pivot and free columns
 (GF(2) row reduction), the free-column values index the coset bijectively.
+
+Construction and row reduction never form a dense m x n matrix (only
+``dense()`` does).  Row overlaps for the 4-cycle repair are the upper
+triangle of the sparse product H Hᵀ, and the row reduction runs on rows
+bit-packed into uint64 words straight from the row lists, so memory grows
+with the edge count and with m * n / 64 words.
 """
 
 from __future__ import annotations
@@ -29,24 +35,26 @@ class SparseParityCheck:
     """Immutable m x n binary parity-check matrix."""
 
     def __init__(self, row_cols, n_cols: int):
-        rows = []
-        col_seen = np.zeros(n_cols, dtype=bool)
-        for r in row_cols:
-            r = np.asarray(r, dtype=np.int32)
-            if r.size == 0:
-                raise ValueError("empty parity-check row")
-            if r.min() < 0 or r.max() >= n_cols:
-                raise ValueError("column index out of range")
-            r = np.sort(r)
-            if np.any(np.diff(r) == 0):
-                raise ValueError("duplicate column index within a row")
-            col_seen[r] = True
-            rows.append(r)
+        rows = [np.asarray(r, dtype=np.int32) for r in row_cols]
         if not rows:
             raise ValueError("matrix needs at least one row")
-        if not col_seen.all():
+        sizes = np.fromiter((r.size for r in rows), dtype=np.int64,
+                            count=len(rows))
+        if np.any(sizes == 0):
+            raise ValueError("empty parity-check row")
+        flat = np.concatenate(rows).astype(np.int64)
+        if flat.min() < 0 or flat.max() >= n_cols:
+            raise ValueError("column index out of range")
+        # one sort of (row, column) keys sorts every row at once
+        row_id = np.repeat(np.arange(len(rows), dtype=np.int64), sizes)
+        flat = np.sort(row_id * n_cols + flat) - row_id * n_cols
+        if np.any((np.diff(flat) == 0) & (np.diff(row_id) == 0)):
+            raise ValueError("duplicate column index within a row")
+        if np.any(np.bincount(flat, minlength=n_cols) == 0):
             raise ValueError("every column must have degree >= 1")
-        self._rows = tuple(rows)
+        self._indices = flat.astype(np.int32)
+        self._indptr = np.concatenate([[0], np.cumsum(sizes)])
+        self._rows = tuple(np.split(self._indices, self._indptr[1:-1]))
         self._n = int(n_cols)
         self._cache: dict = {}
 
@@ -69,13 +77,10 @@ class SparseParityCheck:
         return (1.0 - self.m / self.n) * np.log2(alphabet)
 
     def row_degrees(self) -> np.ndarray:
-        return np.array([r.size for r in self._rows])
+        return np.diff(self._indptr)
 
     def col_degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=int)
-        for r in self._rows:
-            deg[r] += 1
-        return deg
+        return np.bincount(self._indices, minlength=self.n)
 
     def dense(self) -> np.ndarray:
         out = np.zeros((self.m, self.n), dtype=np.uint8)
@@ -87,13 +92,20 @@ class SparseParityCheck:
 
     def _csr(self):
         if "csr" not in self._cache:
-            indptr = np.concatenate([[0], np.cumsum([r.size for r in self._rows])])
-            indices = np.concatenate(self._rows)
-            data = np.ones(indices.size, dtype=np.uint8)
+            data = np.ones(self._indices.size, dtype=np.uint8)
             self._cache["csr"] = sparse.csr_matrix(
-                (data, indices, indptr), shape=(self.m, self.n)
+                (data, self._indices, self._indptr), shape=(self.m, self.n)
             )
         return self._cache["csr"]
+
+    def _packed_rows(self) -> np.ndarray:
+        """Rows as bit-packed uint64 words; column c is bit c % 64 of word c // 64."""
+        words = (self.n + 63) // 64
+        packed = np.zeros(self.m * words, dtype=np.uint64)
+        row_id = np.repeat(np.arange(self.m), self.row_degrees())
+        bits = np.left_shift(np.uint64(1), (self._indices & 63).astype(np.uint64))
+        np.bitwise_or.at(packed, row_id * words + (self._indices >> 6), bits)
+        return packed.reshape(self.m, words)
 
     def syndrome(self, x: np.ndarray) -> np.ndarray:
         """Row parities of x (GF(2) product)."""
@@ -107,11 +119,13 @@ class SparseParityCheck:
     def systemization(self):
         """(pivot_cols, free_cols, rank) from GF(2) row reduction.
 
-        Computed once and cached; the fixed column classification makes the
-        coset index reproducible across calls.
+        The rows are packed into uint64 words and reduced left to right; the
+        pivot columns of an echelon form depend only on the matrix.  Computed
+        once and cached; the fixed column classification makes the coset
+        index reproducible across calls.
         """
         if "system" not in self._cache:
-            pivots, rank = _gf2_pivots(self.dense())
+            pivots, rank = _gf2_pivots(self._packed_rows(), self.n)
             mask = np.zeros(self.n, dtype=bool)
             mask[pivots] = True
             free = np.nonzero(~mask)[0]
@@ -169,35 +183,28 @@ class SparseParityCheck:
 # GF(2) elimination on bit-packed rows
 
 
-def _pack_rows(dense: np.ndarray) -> np.ndarray:
-    m, n = dense.shape
-    words = (n + 63) // 64
-    packed = np.zeros((m, words), dtype=np.uint64)
-    for w in range(words):
-        block = dense[:, w * 64:(w + 1) * 64].astype(np.uint64)
-        shifts = np.arange(block.shape[1], dtype=np.uint64)
-        packed[:, w] = (block << shifts).sum(axis=1, dtype=np.uint64)
-    return packed
+def _gf2_pivots(packed: np.ndarray, n: int):
+    """Pivot columns and rank of bit-packed binary rows (row echelon).
 
-
-def _gf2_pivots(dense: np.ndarray):
-    """Pivot columns and rank of a binary matrix (row echelon, packed)."""
-    m, n = dense.shape
-    packed = _pack_rows(dense)
+    Consumes ``packed``.  Rows ``r:`` are the ones not yet used as pivots;
+    they are zero in every column left of the current one, so eliminating
+    a column XORs only the words from its own word on.  A used pivot row is
+    never read again, so the top unused row simply takes its slot.
+    """
+    m = packed.shape[0]
     pivots = []
     r = 0
     for col in range(n):
         w = col >> 6
-        mask = np.uint64(1) << np.uint64(col & 63)
-        hits = np.nonzero(packed[r:, w] & mask)[0]
+        active = packed[r:]
+        hits = np.nonzero(active[:, w] & (np.uint64(1) << np.uint64(col & 63)))[0]
         if hits.size == 0:
             continue
-        piv = r + hits[0]
-        if piv != r:
-            packed[[r, piv]] = packed[[piv, r]]
-        others = r + 1 + np.nonzero(packed[r + 1:, w] & mask)[0]
-        if others.size:
-            packed[others] ^= packed[r]
+        first = hits[0]
+        if hits.size > 1:
+            active[hits[1:], w:] ^= active[first, w:]
+        if first:
+            active[first] = active[0]
         pivots.append(col)
         r += 1
         if r == m:
@@ -229,13 +236,17 @@ def coset_index(pcm: SparseParityCheck, x: np.ndarray) -> np.ndarray:
 # constructions
 
 
-def _rows_from_matrix(entries: np.ndarray, n: int) -> SparseParityCheck:
-    return SparseParityCheck([row for row in entries], n)
-
-
 def construct_regular(n: int, m: int, col_weight: int, seed=None) -> SparseParityCheck:
     """Random regular ensemble: every column weight ``col_weight``, every row
-    weight ``col_weight * n / m`` (which must divide evenly)."""
+    weight ``col_weight * n / m`` (which must divide evenly).
+
+    Sockets are dealt by one random permutation, then duplicate entries and
+    row pairs sharing two or more columns are repaired by random swaps.  The
+    work is vectorized over rows except for the swaps themselves, and memory
+    stays proportional to the ``n * col_weight`` edges.
+    """
+    if m < 1:
+        raise ValueError(f"need at least one parity check, got m={m}")
     if col_weight < 2:
         raise ValueError("col_weight must be >= 2")
     if (col_weight * n) % m:
@@ -255,7 +266,13 @@ def construct_regular(n: int, m: int, col_weight: int, seed=None) -> SparseParit
         raise ValueError("could not realize duplicate-free rows; "
                          "degree constraints too tight")
     _break_four_cycles(entries, rng)
-    return _rows_from_matrix(entries, n)
+    return SparseParityCheck(entries, n)
+
+
+def _rows_with_duplicates(entries: np.ndarray) -> np.ndarray:
+    """Indices of the rows of ``entries`` that repeat a column."""
+    ordered = np.sort(entries, axis=1)
+    return np.nonzero((np.diff(ordered, axis=1) == 0).any(axis=1))[0]
 
 
 def _repair_duplicates(entries: np.ndarray, rng) -> bool:
@@ -263,13 +280,12 @@ def _repair_duplicates(entries: np.ndarray, rng) -> bool:
     m, k = entries.shape
     budget = _REPAIR_TRIES * m
     while budget > 0:
-        dup_rows = [i for i in range(m)
-                    if np.unique(entries[i]).size != k]
-        if not dup_rows:
+        dup_rows = _rows_with_duplicates(entries)
+        if dup_rows.size == 0:
             return True
         for i in dup_rows:
-            vals, counts = np.unique(entries[i], return_counts=True)
-            dups = vals[counts > 1]
+            row = np.sort(entries[i])
+            dups = row[1:][row[1:] == row[:-1]]
             if dups.size == 0:  # an earlier swap may have fixed this row
                 continue
             pos = int(np.nonzero(entries[i] == dups[0])[0][-1])
@@ -281,20 +297,33 @@ def _repair_duplicates(entries: np.ndarray, rng) -> bool:
             budget -= 1
             if budget <= 0:
                 break
-    return all(np.unique(entries[i]).size == k for i in range(m))
+    return _rows_with_duplicates(entries).size == 0
+
+
+def _overlapping_pairs(entries: np.ndarray) -> np.ndarray:
+    """Row pairs (i, j), i < j, sharing two or more columns, row-major order.
+
+    The overlap counts are the upper triangle of H Hᵀ, formed as a sparse
+    product of the duplicate-free rows, so memory grows with the number of
+    edges rather than with m x n.
+    """
+    m, k = entries.shape
+    n = int(entries.max()) + 1
+    h = sparse.csr_matrix(
+        (np.ones(m * k, dtype=np.int32), entries.ravel(),
+         np.arange(0, m * k + 1, k)), shape=(m, n))
+    overlap = sparse.triu(h @ h.T, k=1, format="coo")
+    keep = overlap.data >= 2
+    i, j = overlap.row[keep], overlap.col[keep]
+    order = np.lexsort((j, i))
+    return np.stack([i[order], j[order]], axis=1)
 
 
 def _break_four_cycles(entries: np.ndarray, rng) -> None:
     """Best-effort removal of row pairs sharing two or more columns."""
     m, k = entries.shape
-    n = int(entries.max()) + 1
     for _ in range(_CYCLE_PASSES):
-        dense = np.zeros((m, n), dtype=np.float32)
-        np.put_along_axis(dense, entries.astype(np.int64), 1.0, axis=1)
-        overlap = dense @ dense.T
-        np.fill_diagonal(overlap, 0.0)
-        bad = np.argwhere(overlap >= 2.0)
-        bad = bad[bad[:, 0] < bad[:, 1]]
+        bad = _overlapping_pairs(entries)
         if bad.size == 0:
             return
         for i, j in bad:
@@ -339,6 +368,8 @@ def construct_irregular(n: int, m: int, var_degree_distribution: dict,
     distance 3 of the variable when possible, so 4-cycles appear only when
     forced (girth >= 6 best effort).
     """
+    if m < 1:
+        raise ValueError(f"need at least one parity check, got m={m}")
     rng = make_rng(seed)
     var_deg = _realized_counts(var_degree_distribution, n)
     edges_total = int(var_deg.sum())

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chankey.codec import (
     SparseParityCheck,
@@ -9,6 +12,7 @@ from chankey.codec import (
     construct_regular,
     coset_index,
 )
+from chankey.codec.matrix import _overlapping_pairs
 from chankey.rng import make_rng
 
 
@@ -232,3 +236,143 @@ def test_design_rate_alphabets():
     pcm = construct_regular(16, 8, 2, seed=16)
     assert pcm.design_rate(2) == pytest.approx(0.5)
     assert pcm.design_rate(4) == pytest.approx(1.0)
+
+
+def test_rows_sorted_and_degrees_counted():
+    pcm = SparseParityCheck([[3, 1], [2, 0, 1]], 4)
+    np.testing.assert_array_equal(pcm.rows[0], [1, 3])
+    np.testing.assert_array_equal(pcm.rows[1], [0, 1, 2])
+    np.testing.assert_array_equal(pcm.row_degrees(), [2, 3])
+    np.testing.assert_array_equal(pcm.col_degrees(), [1, 2, 1, 1])
+
+
+def test_matrix_validation_empty():
+    with pytest.raises(ValueError, match="empty"):
+        SparseParityCheck([np.array([0, 1]), np.array([], dtype=int)], 2)
+    with pytest.raises(ValueError, match="at least one row"):
+        SparseParityCheck([], 2)
+
+
+# ---------------------------------------------------------------------------
+# sparse algebra against dense references
+
+
+def _dense_overlap_pairs(entries):
+    """Reference: pairs i < j sharing >= 2 columns, from a dense product."""
+    m = entries.shape[0]
+    n = int(entries.max()) + 1
+    dense = np.zeros((m, n), dtype=np.float32)
+    np.put_along_axis(dense, entries.astype(np.int64), 1.0, axis=1)
+    overlap = dense @ dense.T
+    np.fill_diagonal(overlap, 0.0)
+    bad = np.argwhere(overlap >= 2.0)
+    return bad[bad[:, 0] < bad[:, 1]]
+
+
+def _dense_gf2_pivots(dense):
+    """Reference: pivot columns and rank by elimination on a dense matrix."""
+    m, n = dense.shape
+    words = (n + 63) // 64
+    packed = np.zeros((m, words), dtype=np.uint64)
+    for w in range(words):
+        block = dense[:, w * 64:(w + 1) * 64].astype(np.uint64)
+        shifts = np.arange(block.shape[1], dtype=np.uint64)
+        packed[:, w] = (block << shifts).sum(axis=1, dtype=np.uint64)
+    pivots = []
+    r = 0
+    for col in range(n):
+        w = col >> 6
+        mask = np.uint64(1) << np.uint64(col & 63)
+        hits = np.nonzero(packed[r:, w] & mask)[0]
+        if hits.size == 0:
+            continue
+        piv = r + hits[0]
+        if piv != r:
+            packed[[r, piv]] = packed[[piv, r]]
+        others = r + 1 + np.nonzero(packed[r + 1:, w] & mask)[0]
+        if others.size:
+            packed[others] ^= packed[r]
+        pivots.append(col)
+        r += 1
+        if r == m:
+            break
+    return np.array(pivots, dtype=np.int64), r
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(2, 40), k=st.integers(2, 6), extra=st.integers(0, 30),
+       seed=st.integers(0, 2**32 - 1))
+def test_overlap_pairs_match_dense(m, k, extra, seed):
+    n = k + extra
+    rng = make_rng(seed)
+    entries = np.array([rng.permutation(n)[:k] for _ in range(m)],
+                       dtype=np.int32)
+    np.testing.assert_array_equal(_overlapping_pairs(entries),
+                                  _dense_overlap_pairs(entries))
+
+
+def _valid_dense(m, n, rng, density):
+    dense = (rng.random((m, n)) < density).astype(np.uint8)
+    dense[np.arange(m), rng.integers(0, n, size=m)] = 1  # no empty row
+    dense[rng.integers(0, m, size=n), np.arange(n)] = 1  # no empty column
+    return dense
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 24), n=st.integers(1, 150),
+       density=st.floats(0.02, 0.6), dependent=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_pivots_match_dense(m, n, density, dependent, seed):
+    rng = make_rng(seed)
+    dense = _valid_dense(m, n, rng, density)
+    # append sums of existing rows to force rank deficiency
+    for _ in range(dependent):
+        pick = rng.random(dense.shape[0]) < 0.5
+        combo = np.bitwise_xor.reduce(dense[pick], axis=0)
+        if combo.any():
+            dense = np.vstack([dense, combo])
+    pcm = SparseParityCheck([np.nonzero(r)[0] for r in dense], n)
+    pivots, free, rank = pcm.systemization()
+    ref_pivots, ref_rank = _dense_gf2_pivots(dense)
+    np.testing.assert_array_equal(pivots, ref_pivots)
+    assert rank == ref_rank
+    np.testing.assert_array_equal(np.sort(np.concatenate([pivots, free])),
+                                  np.arange(n))
+
+
+def test_pivots_with_repeated_row():
+    rng = make_rng(21)
+    dense = _valid_dense(12, 90, rng, 0.2)
+    dense = np.vstack([dense, dense[4]])
+    pcm = SparseParityCheck([np.nonzero(r)[0] for r in dense], 90)
+    ref_pivots, ref_rank = _dense_gf2_pivots(dense)
+    np.testing.assert_array_equal(pcm.systemization()[0], ref_pivots)
+    assert pcm.rank == ref_rank <= 12
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(2, 60), row_weight=st.integers(2, 8),
+       col_weight=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_regular_degrees_property(m, row_weight, col_weight, seed):
+    assume(col_weight <= m and (m * row_weight) % col_weight == 0)
+    n = m * row_weight // col_weight
+    assume(row_weight <= n)
+    pcm = construct_regular(n, m, col_weight, seed=seed)
+    np.testing.assert_array_equal(pcm.col_degrees(), col_weight)
+    np.testing.assert_array_equal(pcm.row_degrees(), row_weight)
+    for r in pcm.rows:
+        assert np.all(np.diff(r) > 0)
+
+
+def test_regular_long_code_bounded_memory():
+    # N = 31,200: a dense m x n overlap would need ~1.9 GB
+    tracemalloc.start()
+    try:
+        pcm = construct_regular(31200, 15600, 3, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    np.testing.assert_array_equal(pcm.col_degrees(), 3)
+    np.testing.assert_array_equal(pcm.row_degrees(), 6)
+    assert all(np.all(np.diff(r) > 0) for r in pcm.rows)

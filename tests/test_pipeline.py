@@ -257,6 +257,13 @@ def test_feasible_regular_rates_table1_lengths():
         assert any(abs(r - x) < 1e-9 for x in rates)
 
 
+@pytest.mark.parametrize("family", ["regular", "irregular"])
+def test_rate_one_code_rejected(family):
+    # rate 1.0 leaves no parity checks (m = 0)
+    with pytest.raises(ValueError, match="m=0"):
+        make_plane_code(520, 1.0, family, 1)
+
+
 def test_sweep_reports_threshold():
     template = _small_session(0.0, seed=11)
     rows = sweep_rate_vs_snr(template, rates=[0.5], snr_grid=[2.0, 25.0],
