@@ -57,6 +57,17 @@ class ConfigError(Exception):
     pass
 
 
+# Flags beyond --seed, --out and --set; build_parser gives each subcommand
+# only the ones its handler reads.
+FLAGS = {
+    "--config": dict(help="channel config file (key = value)"),
+    "--trials": dict(type=int, default=None, help="sessions per grid point"),
+    "--full": dict(action="store_true", help="full-scale sample counts"),
+    "--noise": dict(type=float, default=None,
+                    help="noise variance (0 = noiseless)"),
+}
+
+
 # ---------------------------------------------------------------------------
 # run bookkeeping
 
@@ -339,6 +350,10 @@ def cmd_ldpc_waterfall(args) -> int:
         args.set, ("rates", "variants", "blocks", "snr_step", "snr_db"))
     rates = _float_list(over.get("rates", "0.25,0.5,0.625,0.75"))
     variants = over.get("variants", ",".join(WATERFALL_VARIANTS)).split(",")
+    for variant in variants:
+        if variant not in WATERFALL_VARIANTS:
+            raise ConfigError(f"unknown variant '{variant}' (accepted: "
+                              f"{', '.join(WATERFALL_VARIANTS)})")
     blocks = int(over.get("blocks", 120))
     trials = args.trials or (400 if args.full else 100)
     step = float(over.get("snr_step", 1.0))
@@ -545,34 +560,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     commands = {
-        "capacity-sweep": (cmd_capacity_sweep,
+        "capacity-sweep": (cmd_capacity_sweep, ("--config",),
                            "Key capacity vs SNR for the configured channel"),
-        "rssi-compare": (cmd_rssi_compare,
+        "rssi-compare": (cmd_rssi_compare, ("--full",),
                          "Full-coefficient vs signal-strength capacity"),
-        "magphase": (cmd_magphase,
+        "magphase": (cmd_magphase, ("--full",),
                      "Real/imaginary vs magnitude/phase information split"),
-        "corr-matrix": (cmd_corr_matrix,
+        "corr-matrix": (cmd_corr_matrix, ("--config", "--full"),
                         "Empirical coefficient correlation matrices"),
         "ldpc-waterfall": (cmd_ldpc_waterfall,
+                           ("--config", "--trials", "--full"),
                            "Reconciliation error rate vs rate and SNR"),
-        "keygen": (cmd_keygen, "Run end-to-end key sessions"),
-        "phase-demo": (cmd_phase_demo,
+        "keygen": (cmd_keygen, ("--config", "--trials", "--noise"),
+                   "Run end-to-end key sessions"),
+        "phase-demo": (cmd_phase_demo, ("--trials", "--full"),
                        "Rotation tracking on and off the hypothesis grid"),
     }
-    for name, (func, help_text) in commands.items():
+    for name, (func, flags, help_text) in commands.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="channel config file (key = value)")
         p.add_argument("--seed", type=int, default=1, help="experiment seed")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--trials", type=int, default=None,
-                       help="sessions per grid point")
-        p.add_argument("--full", action="store_true",
-                       help="full-scale sample counts")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="experiment-specific overrides")
-        if name == "keygen":
-            p.add_argument("--noise", type=float, default=None,
-                           help="noise variance (0 = noiseless)")
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
         p.set_defaults(func=func)
     return parser
 
@@ -582,7 +593,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError, KeyError) as exc:
+    except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -13,6 +13,10 @@ coset rather than the zero codeword.
   node for the unknown rotation between the parties' oscillators, connected
   to every evidence node; the rotation hypothesis set is a uniform grid.
 
+All three run their flooding iterations through ``_flood``, the one stop
+rule: the estimate meets the target syndrome, no message moves by
+``MESSAGE_TOL``, or ``max_iter`` (at least 1) iterations have run.
+
 Messages on the plane codes live in the log-likelihood-ratio domain
 (positive favors bit 0, clamped to +/-LLR_CLAMP); factor-node and rotation
 messages live in the normalized probability domain.
@@ -74,6 +78,24 @@ def graph_for(pcm: SparseParityCheck) -> _Graph:
     return cache["graph"]
 
 
+def _flood(steps, satisfies, max_iter: int) -> DecodeResult:
+    """Run ``steps`` under the one stop rule shared by every decoder.
+
+    ``steps`` yields ``(estimate, largest message change)`` once per
+    iteration.  Stop when ``satisfies(estimate)`` (converged, satisfied),
+    when no message moved by ``MESSAGE_TOL`` (converged, unsatisfied), or
+    after ``max_iter`` iterations (neither flag set).
+    """
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    for it, (estimate, delta) in zip(range(1, max_iter + 1), steps):
+        if satisfies(estimate):
+            return DecodeResult(estimate, True, it, True)
+        if delta < MESSAGE_TOL:
+            return DecodeResult(estimate, True, it, False)
+    return DecodeResult(estimate, False, max_iter, False)
+
+
 class _BinarySP:
     """One plane of syndrome sum-product with persistent messages.
 
@@ -124,29 +146,22 @@ def decode_binary(pcm: SparseParityCheck, syndrome_bits: np.ndarray,
     """Coset sum-product decoding of one binary plane.
 
     ``evidence_llr`` is log(P[bit=0]/P[bit=1]) per position.  Decoding stops
-    as soon as the tentative estimate reproduces the target syndrome, or
-    when messages stop changing, or after ``max_iter`` iterations; failure
-    is reported through the flags, never raised.
+    by ``_flood``'s rule; failure is reported through the flags, not raised.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     evidence_llr = np.asarray(evidence_llr, dtype=float)
     if evidence_llr.size != pcm.n:
         raise ValueError("evidence length mismatch")
     evidence_llr = np.clip(evidence_llr, -LLR_CLAMP, LLR_CLAMP)
     s = np.asarray(syndrome_bits, dtype=np.uint8)
     sp = _BinarySP(pcm, s)
-    estimate = (evidence_llr < 0).astype(np.uint8)
-    iterations = 0
-    for it in range(1, max_iter + 1):
-        iterations = it
-        totals = sp.step(evidence_llr)
-        estimate = ((evidence_llr + totals) < 0).astype(np.uint8)
-        if np.array_equal(pcm.syndrome(estimate), s):
-            return DecodeResult(estimate, True, it, True)
-        if sp.last_delta < MESSAGE_TOL:
-            return DecodeResult(estimate, True, it, False)
-    return DecodeResult(estimate, False, iterations, False)
+
+    def steps():
+        while True:
+            totals = sp.step(evidence_llr)
+            yield ((evidence_llr + totals) < 0).astype(np.uint8), sp.last_delta
+
+    return _flood(steps(), lambda x: np.array_equal(pcm.syndrome(x), s),
+                  max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -215,25 +230,24 @@ def decode_quaternary(pcm_m: SparseParityCheck, pcm_l: SparseParityCheck,
 
     sp_m = _BinarySP(pcm_m, s_m)
     sp_l = _BinarySP(pcm_l, s_l)
-    ext_m = np.zeros(pcm_m.n)
-    ext_l = np.zeros(pcm_l.n)
-    estimate = np.argmax(g, axis=1).astype(np.uint8)
-    iterations = 0
-    for it in range(1, max_iter + 1):
-        iterations = it
-        ev_m, ev_l, _ = _plane_evidence(g, ext_m, ext_l)
-        ext_m = sp_m.step(ev_m)
-        ext_l = sp_l.step(ev_l)
-        _, _, to_sym = _plane_evidence(g, ext_m, ext_l)
-        belief = g * to_sym
-        estimate = np.argmax(belief, axis=1).astype(np.uint8)
+
+    def steps():
+        ext_m = np.zeros(pcm_m.n)
+        ext_l = np.zeros(pcm_l.n)
+        while True:
+            ev_m, ev_l, _ = _plane_evidence(g, ext_m, ext_l)
+            ext_m = sp_m.step(ev_m)
+            ext_l = sp_l.step(ev_l)
+            _, _, to_sym = _plane_evidence(g, ext_m, ext_l)
+            estimate = np.argmax(g * to_sym, axis=1).astype(np.uint8)
+            yield estimate, max(sp_m.last_delta, sp_l.last_delta)
+
+    def satisfies(estimate):
         est_m, est_l = bit_planes(estimate)
-        if (np.array_equal(pcm_m.syndrome(est_m), s_m)
-                and np.array_equal(pcm_l.syndrome(est_l), s_l)):
-            return DecodeResult(estimate, True, it, True)
-        if max(sp_m.last_delta, sp_l.last_delta) < MESSAGE_TOL:
-            return DecodeResult(estimate, True, it, False)
-    return DecodeResult(estimate, False, iterations, False)
+        return (np.array_equal(pcm_m.syndrome(est_m), s_m)
+                and np.array_equal(pcm_l.syndrome(est_l), s_l))
+
+    return _flood(steps(), satisfies, max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -308,51 +322,40 @@ def decode_with_phase_offset(pcm: SparseParityCheck, syndrome_bits: np.ndarray,
         log_to_theta[:, b] = np.log(
             np.maximum(prob[b, :, 0] * p0 + prob[b, :, 1] * p1, _TINY))
     log_to_theta -= log_to_theta.max(axis=1, keepdims=True)
-    estimate = np.zeros(n, dtype=np.uint8)
+
+    def steps():
+        nonlocal log_to_theta
+        prev_llr = None
+        while True:
+            # rotation -> evidence messages (leave-one-out within the group)
+            group_tot = np.zeros((num_groups, num_grid))
+            np.add.at(group_tot, group_of, log_to_theta)
+            to_g = group_tot[group_of] - log_to_theta
+            to_g -= to_g.max(axis=1, keepdims=True)
+            w = np.exp(to_g)
+            w /= w.sum(axis=1, keepdims=True)
+
+            # evidence -> code: mixture over hypotheses
+            mixed = np.einsum("ib,bil->il", w, prob)
+            ev_llr = _safe_llr(mixed[:, 0], mixed[:, 1])
+            ev_delta = np.inf if prev_llr is None else float(
+                np.max(np.abs(ev_llr - prev_llr)))
+            prev_llr = ev_llr
+
+            totals = sp.step(ev_llr)
+            estimate = ((ev_llr + totals) < 0).astype(np.uint8)
+
+            # code -> evidence extrinsic, then evidence -> rotation
+            p0, p1 = _llr_to_prob(totals)
+            back = prob[:, :, 0] * p0[None, :] + prob[:, :, 1] * p1[None, :]
+            log_to_theta = np.log(np.maximum(back.T, _TINY))
+            log_to_theta -= log_to_theta.max(axis=1, keepdims=True)
+            yield estimate, max(sp.last_delta, ev_delta)
+
+    result = _flood(steps(), lambda x: np.array_equal(pcm.syndrome(x), s),
+                    max_iter)
     theta_belief = np.zeros((num_groups, num_grid))
-    prev_llr = None
-    iterations = 0
-    satisfied = False
-    converged = False
-    for it in range(1, max_iter + 1):
-        iterations = it
-        # rotation -> evidence messages (leave-one-out within the group)
-        group_tot = np.zeros((num_groups, num_grid))
-        np.add.at(group_tot, group_of, log_to_theta)
-        to_g = group_tot[group_of] - log_to_theta
-        to_g -= to_g.max(axis=1, keepdims=True)
-        w = np.exp(to_g)
-        w /= w.sum(axis=1, keepdims=True)
-
-        # evidence -> code: mixture over hypotheses
-        mixed = np.einsum("ib,bil->il", w, prob)
-        ev_llr = _safe_llr(mixed[:, 0], mixed[:, 1])
-        ev_delta = np.inf if prev_llr is None else float(
-            np.max(np.abs(ev_llr - prev_llr)))
-        prev_llr = ev_llr
-
-        totals = sp.step(ev_llr)
-        estimate = ((ev_llr + totals) < 0).astype(np.uint8)
-
-        # code -> evidence extrinsic, then evidence -> rotation
-        p0, p1 = _llr_to_prob(totals)
-        back = prob[:, :, 0] * p0[None, :] + prob[:, :, 1] * p1[None, :]
-        log_to_theta = np.log(np.maximum(back.T, _TINY))
-        log_to_theta -= log_to_theta.max(axis=1, keepdims=True)
-
-        theta_belief = np.zeros((num_groups, num_grid))
-        np.add.at(theta_belief, group_of, log_to_theta)
-        if np.array_equal(pcm.syndrome(estimate), s):
-            satisfied = True
-            converged = True
-            break
-        if sp.last_delta < MESSAGE_TOL and ev_delta < MESSAGE_TOL:
-            converged = True
-            break
-    theta_hat = _argmax_theta(theta_belief, theta_grid, num_groups)
-    return DecodeResult(estimate, converged, iterations, satisfied, theta_hat)
-
-
-def _argmax_theta(theta_belief, theta_grid, num_groups):
+    np.add.at(theta_belief, group_of, log_to_theta)
     picks = theta_grid[np.argmax(theta_belief, axis=1)]
-    return float(picks[0]) if num_groups == 1 else picks
+    result.theta_hat = float(picks[0]) if num_groups == 1 else picks
+    return result

@@ -136,48 +136,6 @@ class SparseParityCheck:
     def rank(self) -> int:
         return self.systemization()[2]
 
-    # -- serialization -------------------------------------------------------
-
-    def to_alist(self, path) -> None:
-        """Write the standard alist sparse text format (1-indexed, 0-padded)."""
-        col_lists = [[] for _ in range(self.n)]
-        for i, r in enumerate(self._rows):
-            for c in r:
-                col_lists[c].append(i + 1)
-        max_col = max(len(c) for c in col_lists)
-        max_row = max(r.size for r in self._rows)
-        with open(path, "w") as fh:
-            fh.write(f"{self.n} {self.m}\n")
-            fh.write(f"{max_col} {max_row}\n")
-            fh.write(" ".join(str(len(c)) for c in col_lists) + "\n")
-            fh.write(" ".join(str(r.size) for r in self._rows) + "\n")
-            for c in col_lists:
-                padded = c + [0] * (max_col - len(c))
-                fh.write(" ".join(map(str, padded)) + "\n")
-            for r in self._rows:
-                padded = [int(c) + 1 for c in r] + [0] * (max_row - r.size)
-                fh.write(" ".join(map(str, padded)) + "\n")
-
-    @classmethod
-    def from_alist(cls, path) -> "SparseParityCheck":
-        with open(path) as fh:
-            tokens = fh.read().split()
-        it = iter(tokens)
-        n, m = int(next(it)), int(next(it))
-        max_col, max_row = int(next(it)), int(next(it))
-        _col_degs = [int(next(it)) for _ in range(n)]
-        row_degs = [int(next(it)) for _ in range(m)]
-        for _ in range(n * max_col):  # column lists, redundant with rows
-            next(it)
-        rows = []
-        for i in range(m):
-            entries = [int(next(it)) for _ in range(max_row)]
-            rows.append(np.array([e - 1 for e in entries if e > 0],
-                                 dtype=np.int32))
-            if rows[-1].size != row_degs[i]:
-                raise ValueError(f"row {i} degree mismatch in alist file")
-        return cls(rows, n)
-
 
 # ---------------------------------------------------------------------------
 # GF(2) elimination on bit-packed rows

@@ -39,7 +39,7 @@ from .quantize import (
     soft_evidence,
 )
 from .rng import derive_seed, split_streams
-from .sounding import interleave, rotation_grid
+from .sounding import interleave, rotation_grid, sound_blocks
 
 PHASE_MODES = ("none", "constant_theta", "per_block_theta")
 DECODING_MODES = ("soft", "hard")
@@ -147,7 +147,6 @@ def _session_vectors(config: SessionConfig):
     vectors are bit-identical to simulating the blocks one at a time.
     """
     profile = build_snr_profile(config.channel, config.snr_f_db)
-    L = config.channel.num_delay_bins
     streams = split_streams(config.seed, config.blocks + 1)
     block_streams, theta_rng = streams[:-1], streams[-1]
     grid = rotation_grid(config.theta_grid_size)
@@ -163,15 +162,8 @@ def _session_vectors(config: SessionConfig):
 
     h = time_coefficients(sample_paths(config.channel, block_streams),
                           config.channel)
-    normals = np.empty((config.blocks, 4 * L))
-    for rng, row in zip(block_streams, normals):
-        rng.standard_normal(out=row)
-    # per block: real parts (Alice's L, Bob's L), then imaginary parts
-    noise = (normals[:, :2 * L] + 1j * normals[:, 2 * L:]).reshape(
-        config.blocks, 2, L)
-    noise_scale = math.sqrt(profile.noise_var / 2.0)
-    obs_a = h + noise_scale * noise[:, 0]
-    b_obs = (h + noise_scale * noise[:, 1]) * np.exp(1j * thetas)[:, None]
+    obs_a, obs_b = sound_blocks(h, profile.noise_var, block_streams)
+    b_obs = obs_b * np.exp(1j * thetas)[:, None]
 
     sigma_h2 = profile.per_bin_snr * profile.noise_var
     sigma_complex = np.sqrt(sigma_h2 + profile.noise_var)
@@ -253,15 +245,6 @@ def run_session(config: SessionConfig) -> KeySessionResult:
 
 # ---------------------------------------------------------------------------
 # rate/SNR sweeps
-
-
-def feasible_regular_rates(n: int, col_weight: int = 3):
-    """Code rates whose row weight comes out integral for this block length."""
-    rates = []
-    for m in range(1, n):
-        if (col_weight * n) % m == 0:
-            rates.append(1.0 - m / n)
-    return sorted(rates)
 
 
 def make_plane_code(n: int, rate: float, family: str, seed) -> SparseParityCheck:

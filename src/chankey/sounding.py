@@ -6,6 +6,9 @@ additive complex Gaussian noise.  Unsynchronized oscillators add an unknown
 rotation ``e^{j theta}`` to Bob's side.  ``n`` blocks of observations form a
 real vector of length ``N = 2 n L``: per block the L complex coefficients
 interleave as [Re h_1, Im h_1, ..., Re h_L, Im h_L], blocks in order.
+
+``sound_blocks`` is the one place sounding noise is drawn: key sessions call
+it on all blocks at once, and ``two_way_sound`` is its one-block form.
 """
 
 from __future__ import annotations
@@ -32,26 +35,31 @@ class MeasurementPair:
             raise ValueError("observation vectors must share a shape")
 
 
+def sound_blocks(h: np.ndarray, noise_var: float, streams):
+    """Alice's and Bob's noisy views of ``(blocks, L)`` coefficients ``h``.
+
+    Block i's stream draws ``4L`` standard normals: Alice's L real parts,
+    Bob's L real parts, then the imaginary parts in the same order.  Each
+    complex noise sample has variance ``noise_var`` (half per dimension).
+    """
+    blocks, L = h.shape
+    normals = np.empty((blocks, 4 * L))
+    for rng, row in zip(streams, normals, strict=True):
+        rng.standard_normal(out=row)
+    noise = (normals[:, :2 * L] + 1j * normals[:, 2 * L:]).reshape(blocks, 2, L)
+    scale = np.sqrt(noise_var / 2.0)
+    return h + scale * noise[:, 0], h + scale * noise[:, 1]
+
+
 def two_way_sound(realization: ChannelRealization, profile: SnrProfile,
                   seed=None) -> MeasurementPair:
-    """Observe one realization from both ends with independent noise.
-
-    Each noise sample is complex Gaussian with total variance ``noise_var``
-    (noise_var/2 per real dimension).  The returned pair has zero phase
-    offset; apply_phase_offset models the oscillator mismatch.
-    """
+    """One block of ``sound_blocks``; apply_phase_offset adds the rotation."""
     h = realization.time_coeffs
     if h.size != profile.num_delay_bins:
         raise ValueError("realization and profile disagree on L")
-    rng = make_rng(seed)
-    scale = np.sqrt(profile.noise_var / 2.0)
-    noise = rng.standard_normal((2, h.size)) + 1j * rng.standard_normal((2, h.size))
-    return MeasurementPair(
-        obs_a=h + scale * noise[0],
-        obs_b=h + scale * noise[1],
-        noise_var=profile.noise_var,
-        phase_offset=0.0,
-    )
+    obs_a, obs_b = sound_blocks(h[None], profile.noise_var, [make_rng(seed)])
+    return MeasurementPair(obs_a=obs_a[0], obs_b=obs_b[0],
+                           noise_var=profile.noise_var)
 
 
 def apply_phase_offset(pair: MeasurementPair, theta: float) -> MeasurementPair:

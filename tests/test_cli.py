@@ -190,3 +190,32 @@ def test_magphase_small(tmp_path):
     row = lines[2].split(",")
     i_full, i_re_im = float(row[1]), float(row[2])
     assert i_re_im == pytest.approx(i_full, rel=0.05)
+
+
+@pytest.mark.parametrize("subcommand, flag", [
+    ("capacity-sweep", "--trials=2"), ("rssi-compare", "--trials=2"),
+    ("magphase", "--trials=2"), ("corr-matrix", "--trials=2"),
+    ("rssi-compare", "--config=nope.cfg"), ("magphase", "--config=nope.cfg"),
+    ("phase-demo", "--config=nope.cfg"),
+    ("capacity-sweep", "--full"), ("keygen", "--full"),
+])
+def test_flag_the_handler_ignores_exits_2(tmp_path, subcommand, flag):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(subcommand, "--out", tmp_path / "x", flag)
+    assert exc.value.code == 2
+
+
+def test_unknown_waterfall_variant_exits_2(tmp_path, capsys):
+    assert run_cli("ldpc-waterfall", "--out", tmp_path / "x",
+                   "--set", "variants=nope") == 2
+    assert "unknown variant 'nope'" in capsys.readouterr().err
+
+
+def test_internal_key_error_is_not_a_config_error(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr("chankey.cli.run_session", broken)
+    with pytest.raises(KeyError, match="internal"):
+        run_cli("keygen", "--out", tmp_path / "x", "--trials", 1,
+                "--set", "blocks=10")

@@ -327,3 +327,23 @@ def test_phase_rejects_bad_arguments():
     with pytest.raises(ValueError):
         decode_with_phase_offset(pcm, np.zeros(192, np.uint8), obs[:100],
                                  np.array([0.0]), 0.9, 1.0, Q2)
+
+
+# ---------------------------------------------------------------------------
+# stop rule shared by all decoders
+
+
+@pytest.mark.parametrize("decoder", ["binary", "quaternary", "phase_offset"])
+def test_decoders_reject_zero_iterations(decoder):
+    pcm = construct_regular(16, 8, 2, seed=5)
+    s = np.zeros(8, np.uint8)
+    calls = {
+        "binary": lambda: decode_binary(pcm, s, np.ones(16), max_iter=0),
+        "quaternary": lambda: decode_quaternary(
+            pcm, pcm, s, s, np.full((16, 4), 0.25), max_iter=0),
+        "phase_offset": lambda: decode_with_phase_offset(
+            pcm, s, np.ones(8, dtype=complex), np.arange(4) * np.pi / 2,
+            0.9, 1.0, Q2, max_iter=0),
+    }
+    with pytest.raises(ValueError, match="max_iter"):
+        calls[decoder]()

@@ -210,17 +210,7 @@ def test_coset_index_warns_on_rank_deficiency():
 
 
 # ---------------------------------------------------------------------------
-# serialization and validation
-
-
-def test_alist_roundtrip(tmp_path):
-    pcm = construct_regular(24, 12, 3, seed=15)
-    path = tmp_path / "code.alist"
-    pcm.to_alist(path)
-    back = SparseParityCheck.from_alist(path)
-    assert back.n == pcm.n and back.m == pcm.m
-    for ra, rb in zip(pcm.rows, back.rows):
-        np.testing.assert_array_equal(ra, rb)
+# validation
 
 
 def test_matrix_validation():

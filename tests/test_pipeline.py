@@ -7,13 +7,13 @@ import pytest
 from chankey.channel import (
     ChannelConfig,
     build_snr_profile,
+    realize,
     sample_paths,
     time_coefficients,
 )
 from chankey.pipeline import (
     SessionConfig,
     _session_vectors,
-    feasible_regular_rates,
     make_plane_code,
     monobit_z,
     run_session,
@@ -22,7 +22,7 @@ from chankey.pipeline import (
 )
 from chankey.quantize import Quantizer
 from chankey.rng import split_streams
-from chankey.sounding import interleave, rotation_grid
+from chankey.sounding import interleave, rotation_grid, two_way_sound
 
 TABLE1 = ChannelConfig(m_tones=52, bandwidth_hz=16.25e6, duration_s=3.2e-6,
                        n_paths=300, tau_max_s=800e-9)
@@ -239,6 +239,25 @@ def test_batched_session_vectors_match_block_loop(channel, phase_mode, snr_db):
     assert np.array_equal(interleave(b_obs), ref_b)
 
 
+@pytest.mark.parametrize("channel", [TABLE1, SMALL, FLAT_1BIN],
+                         ids=["exponential", "flat", "tau0"])
+def test_session_vectors_match_two_way_sound(channel):
+    # the batched session path and the one-block entry point share one
+    # per-stream noise layout
+    blocks = 4
+    n_data = 2 * blocks * channel.num_delay_bins
+    cfg = SessionConfig(channel=channel, snr_f_db=12.0, blocks=blocks,
+                        quantizer=Q2,
+                        code=make_plane_code(n_data, 0.5, "regular", 7),
+                        seed=(8, 2))
+    x_raw, b_obs, _, _, _ = _session_vectors(cfg)
+    profile = build_snr_profile(channel, cfg.snr_f_db)
+    pairs = [two_way_sound(realize(channel, rng), profile, rng)
+             for rng in split_streams(cfg.seed, blocks + 1)[:-1]]
+    assert np.array_equal(x_raw, interleave(np.array([p.obs_a for p in pairs])))
+    assert np.array_equal(b_obs, np.array([p.obs_b for p in pairs]))
+
+
 @pytest.mark.parametrize("phase_mode", ["none", "constant_theta",
                                         "per_block_theta"])
 def test_session_extreme_snr_emits_no_runtime_warning(phase_mode):
@@ -249,12 +268,6 @@ def test_session_extreme_snr_emits_no_runtime_warning(phase_mode):
             warnings.simplefilter("error", RuntimeWarning)
             res = run_session(cfg)
         assert res.key_length == cfg.key_bits
-
-
-def test_feasible_regular_rates_table1_lengths():
-    rates = feasible_regular_rates(3120)
-    for r in (0.25, 0.4, 0.5, 0.625, 0.75):
-        assert any(abs(r - x) < 1e-9 for x in rates)
 
 
 @pytest.mark.parametrize("family", ["regular", "irregular"])
