@@ -104,13 +104,6 @@ def csi_capacity_ideal(snr_tau: float, num_bins: int, m_tones: int) -> CapacityR
     return CapacityReport(c, m_tones, "csi_ideal")
 
 
-def rho_time_from_freq(rho_f: float, m_tones: int, num_bins: int) -> float:
-    """Per-bin correlation implied by a per-tone correlation."""
-    if not 1 <= num_bins <= m_tones:
-        raise ValueError("need 1 <= L <= M")
-    return m_tones * rho_f / (num_bins + (m_tones - num_bins) * rho_f)
-
-
 def rssi_capacity_gaussian(rho_tau: float, m_tones: int) -> CapacityReport:
     """Signal-strength-only capacity under the large-L Gaussian approximation.
 

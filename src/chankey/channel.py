@@ -77,10 +77,6 @@ class ChannelConfig:
             raise ValueError("delay spread exceeds the tone count (L > M)")
 
     @property
-    def tone_spacing_hz(self) -> float:
-        return 1.0 / self.duration_s
-
-    @property
     def num_delay_bins(self) -> int:
         """Resolvable delay bins L = ceil(tau_max * W), at least 1."""
         return max(1, math.ceil(self.tau_max_s * self.bandwidth_hz - 1e-12))

@@ -57,11 +57,18 @@ class ConfigError(Exception):
     pass
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got '{text}'")
+    return int(text)
+
+
 # Flags beyond --seed, --out and --set; build_parser gives each subcommand
 # only the ones its handler reads.
 FLAGS = {
     "--config": dict(help="channel config file (key = value)"),
-    "--trials": dict(type=int, default=None, help="sessions per grid point"),
+    "--trials": dict(type=_positive_int, help="sessions per grid point"),
     "--full": dict(action="store_true", help="full-scale sample counts"),
     "--noise": dict(type=float, default=None,
                     help="noise variance (0 = noiseless)"),
@@ -431,14 +438,16 @@ def cmd_ldpc_waterfall(args) -> int:
 def cmd_keygen(args) -> int:
     cfg, _ = _channel_from_args(args)
     over = _parse_overrides(
-        args.set, ("rate", "levels", "quantizer.levels",
-                   "quantizer.thresholds", "mode", "blocks", "snr_db"))
+        args.set, ("rate", "levels", "quantizer.thresholds", "mode", "blocks",
+                   "snr_db"))
     rate = float(over.get("rate", 0.5))
-    levels = int(over.get("quantizer.levels", over.get("levels", 2)))
+    levels = int(over.get("levels", 2))
     mode = over.get("mode", "soft")
     blocks = int(over.get("blocks", 120))
     snr_db = float(over.get("snr_db", 10.0))
     if args.noise is not None:
+        if "snr_db" in over:
+            raise ConfigError("give --noise or --set snr_db, not both")
         snr_db = 200.0 if args.noise == 0 else 10 * math.log10(
             cfg.sigma_h2 / args.noise)
     sessions = args.trials or 10

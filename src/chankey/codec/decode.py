@@ -10,8 +10,8 @@ coset rather than the zero codeword.
   factor nodes enforcing x = x_L + 2 x_M, with channel evidence entering as
   a probability vector over the four levels.
 * ``decode_with_phase_offset`` -- binary decoding with one extra variable
-  node for the unknown rotation between the parties' oscillators, connected
-  to every evidence node; the rotation hypothesis set is a uniform grid.
+  node for the session's unknown oscillator rotation, connected to every
+  evidence node; the rotation hypothesis set is a uniform grid.
 
 All three run their flooding iterations through ``_flood``, the one stop
 rule: the estimate meets the target syndrome, no message moves by
@@ -46,14 +46,13 @@ class DecodeResult:
     converged: bool
     iterations_used: int
     syndrome_satisfied: bool
-    theta_hat: float | np.ndarray | None = None
+    theta_hat: float | None = None
 
 
 class _Graph:
     """Flattened edge layout of a parity-check matrix (cached per matrix)."""
 
     def __init__(self, pcm: SparseParityCheck):
-        self.pcm = pcm
         self.edge_var = np.concatenate(pcm.rows).astype(np.int64)
         deg = pcm.row_degrees()
         self.check_start = np.concatenate([[0], np.cumsum(deg)])[:-1]
@@ -257,12 +256,10 @@ def decode_quaternary(pcm_m: SparseParityCheck, pcm_l: SparseParityCheck,
 def decode_with_phase_offset(pcm: SparseParityCheck, syndrome_bits: np.ndarray,
                              raw_obs: np.ndarray, theta_grid: np.ndarray,
                              rho, sigma, quantizer: Quantizer,
-                             max_iter: int = DEFAULT_MAX_ITER,
-                             groups: np.ndarray | None = None) -> DecodeResult:
-    """Binary coset decoding with an unknown rotation on Bob's observations.
+                             max_iter: int = DEFAULT_MAX_ITER) -> DecodeResult:
+    """Binary coset decoding with one unknown rotation on Bob's observations.
 
-    One rotation variable node (per group, if ``groups`` assigns symbols to
-    independent rotation nodes) connects to every evidence node.  Per grid
+    A single rotation variable node connects to every evidence node.  Per grid
     hypothesis the complex observations are de-rotated and turned into soft
     evidence; the rotation belief starts uniform and is refined from the
     code's extrinsic output each iteration.  A single-point grid reproduces
@@ -283,15 +280,6 @@ def decode_with_phase_offset(pcm: SparseParityCheck, syndrome_bits: np.ndarray,
         raise ValueError("code length must equal 2 * observation count")
     s = np.asarray(syndrome_bits, dtype=np.uint8)
     num_grid = theta_grid.size
-
-    if groups is None:
-        group_of = np.zeros(n, dtype=np.int64)
-        num_groups = 1
-    else:
-        group_of = np.asarray(groups, dtype=np.int64)
-        if group_of.size != n:
-            raise ValueError("groups must assign every code position")
-        num_groups = int(group_of.max()) + 1
 
     # per-hypothesis channel evidence: prob[b, i, level]
     prob = np.empty((num_grid, n, 2))
@@ -314,6 +302,8 @@ def decode_with_phase_offset(pcm: SparseParityCheck, syndrome_bits: np.ndarray,
     # point whenever the grid contains antipodal pairs (a rotation by pi
     # mirrors the evidence of a symmetric quantizer, so the uniform
     # mixture carries zero information and no message ever moves).
+    # log_to_theta stays C-ordered: numpy then sums its columns row after
+    # row, not pairwise, which fixes the rounding of the rotation totals.
     log_to_theta = np.empty((n, num_grid))
     for b in range(num_grid):
         probe = _BinarySP(pcm, s)
@@ -327,10 +317,8 @@ def decode_with_phase_offset(pcm: SparseParityCheck, syndrome_bits: np.ndarray,
         nonlocal log_to_theta
         prev_llr = None
         while True:
-            # rotation -> evidence messages (leave-one-out within the group)
-            group_tot = np.zeros((num_groups, num_grid))
-            np.add.at(group_tot, group_of, log_to_theta)
-            to_g = group_tot[group_of] - log_to_theta
+            # rotation -> evidence messages (leave-one-out)
+            to_g = log_to_theta.sum(axis=0) - log_to_theta
             to_g -= to_g.max(axis=1, keepdims=True)
             w = np.exp(to_g)
             w /= w.sum(axis=1, keepdims=True)
@@ -348,14 +336,11 @@ def decode_with_phase_offset(pcm: SparseParityCheck, syndrome_bits: np.ndarray,
             # code -> evidence extrinsic, then evidence -> rotation
             p0, p1 = _llr_to_prob(totals)
             back = prob[:, :, 0] * p0[None, :] + prob[:, :, 1] * p1[None, :]
-            log_to_theta = np.log(np.maximum(back.T, _TINY))
+            log_to_theta = np.log(np.maximum(back.T, _TINY), order="C")
             log_to_theta -= log_to_theta.max(axis=1, keepdims=True)
             yield estimate, max(sp.last_delta, ev_delta)
 
     result = _flood(steps(), lambda x: np.array_equal(pcm.syndrome(x), s),
                     max_iter)
-    theta_belief = np.zeros((num_groups, num_grid))
-    np.add.at(theta_belief, group_of, log_to_theta)
-    picks = theta_grid[np.argmax(theta_belief, axis=1)]
-    result.theta_hat = float(picks[0]) if num_groups == 1 else picks
+    result.theta_hat = float(theta_grid[np.argmax(log_to_theta.sum(axis=0))])
     return result

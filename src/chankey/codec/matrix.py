@@ -72,10 +72,6 @@ class SparseParityCheck:
     def rows(self) -> tuple:
         return self._rows
 
-    def design_rate(self, alphabet: int = 2) -> float:
-        """(1 - m/n) * log2(q) bits per symbol for a q-ary source."""
-        return (1.0 - self.m / self.n) * np.log2(alphabet)
-
     def row_degrees(self) -> np.ndarray:
         return np.diff(self._indptr)
 

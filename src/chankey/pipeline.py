@@ -5,9 +5,10 @@ interleaves the real/imaginary parts of the sampled coefficients into a
 data vector of length ``N = 2 n L``, and reconciles: Alice quantizes,
 publishes the per-plane syndromes, and keeps her coset index as the key;
 Bob decodes her quantized vector from his own observations plus the
-syndromes and extracts the same index.  The public message costs ``m`` bits
-of leakage budget; the key has ``N - m`` bits (per plane for 4-level data)
-and reveals nothing through the syndrome by the coset argument.
+syndromes and extracts the same index.  The public message costs ``m`` bits;
+the key has ``N - rank(H)`` bits, ``N - m`` for a full-rank code (per plane
+for 4-level data), and reveals nothing through the syndrome by the coset
+argument.
 
 ``sweep_rate_vs_snr`` maps post-decoding key bit error rate over a
 rate/SNR grid and reports the waterfall threshold per rate.
@@ -41,7 +42,7 @@ from .quantize import (
 from .rng import derive_seed, split_streams
 from .sounding import interleave, rotation_grid, sound_blocks
 
-PHASE_MODES = ("none", "constant_theta", "per_block_theta")
+PHASE_MODES = ("none", "constant_theta")
 DECODING_MODES = ("soft", "hard")
 
 # Default irregular variable-degree profile for the waterfall experiments.
@@ -85,14 +86,6 @@ class SessionConfig:
             if self.theta_grid_size < 1:
                 raise ValueError("theta_grid_size must be >= 1")
 
-    @property
-    def public_message_bits(self) -> int:
-        return self.quantizer.levels // 2 * self.code.m
-
-    @property
-    def key_bits(self) -> int:
-        return self.quantizer.levels // 2 * (self.code.n - self.code.m)
-
 
 @dataclass
 class KeySessionResult:
@@ -104,8 +97,6 @@ class KeySessionResult:
     bit_error_rate: float
     key_length: int
     public_message_length: int
-    leakage_bound: float
-    uniformity_stat: float
     iterations_used: int
     syndrome_satisfied: bool
     theta_error: float | None = None
@@ -152,18 +143,16 @@ def _session_vectors(config: SessionConfig):
     grid = rotation_grid(config.theta_grid_size)
 
     if config.phase_mode == "none":
-        thetas = np.zeros(config.blocks)
+        theta = 0.0
     elif config.theta is not None:
-        thetas = np.full(config.blocks, float(config.theta))
-    elif config.phase_mode == "constant_theta":
-        thetas = np.full(config.blocks, grid[theta_rng.integers(0, grid.size)])
-    else:  # per_block_theta
-        thetas = grid[theta_rng.integers(0, grid.size, size=config.blocks)]
+        theta = float(config.theta)
+    else:
+        theta = grid[theta_rng.integers(0, grid.size)]
 
     h = time_coefficients(sample_paths(config.channel, block_streams),
                           config.channel)
     obs_a, obs_b = sound_blocks(h, profile.noise_var, block_streams)
-    b_obs = obs_b * np.exp(1j * thetas)[:, None]
+    b_obs = obs_b * np.exp(1j * theta)
 
     sigma_h2 = profile.per_bin_snr * profile.noise_var
     sigma_complex = np.sqrt(sigma_h2 + profile.noise_var)
@@ -172,7 +161,7 @@ def _session_vectors(config: SessionConfig):
     per_block_sigma = np.repeat(sigma_complex, 2)
     rho_vec = np.tile(per_block_rho, config.blocks)
     sigma_vec = np.tile(per_block_sigma, config.blocks)
-    return interleave(obs_a), b_obs, rho_vec, sigma_vec, thetas
+    return interleave(obs_a), b_obs, rho_vec, sigma_vec, theta
 
 
 def run_session(config: SessionConfig) -> KeySessionResult:
@@ -183,7 +172,7 @@ def run_session(config: SessionConfig) -> KeySessionResult:
     keeps the planes' coset indices as her key; Bob decodes her symbols and
     takes the same indices.
     """
-    x_raw, b_obs, rho_vec, sigma_vec, thetas = _session_vectors(config)
+    x_raw, b_obs, rho_vec, sigma_vec, theta = _session_vectors(config)
     q = config.quantizer
     pcm = config.code
     source_std = sigma_vec / math.sqrt(2.0)
@@ -197,18 +186,12 @@ def run_session(config: SessionConfig) -> KeySessionResult:
 
     theta_error = None
     if config.phase_mode != "none":
-        groups = None
-        if config.phase_mode == "per_block_theta":
-            L = config.channel.num_delay_bins
-            groups = np.repeat(np.arange(config.blocks), 2 * L)
         result = decode_with_phase_offset(
             pcm, syndromes[0], b_obs.reshape(-1),
             rotation_grid(config.theta_grid_size), rho_vec, sigma_vec, q,
-            config.max_iter, groups=groups)
-        hats = np.atleast_1d(result.theta_hat)
-        ref = thetas if hats.size > 1 else thetas[:1]
-        err = np.angle(np.exp(1j * (hats - ref)))
-        theta_error = float(np.max(np.abs(err)))
+            config.max_iter)
+        err = np.angle(np.exp(1j * (result.theta_hat - theta)))
+        theta_error = float(abs(err))
     else:
         y_raw = interleave(b_obs)
         if config.decoding_mode == "soft":
@@ -233,9 +216,7 @@ def run_session(config: SessionConfig) -> KeySessionResult:
         agreed=agreed,
         bit_error_rate=ber,
         key_length=int(key_a.size),
-        public_message_length=config.public_message_bits,
-        leakage_bound=0.0,
-        uniformity_stat=monobit_z(key_a),
+        public_message_length=q.levels // 2 * pcm.m,
         iterations_used=result.iterations_used,
         syndrome_satisfied=result.syndrome_satisfied,
         theta_error=theta_error,

@@ -20,8 +20,6 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate, stats
 
-EVIDENCE_MODES = ("soft", "hard")
-
 # Integration span, in source standard deviations, for confusion-matrix cells.
 _QUAD_SPAN = 8.0
 _QUAD_TOL = 1e-8
@@ -63,11 +61,8 @@ class Evidence:
     """Per-symbol posteriors over Alice's levels (rows sum to one)."""
 
     posteriors: np.ndarray
-    mode: str
 
     def __post_init__(self):
-        if self.mode not in EVIDENCE_MODES:
-            raise ValueError(f"mode must be one of {EVIDENCE_MODES}")
         if np.any(self.posteriors < 0):
             raise ValueError("posteriors must be nonnegative")
         sums = self.posteriors.sum(axis=1)
@@ -125,7 +120,7 @@ def soft_evidence(y: np.ndarray, rho: np.ndarray | float, sigma: np.ndarray | fl
     cdf = stats.norm.cdf(z)
     post = np.diff(cdf, axis=1)
     post /= post.sum(axis=1, keepdims=True)
-    return Evidence(posteriors=post, mode="soft")
+    return Evidence(posteriors=post)
 
 
 @lru_cache(maxsize=32)
@@ -177,4 +172,4 @@ def hard_evidence(y_symbols: np.ndarray, rho: np.ndarray | float,
         mask = rho_vec == r
         post[mask] = cond[:, y_symbols[mask]].T
     post /= post.sum(axis=1, keepdims=True)
-    return Evidence(posteriors=post, mode="hard")
+    return Evidence(posteriors=post)

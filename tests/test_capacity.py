@@ -13,7 +13,6 @@ from chankey.capacity import (
     mi_estimate,
     mi_gaussian,
     phase_offset_loss,
-    rho_time_from_freq,
     rssi_capacity_gaussian,
     rssi_capacity_numeric,
     simulate_rssi_pairs,
@@ -103,13 +102,6 @@ def test_csi_capacity_monotone_in_snr():
         prof = type(prof)(noise_var=1.0, per_bin_snr=snr, per_tone_snr=snr.sum() / 8)
         caps.append(csi_capacity(prof, 8).capacity_per_dim)
     assert np.all(np.diff(caps) > 0)
-
-
-def test_rho_time_from_freq():
-    assert rho_time_from_freq(0.4, 10, 10) == pytest.approx(0.4)
-    assert rho_time_from_freq(0.0, 52, 13) == 0.0
-    assert rho_time_from_freq(100 / 101, 52, 13) == pytest.approx(400 / 401,
-                                                                  rel=1e-12)
 
 
 def test_rssi_capacity_gaussian():

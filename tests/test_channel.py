@@ -46,7 +46,6 @@ def small_mc():
 def test_config_invariants():
     cfg = ChannelConfig(**TABLE1)
     assert cfg.num_delay_bins == 13
-    assert cfg.tone_spacing_hz == pytest.approx(312.5e3)
     assert cfg.decay_s == pytest.approx(800e-9 / 3)
     with pytest.raises(ValueError):
         ChannelConfig(**{**TABLE1, "m_tones": 64})

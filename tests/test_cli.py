@@ -85,8 +85,10 @@ def test_malformed_override_exits_2(tmp_path):
     assert run_cli("keygen", "--out", tmp_path / "x", "--set", "blocks") == 2
 
 
-@pytest.mark.parametrize("subcommand, typo", [("keygen", "rat=0.9"),
-                                              ("ldpc-waterfall", "block=12")])
+@pytest.mark.parametrize("subcommand, typo", [
+    ("keygen", "rat=0.9"), ("ldpc-waterfall", "block=12"),
+    ("keygen", "quantizer.levels=4"),
+])
 def test_unknown_override_exits_2(tmp_path, capsys, subcommand, typo):
     key = typo.partition("=")[0]
     assert run_cli(subcommand, "--out", tmp_path / "x", "--trials", 1,
@@ -203,6 +205,36 @@ def test_flag_the_handler_ignores_exits_2(tmp_path, subcommand, flag):
     with pytest.raises(SystemExit) as exc:
         run_cli(subcommand, "--out", tmp_path / "x", flag)
     assert exc.value.code == 2
+
+
+# small runs, so that a count the parser lets through finishes quickly
+SMALL_RUNS = {
+    "ldpc-waterfall": ("--set", "variants=binary_regular_soft",
+                       "--set", "rates=0.5", "--set", "snr_db=20",
+                       "--set", "blocks=10"),
+    "keygen": ("--set", "blocks=10"),
+    "phase-demo": ("--set", "blocks=5", "--set", "grid=2"),
+}
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+@pytest.mark.parametrize("subcommand", sorted(SMALL_RUNS))
+def test_nonpositive_trials_exits_2(tmp_path, capsys, subcommand, trials):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(subcommand, "--out", tmp_path / "x", "--trials", trials,
+                *SMALL_RUNS[subcommand])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_keygen_noise_and_snr_override_exit_2(tmp_path, capsys):
+    # --noise fixes the SNR, so a --set snr_db beside it cannot take effect
+    assert run_cli("keygen", "--out", tmp_path / "x", "--trials", 1,
+                   "--noise", 0.1, "--set", "snr_db=-5",
+                   "--set", "blocks=10") == 2
+    err = capsys.readouterr().err
+    assert "--noise" in err and "snr_db" in err
 
 
 def test_unknown_waterfall_variant_exits_2(tmp_path, capsys):

@@ -52,7 +52,6 @@ def test_regular_paper_scale_rate_half():
     pcm = construct_regular(3120, 1560, 3, seed=1)
     np.testing.assert_array_equal(pcm.col_degrees(), 3)
     np.testing.assert_array_equal(pcm.row_degrees(), 6)
-    assert pcm.design_rate() == pytest.approx(0.5)
 
 
 def test_regular_deterministic():
@@ -220,12 +219,6 @@ def test_matrix_validation():
         SparseParityCheck([np.array([0, 5])], 4)  # out of range
     with pytest.raises(ValueError):
         SparseParityCheck([np.array([0, 1])], 4)  # column 2,3 unused
-
-
-def test_design_rate_alphabets():
-    pcm = construct_regular(16, 8, 2, seed=16)
-    assert pcm.design_rate(2) == pytest.approx(0.5)
-    assert pcm.design_rate(4) == pytest.approx(1.0)
 
 
 def test_rows_sorted_and_degrees_counted():

@@ -57,6 +57,14 @@ def test_config_validation():
                       decoding_mode="hard")
 
 
+def test_config_rejects_per_block_theta():
+    # one rotation per session is the only rotation model
+    code = make_plane_code(N_SMALL, 0.5, "regular", 7)
+    with pytest.raises(ValueError, match="phase_mode"):
+        SessionConfig(channel=SMALL, snr_f_db=10, blocks=16, quantizer=Q2,
+                      code=code, phase_mode="per_block_theta")
+
+
 @pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf])
 def test_config_rejects_non_finite_snr(snr_db):
     code = make_plane_code(N_SMALL, 0.5, "regular", 7)
@@ -86,7 +94,6 @@ def test_session_determinism():
 def test_key_and_public_message_accounting():
     res = run_session(_small_session(200.0, seed=2))
     assert res.key_length + res.public_message_length == N_SMALL
-    assert res.leakage_bound == 0.0
     cfg4 = _small_session(200.0, seed=3, quantizer=Q4, rate=0.75)
     res4 = run_session(cfg4)
     # two planes: each contributes (N - m) key bits and m public bits
@@ -152,55 +159,15 @@ def test_phase_session_constant_theta():
     assert abs(res.theta_error) < 1e-9
 
 
-def test_phase_session_per_block_theta_structure():
-    # one rotation node per coherence block: the mode runs end to end,
-    # reports a per-block worst-case angle error, and is deterministic.
-    # (Convergence guarantees exist only for the constant-offset case; the
-    # per-block variant is the sketched extension, kept structural.)
-    wide = ChannelConfig(m_tones=52, bandwidth_hz=16.25e6, duration_s=3.2e-6,
-                         n_paths=100, tau_max_s=800e-9, profile="flat")
-    n_data = 2 * 8 * wide.num_delay_bins
-    code = make_plane_code(n_data, 0.25, "irregular", 7)
-    assert code.syndrome(np.ones(n_data, dtype=np.uint8)).any()
-    cfg = SessionConfig(channel=wide, snr_f_db=25.0, blocks=8, quantizer=Q2,
-                        code=code, phase_mode="per_block_theta",
-                        theta_grid_size=8, seed=9)
-    res = run_session(cfg)
-    assert res.theta_error is not None
-    assert 0.0 <= res.theta_error <= math.pi
-    again = run_session(cfg)
-    assert again.theta_error == res.theta_error
-    np.testing.assert_array_equal(again.key_b, res.key_b)
-
-
-def test_phase_session_per_block_single_node_matches_constant():
-    # with a single block the per-block mode degenerates to one rotation
-    # node and must behave like the constant-offset decoder
-    wide = ChannelConfig(m_tones=52, bandwidth_hz=16.25e6, duration_s=3.2e-6,
-                         n_paths=100, tau_max_s=800e-9, profile="flat")
-    n_data = 2 * 1 * wide.num_delay_bins
-    code = make_plane_code(n_data, 0.25, "irregular", 11)
-    for t in range(5):
-        base = dict(channel=wide, snr_f_db=25.0, blocks=1, quantizer=Q2,
-                    code=code, theta_grid_size=8, seed=(13, t),
-                    theta=np.pi / 2)
-        res_pb = run_session(SessionConfig(phase_mode="per_block_theta", **base))
-        res_ct = run_session(SessionConfig(phase_mode="constant_theta", **base))
-        assert res_pb.agreed == res_ct.agreed
-        assert res_pb.theta_error == pytest.approx(res_ct.theta_error)
-
-
 def _reference_session_vectors(config):
-    """Block-at-a-time simulation: Alice's vector, Bob's vector, rotations."""
+    """Block-at-a-time simulation: Alice's vector, Bob's vector, rotation."""
     L = config.channel.num_delay_bins
     streams = split_streams(config.seed, config.blocks + 1)
     grid = rotation_grid(config.theta_grid_size)
     if config.phase_mode == "none":
-        thetas = np.zeros(config.blocks)
-    elif config.phase_mode == "constant_theta":
-        thetas = np.full(config.blocks, grid[streams[-1].integers(0, grid.size)])
+        theta = 0.0
     else:
-        thetas = grid[streams[-1].integers(0, grid.size, size=config.blocks)]
+        theta = grid[streams[-1].integers(0, grid.size)]
     profile = build_snr_profile(config.channel, config.snr_f_db)
     noise_scale = math.sqrt(profile.noise_var / 2.0)
     a_parts, b_parts = [], []
@@ -210,8 +177,8 @@ def _reference_session_vectors(config):
         noise = rng.standard_normal((2, L)) + 1j * rng.standard_normal((2, L))
         a_parts.append(interleave(h + noise_scale * noise[0]))
         b_parts.append(interleave(
-            (h + noise_scale * noise[1]) * np.exp(1j * thetas[i])))
-    return np.concatenate(a_parts), np.concatenate(b_parts), thetas
+            (h + noise_scale * noise[1]) * np.exp(1j * theta)))
+    return np.concatenate(a_parts), np.concatenate(b_parts), theta
 
 
 FLAT_1BIN = ChannelConfig(m_tones=4, bandwidth_hz=1e6, duration_s=4e-6,
@@ -222,8 +189,7 @@ EXP_1PATH = ChannelConfig(m_tones=8, bandwidth_hz=2.5e6, duration_s=3.2e-6,
 
 @pytest.mark.parametrize("channel", [TABLE1, SMALL, FLAT_1BIN, EXP_1PATH],
                          ids=["exponential", "flat", "tau0", "one_path"])
-@pytest.mark.parametrize("phase_mode", ["none", "constant_theta",
-                                        "per_block_theta"])
+@pytest.mark.parametrize("phase_mode", ["none", "constant_theta"])
 @pytest.mark.parametrize("snr_db", [-30.0, 10.0, 60.0])
 def test_batched_session_vectors_match_block_loop(channel, phase_mode, snr_db):
     blocks = 5
@@ -232,9 +198,9 @@ def test_batched_session_vectors_match_block_loop(channel, phase_mode, snr_db):
     cfg = SessionConfig(channel=channel, snr_f_db=snr_db, blocks=blocks,
                         quantizer=Q2, code=code, phase_mode=phase_mode,
                         theta_grid_size=8, seed=(21, blocks))
-    x_raw, b_obs, _, _, thetas = _session_vectors(cfg)
-    ref_a, ref_b, ref_thetas = _reference_session_vectors(cfg)
-    assert np.array_equal(thetas, ref_thetas)
+    x_raw, b_obs, _, _, theta = _session_vectors(cfg)
+    ref_a, ref_b, ref_theta = _reference_session_vectors(cfg)
+    assert theta == ref_theta
     assert np.array_equal(x_raw, ref_a)
     assert np.array_equal(interleave(b_obs), ref_b)
 
@@ -258,8 +224,7 @@ def test_session_vectors_match_two_way_sound(channel):
     assert np.array_equal(b_obs, np.array([p.obs_b for p in pairs]))
 
 
-@pytest.mark.parametrize("phase_mode", ["none", "constant_theta",
-                                        "per_block_theta"])
+@pytest.mark.parametrize("phase_mode", ["none", "constant_theta"])
 def test_session_extreme_snr_emits_no_runtime_warning(phase_mode):
     for snr_db in (-30.0, 60.0):
         cfg = _small_session(snr_db, seed=4, rate=0.25, family="irregular",
@@ -267,7 +232,8 @@ def test_session_extreme_snr_emits_no_runtime_warning(phase_mode):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             res = run_session(cfg)
-        assert res.key_length == cfg.key_bits
+        assert res.key_length == (cfg.quantizer.levels // 2
+                                  * (cfg.code.n - cfg.code.rank))
 
 
 @pytest.mark.parametrize("family", ["regular", "irregular"])
