@@ -1,14 +1,19 @@
-"""Fixed-seed CLI runs must reproduce their committed digest bit for bit.
+"""Fixed-seed CLI runs must reproduce their committed digests bit for bit.
 
 Every subcommand runs once (keygen twice) through ``cli.main`` at tiny desk
-settings.  The digest covers each run's exit code and the bytes of every
-file it writes: ``manifest.json`` and each CSV or log.  A change to the
-parser, the subcommands or the session code that claims to keep outputs
-unchanged must keep this digest.
+settings.  The full digest covers each run's exit code and the bytes of
+every file it writes: ``manifest.json`` and each CSV or log.  The bodies
+digest covers the exit codes and every file except ``manifest.json``, each
+without its ``# manifest:`` first line, so it holds the results alone and
+survives a change that only renames or adds manifest parameters.  A change
+to the parser, the subcommands or the session code that claims to keep
+outputs unchanged must keep both digests.
 """
 
 import hashlib
 from pathlib import Path
+
+import pytest
 
 from chankey.cli import main
 
@@ -40,21 +45,45 @@ RUNS = (
 
 EXPECTED_SHA256 = (
     "07c816e059922d128724366674cbcb1378131630461d58fcbb6f877eb4876c6d")
+EXPECTED_BODIES_SHA256 = (
+    "ec84e7a7a6ecde2f7a2dcd6e3584a503dfdf1fdbf61abf022badc818785edd6d")
 
 
-def golden_records(tmp_path: Path) -> list[str]:
-    records = []
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    """(tag, exit code, written files) for each run in ``RUNS``."""
+    root = tmp_path_factory.mktemp("golden_cli")
+    runs = []
     for tag, argv in RUNS:
-        out = tmp_path / tag
+        out = root / tag
         code = main([str(a) for a in argv] + ["--out", str(out)])
+        runs.append((tag, code, sorted(out.iterdir())))
+    return runs
+
+
+def _digest(outputs, body) -> str:
+    records = []
+    for tag, code, paths in outputs:
         records.append(f"{tag}|exit={code}")
-        for path in sorted(out.iterdir()):
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            records.append(f"{tag}|{path.name}|{digest}")
-    return records
+        for path in paths:
+            data = body(path)
+            if data is not None:
+                digest = hashlib.sha256(data).hexdigest()
+                records.append(f"{tag}|{path.name}|{digest}")
+    return hashlib.sha256("\n".join(records).encode()).hexdigest()
 
 
-def test_golden_cli_digest(tmp_path):
-    records = golden_records(tmp_path)
-    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
-    assert digest == EXPECTED_SHA256
+def _without_manifest(path: Path):
+    if path.name == "manifest.json":
+        return None
+    first, _, rest = path.read_bytes().partition(b"\n")
+    assert first.startswith(b"# manifest: "), path
+    return rest
+
+
+def test_golden_cli_digest(outputs):
+    assert _digest(outputs, Path.read_bytes) == EXPECTED_SHA256
+
+
+def test_golden_cli_bodies_digest(outputs):
+    assert _digest(outputs, _without_manifest) == EXPECTED_BODIES_SHA256
