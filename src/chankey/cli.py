@@ -1,9 +1,10 @@
 """Command-line harness for desk-scale experiments.
 
-Each subcommand resolves its configuration, writes a manifest (resolved
-parameters + seed + package version) into the output directory, and emits
-CSV files whose first line names the manifest hash, so any result file can
-be traced to the exact run that produced it.  Runs are deterministic given
+Each subcommand resolves its configuration, writes a manifest (seed,
+package version, and as ``params`` the resolved ``--set`` settings plus the
+values derived from flags) into the output directory, and emits CSV files
+whose first line names the manifest hash, so any result file can be traced
+to the exact run that produced it.  Runs are deterministic given
 (config, seed).
 
 Exit codes: 0 on success, 2 on configuration errors, 3 when a
@@ -64,13 +65,21 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _noise_variance(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite non-negative float, got '{text}'")
+    return value
+
+
 # Flags beyond --seed, --out and --set; build_parser gives each subcommand
 # only the ones its handler reads.
 FLAGS = {
     "--config": dict(help="channel config file (key = value)"),
     "--trials": dict(type=_positive_int, help="sessions per grid point"),
     "--full": dict(action="store_true", help="full-scale sample counts"),
-    "--noise": dict(type=float, default=None,
+    "--noise": dict(type=_noise_variance, default=None,
                     help="noise variance (0 = noiseless)"),
 }
 
@@ -82,7 +91,7 @@ FLAGS = {
 class Run:
     """Output directory, manifest, and self-check collection for one run."""
 
-    def __init__(self, subcommand: str, args, params: dict):
+    def __init__(self, subcommand: str, args, settings: dict, **extras):
         self.out = Path(args.out) if args.out else Path(f"chankey_{subcommand}")
         self.out.mkdir(parents=True, exist_ok=True)
         self.manifest = {
@@ -91,7 +100,7 @@ class Run:
             "seed": args.seed,
             "trials": getattr(args, "trials", None),
             "full": bool(getattr(args, "full", False)),
-            "params": params,
+            "params": {**settings, **extras},
         }
         blob = json.dumps(self.manifest, sort_keys=True, default=str)
         self.hash = hashlib.sha256(blob.encode()).hexdigest()[:12]
@@ -158,23 +167,36 @@ def _config_dict(cfg: ChannelConfig) -> dict:
     }
 
 
-def _parse_overrides(pairs, accepted) -> dict:
-    """``--set`` pairs as a dict; a key outside ``accepted`` is an error."""
-    out = {}
-    for pair in pairs or ():
-        if "=" not in pair:
-            raise ConfigError(f"override '{pair}' is not key=value")
-        key, _, val = pair.partition("=")
-        key = key.strip()
-        if key not in accepted:
+def _settings(args, defaults: dict) -> dict:
+    """``defaults`` with each ``--set key=value`` in ``args`` applied.
+
+    A value parses to the type of its default; a list default takes
+    comma-separated values of its elements' type (float for an empty list).
+    An unknown key, a missing or unreadable value and an integer below 1
+    (every integer setting is a count) raise ConfigError naming the key.
+    """
+    settings = dict(defaults)
+    for pair in args.set or ():
+        key, _, text = (part.strip() for part in pair.partition("="))
+        if key not in defaults:
             raise ConfigError(f"unknown override '{key}' (accepted: "
-                              f"{', '.join(accepted)})")
-        out[key] = val.strip()
-    return out
-
-
-def _float_list(text: str):
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+                              f"{', '.join(defaults)})")
+        default = defaults[key]
+        many = isinstance(default, list)
+        kind = type(default[0] if default else 0.0) if many else type(default)
+        try:
+            values = [kind(tok.strip()) for tok in
+                      (text.split(",") if many else [text]) if tok.strip()]
+        except ValueError:
+            raise ConfigError(f"--set {key}: cannot read '{text}' as "
+                              f"{kind.__name__}") from None
+        if not values:
+            raise ConfigError(f"--set {key}: no value given")
+        if kind is int and min(values) < 1:
+            raise ConfigError(f"--set {key}: a count must be at least 1, "
+                              f"got {min(values)}")
+        settings[key] = values if many else values[0]
+    return settings
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +205,11 @@ def _float_list(text: str):
 
 def cmd_capacity_sweep(args) -> int:
     cfg, coherence = _channel_from_args(args)
-    over = _parse_overrides(args.set, ("snr_db",))
-    grid = _float_list(over.get("snr_db", "")) or [
-        -5.0 + 2.5 * k for k in range(15)]
-    run = Run("capacity_sweep", args,
-              {"channel": _config_dict(cfg), "snr_grid_db": grid,
-               "coherence_s": coherence})
+    s = _settings(args, {"snr_db": [-5.0 + 2.5 * k for k in range(15)]})
+    run = Run("capacity_sweep", args, s, channel=_config_dict(cfg),
+              coherence_s=coherence)
     rows = []
-    for snr_db in grid:
+    for snr_db in s["snr_db"]:
         prof = build_snr_profile(cfg, snr_db)
         for profile_tag, report in (
             (cfg.profile, capacity.csi_capacity(prof, cfg.m_tones)),
@@ -215,14 +234,11 @@ def cmd_capacity_sweep(args) -> int:
 
 
 def cmd_rssi_compare(args) -> int:
-    over = _parse_overrides(args.set, ("m_tones", "bins", "snr_db", "samples"))
-    m_tones = int(over.get("m_tones", 10))
-    bins_list = [int(x) for x in over.get("bins", "2,5,10").split(",")]
-    grid = _float_list(over.get("snr_db", "")) or [0.0, 5.0, 10.0, 15.0, 20.0, 25.0]
-    samples = int(over.get("samples", 1_000_000 if args.full else 200_000))
-    run = Run("rssi_compare", args,
-              {"m_tones": m_tones, "bins": bins_list, "snr_grid_db": grid,
-               "samples": samples})
+    s = _settings(args, {"m_tones": 10, "bins": [2, 5, 10],
+                         "snr_db": [0.0, 5.0, 10.0, 15.0, 20.0, 25.0],
+                         "samples": 1_000_000 if args.full else 200_000})
+    run = Run("rssi_compare", args, s)
+    m_tones, bins_list, grid = s["m_tones"], s["bins"], s["snr_db"]
     rows = []
     numeric = {}
     for snr_db in grid:
@@ -233,7 +249,7 @@ def cmd_rssi_compare(args) -> int:
             csi = capacity.csi_capacity_ideal(snr_tau, num_bins, m_tones)
             gauss = capacity.rssi_capacity_gaussian(rho, m_tones)
             rep, est = capacity.rssi_capacity_numeric(
-                prof, m_tones, samples,
+                prof, m_tones, s["samples"],
                 seed=derive_seed(args.seed, int(snr_db * 10), num_bins))
             numeric[(snr_db, num_bins)] = (rep, est, gauss, csi)
             rows.append((snr_db, num_bins, m_tones, "csi",
@@ -263,15 +279,14 @@ def cmd_rssi_compare(args) -> int:
 
 
 def cmd_magphase(args) -> int:
-    over = _parse_overrides(args.set, ("snr_db", "samples"))
-    grid = _float_list(over.get("snr_db", "")) or [0.0, 5.0, 10.0, 15.0, 20.0]
-    samples = int(over.get("samples", 1_000_000 if args.full else 200_000))
-    run = Run("magphase", args, {"snr_grid_db": grid, "samples": samples})
+    s = _settings(args, {"snr_db": [0.0, 5.0, 10.0, 15.0, 20.0],
+                         "samples": 1_000_000 if args.full else 200_000})
+    run = Run("magphase", args, s)
     rows = []
-    for snr_db in grid:
+    for snr_db in s["snr_db"]:
         snr = 10.0 ** (snr_db / 10.0)
         rep = capacity.magphase_decomposition(
-            snr, samples, seed=derive_seed(args.seed, int(snr_db * 10)))
+            snr, s["samples"], seed=derive_seed(args.seed, int(snr_db * 10)))
         rows.append((snr_db, rep.i_full, rep.i_re_plus_im,
                      rep.i_re_plus_im_se, rep.i_mag_plus_phase,
                      rep.i_mag_plus_phase_se, rep.i_mag.value,
@@ -297,11 +312,10 @@ def cmd_magphase(args) -> int:
 
 def cmd_corr_matrix(args) -> int:
     cfg, _ = _channel_from_args(args)
-    over = _parse_overrides(args.set, ("realizations",))
-    realizations = int(over.get("realizations",
-                                1_000_000 if args.full else 100_000))
-    run = Run("corr_matrix", args,
-              {"channel": _config_dict(cfg), "realizations": realizations})
+    s = _settings(args, {
+        "realizations": 1_000_000 if args.full else 100_000})
+    run = Run("corr_matrix", args, s, channel=_config_dict(cfg))
+    realizations = s["realizations"]
     m, L = cfg.m_tones, cfg.num_delay_bins
     sum_f = np.zeros((m, m), dtype=complex)
     sum_t = np.zeros((L, L), dtype=complex)
@@ -353,21 +367,20 @@ WATERFALL_VARIANTS = {
 
 def cmd_ldpc_waterfall(args) -> int:
     cfg, _ = _channel_from_args(args)
-    over = _parse_overrides(
-        args.set, ("rates", "variants", "blocks", "snr_step", "snr_db"))
-    rates = _float_list(over.get("rates", "0.25,0.5,0.625,0.75"))
-    variants = over.get("variants", ",".join(WATERFALL_VARIANTS)).split(",")
+    s = _settings(args, {"rates": [0.25, 0.5, 0.625, 0.75],
+                         "variants": list(WATERFALL_VARIANTS), "blocks": 120,
+                         "snr_step": 1.0, "snr_db": []})
+    rates, variants, blocks = s["rates"], s["variants"], s["blocks"]
     for variant in variants:
         if variant not in WATERFALL_VARIANTS:
             raise ConfigError(f"unknown variant '{variant}' (accepted: "
                               f"{', '.join(WATERFALL_VARIANTS)})")
-    blocks = int(over.get("blocks", 120))
+    if not s["snr_step"] > 0:
+        raise ConfigError(f"--set snr_step: must be positive, "
+                          f"got {s['snr_step']}")
     trials = args.trials or (400 if args.full else 100)
-    step = float(over.get("snr_step", 1.0))
-    run = Run("ldpc_waterfall", args,
-              {"channel": _config_dict(cfg), "rates": rates,
-               "variants": variants, "blocks": blocks, "trials": trials,
-               "snr_step": step})
+    run = Run("ldpc_waterfall", args, s, channel=_config_dict(cfg),
+              trials=trials)
     n_data = 2 * blocks * cfg.num_delay_bins
     point_rows = []
     thresholds = {}
@@ -380,9 +393,8 @@ def cmd_ldpc_waterfall(args) -> int:
             code=make_plane_code(n_data, rates[0], vconf["family"],
                                  derive_seed(args.seed, 0xC0DE)),
             decoding_mode=vconf["mode"], seed=derive_seed(args.seed))
-        snr_grid = list(np.arange(vconf["snr_lo"], vconf["snr_hi"] + 1e-9, step))
-        if "snr_db" in over:
-            snr_grid = _float_list(over["snr_db"])
+        snr_grid = s["snr_db"] or list(np.arange(
+            vconf["snr_lo"], vconf["snr_hi"] + 1e-9, s["snr_step"]))
         rows = sweep_rate_vs_snr(template, rates, snr_grid, trials,
                                  family=vconf["family"])
         thresholds[variant] = waterfall_thresholds(rows)
@@ -437,32 +449,24 @@ def cmd_ldpc_waterfall(args) -> int:
 
 def cmd_keygen(args) -> int:
     cfg, _ = _channel_from_args(args)
-    over = _parse_overrides(
-        args.set, ("rate", "levels", "quantizer.thresholds", "mode", "blocks",
-                   "snr_db"))
-    rate = float(over.get("rate", 0.5))
-    levels = int(over.get("levels", 2))
-    mode = over.get("mode", "soft")
-    blocks = int(over.get("blocks", 120))
-    snr_db = float(over.get("snr_db", 10.0))
+    snr_db = 10.0
     if args.noise is not None:
-        if "snr_db" in over:
+        if any(pair.partition("=")[0].strip() == "snr_db"
+               for pair in args.set or ()):
             raise ConfigError("give --noise or --set snr_db, not both")
         snr_db = 200.0 if args.noise == 0 else 10 * math.log10(
             cfg.sigma_h2 / args.noise)
+    s = _settings(args, {"rate": 0.5, "levels": 2, "quantizer.thresholds": [],
+                         "mode": "soft", "blocks": 120, "snr_db": snr_db})
+    rate, mode, blocks, snr_db = s["rate"], s["mode"], s["blocks"], s["snr_db"]
     sessions = args.trials or 10
-    run = Run("keygen", args,
-              {"channel": _config_dict(cfg), "rate": rate, "levels": levels,
-               "mode": mode, "blocks": blocks, "snr_db": snr_db,
-               "sessions": sessions})
+    run = Run("keygen", args, s, channel=_config_dict(cfg), sessions=sessions)
     n_data = 2 * blocks * cfg.num_delay_bins
     code = make_plane_code(n_data, rate, "regular",
                            derive_seed(args.seed, 0xC0DE))
-    if "quantizer.thresholds" in over:
-        thresholds = tuple(_float_list(over["quantizer.thresholds"]))
-        quantizer = Quantizer(levels=levels, thresholds=thresholds)
-    else:
-        quantizer = Quantizer.equiprobable(levels)
+    thresholds = tuple(s["quantizer.thresholds"])
+    quantizer = (Quantizer(levels=s["levels"], thresholds=thresholds)
+                 if thresholds else Quantizer.equiprobable(s["levels"]))
     agreed = 0
     lines = []
     for t in range(sessions):
@@ -488,16 +492,11 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_phase_demo(args) -> int:
-    over = _parse_overrides(args.set, ("grid", "snr_db", "blocks"))
-    grid_size = int(over.get("grid", 8))
-    snr_db = float(over.get("snr_db", 18.0))
-    blocks = int(over.get("blocks", 20))
+    s = _settings(args, {"grid": 8, "snr_db": 18.0, "blocks": 20})
+    grid_size, snr_db, blocks = s["grid"], s["snr_db"], s["blocks"]
     trials = args.trials or (100 if args.full else 20)
-    cfg = ChannelConfig(m_tones=52, bandwidth_hz=16.25e6, duration_s=3.2e-6,
-                        n_paths=100, tau_max_s=800e-9, profile="flat")
-    run = Run("phase_demo", args,
-              {"grid": grid_size, "snr_db": snr_db, "blocks": blocks,
-               "trials": trials})
+    cfg = ChannelConfig(**TABLE1_DEFAULTS | dict(n_paths=100, profile="flat"))
+    run = Run("phase_demo", args, s, trials=trials)
     n_data = 2 * blocks * cfg.num_delay_bins
     code = make_plane_code(n_data, 0.25, "irregular",
                            derive_seed(args.seed, 0xC0DE))

@@ -228,6 +228,62 @@ def test_nonpositive_trials_exits_2(tmp_path, capsys, subcommand, trials):
     assert not (tmp_path / "x").exists()
 
 
+# extra flags that keep a run small should the setting get through
+BOUNDARY_RUNS = {
+    "phase-demo": ("--trials", 1, "--set", "blocks=5"),
+    "ldpc-waterfall": ("--trials", 1, "--set", "blocks=10",
+                       "--set", "variants=binary_regular_soft"),
+    "corr-matrix": (),
+    "keygen": ("--trials", 1),
+    "rssi-compare": ("--set", "samples=20000", "--set", "snr_db=10"),
+}
+
+
+@pytest.mark.parametrize("subcommand, setting", [
+    ("phase-demo", "grid=0"), ("phase-demo", "grid=-3"),
+    ("ldpc-waterfall", "snr_step=0"), ("ldpc-waterfall", "snr_step=-1"),
+    ("ldpc-waterfall", "rates="),
+    ("corr-matrix", "realizations=0"), ("corr-matrix", "realizations=-5"),
+    ("keygen", "blocks=0"), ("keygen", "blocks=ten"),
+    ("rssi-compare", "bins=2,0"),
+])
+def test_bad_setting_exits_2_naming_key(tmp_path, capsys, subcommand,
+                                        setting):
+    key = setting.partition("=")[0]
+    assert run_cli(subcommand, "--out", tmp_path / "x",
+                   *BOUNDARY_RUNS[subcommand], "--set", setting) == 2
+    assert f"--set {key}:" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("argv, setting", [
+    (("ldpc-waterfall", "--trials", 1, "--set", "blocks=10",
+      "--set", "rates=0.5", "--set", "variants=binary_regular_soft",
+      "--set", "snr_db=10"), "snr_db=16"),
+    (("keygen", "--trials", 1, "--set", "blocks=10"),
+     "quantizer.thresholds=0.5"),
+])
+def test_manifest_hash_tracks_each_setting(tmp_path, argv, setting):
+    def manifest_line(out):
+        (line,) = {path.read_text().splitlines()[0] for path in out.iterdir()
+                   if path.name != "manifest.json"}
+        assert line.startswith("# manifest: ")
+        return line
+
+    run_cli(*argv, "--out", tmp_path / "a")
+    run_cli(*argv, "--set", setting, "--out", tmp_path / "b")
+    assert manifest_line(tmp_path / "a") != manifest_line(tmp_path / "b")
+
+
+@pytest.mark.parametrize("noise", ["-1", "inf", "nan"])
+def test_noise_must_be_finite_nonnegative(tmp_path, capsys, noise):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("keygen", "--out", tmp_path / "x", "--trials", 1,
+                "--noise", noise, "--set", "blocks=10")
+    assert exc.value.code == 2
+    assert "--noise" in capsys.readouterr().err
+
+
 def test_keygen_noise_and_snr_override_exit_2(tmp_path, capsys):
     # --noise fixes the SNR, so a --set snr_db beside it cannot take effect
     assert run_cli("keygen", "--out", tmp_path / "x", "--trials", 1,

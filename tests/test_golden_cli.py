@@ -44,7 +44,7 @@ RUNS = (
 )
 
 EXPECTED_SHA256 = (
-    "07c816e059922d128724366674cbcb1378131630461d58fcbb6f877eb4876c6d")
+    "e01a52f83df838a987d47e4ab9949318655f6557fb2ef3fcca5a151894851ed6")
 EXPECTED_BODIES_SHA256 = (
     "ec84e7a7a6ecde2f7a2dcd6e3584a503dfdf1fdbf61abf022badc818785edd6d")
 
