@@ -172,8 +172,9 @@ def _settings(args, defaults: dict) -> dict:
 
     A value parses to the type of its default; a list default takes
     comma-separated values of its elements' type (float for an empty list).
-    An unknown key, a missing or unreadable value and an integer below 1
-    (every integer setting is a count) raise ConfigError naming the key.
+    An unknown key, a missing or unreadable value, a NaN and an integer
+    below 1 (every integer setting is a count) raise ConfigError naming the
+    key.
     """
     settings = dict(defaults)
     for pair in args.set or ():
@@ -192,11 +193,21 @@ def _settings(args, defaults: dict) -> dict:
                               f"{kind.__name__}") from None
         if not values:
             raise ConfigError(f"--set {key}: no value given")
+        if kind is float and any(math.isnan(v) for v in values):
+            raise ConfigError(f"--set {key}: not a number: '{text}'")
         if kind is int and min(values) < 1:
             raise ConfigError(f"--set {key}: a count must be at least 1, "
                               f"got {min(values)}")
         settings[key] = values if many else values[0]
     return settings
+
+
+def _finite_snr_grid(s: dict) -> list:
+    """The ``snr_db`` list of ``s``, checked finite: seeds use int(snr*10)."""
+    bad = [v for v in s["snr_db"] if not math.isfinite(v)]
+    if bad:
+        raise ConfigError(f"--set snr_db: must be finite here, got {bad[0]}")
+    return s["snr_db"]
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +248,9 @@ def cmd_rssi_compare(args) -> int:
     s = _settings(args, {"m_tones": 10, "bins": [2, 5, 10],
                          "snr_db": [0.0, 5.0, 10.0, 15.0, 20.0, 25.0],
                          "samples": 1_000_000 if args.full else 200_000})
+    grid = _finite_snr_grid(s)
     run = Run("rssi_compare", args, s)
-    m_tones, bins_list, grid = s["m_tones"], s["bins"], s["snr_db"]
+    m_tones, bins_list = s["m_tones"], s["bins"]
     rows = []
     numeric = {}
     for snr_db in grid:
@@ -281,9 +293,10 @@ def cmd_rssi_compare(args) -> int:
 def cmd_magphase(args) -> int:
     s = _settings(args, {"snr_db": [0.0, 5.0, 10.0, 15.0, 20.0],
                          "samples": 1_000_000 if args.full else 200_000})
+    grid = _finite_snr_grid(s)
     run = Run("magphase", args, s)
     rows = []
-    for snr_db in s["snr_db"]:
+    for snr_db in grid:
         snr = 10.0 ** (snr_db / 10.0)
         rep = capacity.magphase_decomposition(
             snr, s["samples"], seed=derive_seed(args.seed, int(snr_db * 10)))

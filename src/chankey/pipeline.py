@@ -231,6 +231,9 @@ def run_session(config: SessionConfig) -> KeySessionResult:
 def make_plane_code(n: int, rate: float, family: str, seed) -> SparseParityCheck:
     """Build one plane code of the requested design rate."""
     m = round(n * (1.0 - rate))
+    if not 0.0 < rate < 1.0:
+        raise ValueError(f"code rate must be in (0, 1), got rate={rate} "
+                         f"(m={m} parity checks)")
     if family == "regular":
         return construct_regular(n, m, 3, seed)
     if family == "irregular":

@@ -236,6 +236,7 @@ BOUNDARY_RUNS = {
     "corr-matrix": (),
     "keygen": ("--trials", 1),
     "rssi-compare": ("--set", "samples=20000", "--set", "snr_db=10"),
+    "magphase": ("--set", "samples=20000", "--set", "snr_db=10"),
 }
 
 
@@ -246,6 +247,12 @@ BOUNDARY_RUNS = {
     ("corr-matrix", "realizations=0"), ("corr-matrix", "realizations=-5"),
     ("keygen", "blocks=0"), ("keygen", "blocks=ten"),
     ("rssi-compare", "bins=2,0"),
+    # each point's seed derives from int(snr_db * 10): the SNR must be
+    # finite there, and NaN is no value for any float setting
+    ("magphase", "snr_db=inf"), ("magphase", "snr_db=-inf"),
+    ("magphase", "snr_db=nan"), ("magphase", "snr_db=5,nan"),
+    ("rssi-compare", "snr_db=inf"), ("rssi-compare", "snr_db=nan"),
+    ("keygen", "snr_db=nan"), ("keygen", "rate=nan"),
 ])
 def test_bad_setting_exits_2_naming_key(tmp_path, capsys, subcommand,
                                         setting):
@@ -254,6 +261,12 @@ def test_bad_setting_exits_2_naming_key(tmp_path, capsys, subcommand,
                    *BOUNDARY_RUNS[subcommand], "--set", setting) == 2
     assert f"--set {key}:" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+def test_keygen_rate_out_of_range_names_rate(tmp_path, capsys):
+    assert run_cli("keygen", "--out", tmp_path / "x", "--trials", 1,
+                   "--set", "blocks=10", "--set", "rate=1.5") == 2
+    assert "rate=1.5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, setting", [

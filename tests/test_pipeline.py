@@ -33,6 +33,8 @@ Q4 = Quantizer.equiprobable(4)
 SMALL = ChannelConfig(m_tones=8, bandwidth_hz=2.5e6, duration_s=3.2e-6,
                       n_paths=40, tau_max_s=1.6e-6, profile="flat")
 N_SMALL = 2 * 16 * SMALL.num_delay_bins
+FLAT100 = ChannelConfig(m_tones=52, bandwidth_hz=16.25e6, duration_s=3.2e-6,
+                        n_paths=100, tau_max_s=800e-9, profile="flat")
 
 
 def _small_session(snr_db, seed=0, rate=0.5, quantizer=Q2, mode="soft",
@@ -236,6 +238,22 @@ def test_session_extreme_snr_emits_no_runtime_warning(phase_mode):
                                   * (cfg.code.n - cfg.code.rank))
 
 
+@pytest.mark.parametrize("quantizer", [Q2, Q4], ids=["2-level", "4-level"])
+@pytest.mark.parametrize("snr_db", [40.0, 60.0])
+def test_high_snr_hard_session_agrees(quantizer, snr_db):
+    # hard evidence near rho = 1 must be exact and warning-free
+    blocks = 8
+    n_data = 2 * blocks * FLAT100.num_delay_bins
+    cfg = SessionConfig(channel=FLAT100, snr_f_db=snr_db, blocks=blocks,
+                        quantizer=quantizer,
+                        code=make_plane_code(n_data, 0.5, "regular", 7),
+                        decoding_mode="hard", seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_session(cfg)
+    assert res.agreed
+
+
 @pytest.mark.parametrize("family", ["regular", "irregular"])
 def test_rate_one_code_rejected(family):
     # rate 1.0 leaves no parity checks (m = 0)
@@ -265,10 +283,8 @@ def test_sweep_excludes_low_rates():
 def test_sweep_keeps_template_rotation():
     # an untracked quarter-turn (one-point grid) must reach every session
     # of the sweep, not be dropped when the sweep swaps code and SNR
-    wide = ChannelConfig(m_tones=52, bandwidth_hz=16.25e6, duration_s=3.2e-6,
-                         n_paths=100, tau_max_s=800e-9, profile="flat")
-    n_data = 2 * 10 * wide.num_delay_bins
-    template = SessionConfig(channel=wide, snr_f_db=0.0, blocks=10,
+    n_data = 2 * 10 * FLAT100.num_delay_bins
+    template = SessionConfig(channel=FLAT100, snr_f_db=0.0, blocks=10,
                              quantizer=Q2,
                              code=make_plane_code(n_data, 0.5, "regular", 7),
                              phase_mode="constant_theta", theta_grid_size=1,

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from chankey.quantize import (
     Evidence,
@@ -161,7 +164,7 @@ def test_binary_crossover_identity():
     eps = joint[0, 1] + joint[1, 0]
     assert eps == pytest.approx(math.acos(rho) / math.pi, abs=1e-6)
     assert eps == pytest.approx(0.04505341364441213, abs=1e-6)
-    # Monte-Carlo cross-check of the quadrature
+    # Monte-Carlo cross-check of the closed form
     rng = make_rng(3)
     n = 1_000_000
     x = rng.standard_normal(n)
@@ -176,6 +179,90 @@ def test_confusion_matrix_double_symmetry():
         np.testing.assert_allclose(joint, joint[::-1, ::-1], atol=1e-7)
         np.testing.assert_allclose(joint, joint.T, atol=1e-7)
         assert joint.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+RHOS = st.floats(0.0, 1.0 - 1e-12)
+
+
+def _off_diagonal(joint):
+    return joint.sum() - np.trace(joint)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rho=RHOS)
+def test_confusion_arcsin_identities(rho):
+    # P[X < 0, Y < 0] = 1/4 + arcsin(rho) / 2pi (Sheppard's formula)
+    joint2 = confusion_matrix(rho, Q2)
+    assert np.trace(joint2) == pytest.approx(
+        0.5 + math.asin(rho) / math.pi, abs=1e-12)
+    joint4 = confusion_matrix(rho, Q4)
+    assert joint4[:2, :2].sum() == pytest.approx(
+        0.25 + math.asin(rho) / (2 * math.pi), abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rho=RHOS, levels=st.sampled_from([2, 4]))
+def test_confusion_symmetries_and_marginals(rho, levels):
+    q = Quantizer.equiprobable(levels)
+    joint = confusion_matrix(rho, q)
+    np.testing.assert_allclose(joint, joint.T, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(joint, joint[::-1, ::-1], rtol=0, atol=1e-12)
+    cells = np.diff(ndtr(q.cell_edges()))
+    np.testing.assert_allclose(joint.sum(axis=1), cells, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(joint.sum(axis=0), cells, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rhos=st.lists(RHOS, min_size=2, max_size=2),
+       levels=st.sampled_from([2, 4]))
+def test_confusion_off_diagonal_falls_with_rho(rhos, levels):
+    q = Quantizer.equiprobable(levels)
+    low, high = sorted(rhos)
+    assert (_off_diagonal(confusion_matrix(high, q))
+            <= _off_diagonal(confusion_matrix(low, q)) + 1e-14)
+
+
+def test_confusion_four_level_monte_carlo_near_one():
+    # rho = 0.99999 is the Table I channel at 40 dB
+    rho = 0.99999
+    joint = confusion_matrix(rho, Q4)
+    rng = make_rng(6)
+    n = 1_000_000
+    x = rng.standard_normal(n)
+    y = rho * x + math.sqrt(1 - rho * rho) * rng.standard_normal(n)
+    cells = quantize(x, Q4).astype(int) * 4 + quantize(y, Q4)
+    emp = np.bincount(cells, minlength=16).reshape(4, 4) / n
+    sigma = np.sqrt(joint * (1 - joint) / n)
+    assert np.all(np.abs(emp - joint) <= 4 * sigma)
+
+
+def test_confusion_at_largest_rho_below_one():
+    rho = np.nextafter(1.0, 0.0)
+    for q in (Q2, Q4):
+        joint = confusion_matrix(rho, q)
+        assert np.all(np.isfinite(joint)) and np.all(joint >= 0)
+        assert _off_diagonal(joint) < 1e-7
+
+
+def test_confusion_cells_clipped_at_zero():
+    # unclipped, a 4-level double difference rounds to -5.6e-17 here
+    assert np.all(confusion_matrix(-0.9871, Q4) >= 0)
+
+
+def test_confusion_negative_zero_threshold():
+    # a -0.0 edge must not flip the sign of its infinite T argument (the
+    # cache keys -0.0 and 0.0 alike, so one wrong entry would serve both)
+    q = Quantizer(levels=4, thresholds=(-1.0, -0.0, 1.0))
+    joint = confusion_matrix(0.6, q)
+    cells = np.diff(ndtr(q.cell_edges()))
+    np.testing.assert_allclose(joint.sum(axis=1), cells, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(joint, joint.T, rtol=0, atol=1e-12)
+
+
+def test_confusion_rejects_unit_rho():
+    for rho in (1.0, -1.0):
+        with pytest.raises(ValueError, match="rho"):
+            confusion_matrix(rho, Q2)
 
 
 def test_hard_evidence_rows_normalized_and_cached():
