@@ -93,7 +93,6 @@ class Run:
 
     def __init__(self, subcommand: str, args, settings: dict, **extras):
         self.out = Path(args.out) if args.out else Path(f"chankey_{subcommand}")
-        self.out.mkdir(parents=True, exist_ok=True)
         self.manifest = {
             "subcommand": subcommand,
             "version": __version__,
@@ -110,8 +109,14 @@ class Run:
         if not ok:
             self.violations.append(message)
 
+    def path(self, name: str) -> Path:
+        """``name`` in the output directory, which the first file creates,
+        so a run rejected before it writes anything leaves no directory."""
+        self.out.mkdir(parents=True, exist_ok=True)
+        return self.out / name
+
     def write_csv(self, name: str, header, rows) -> Path:
-        path = self.out / name
+        path = self.path(name)
         with open(path, "w") as fh:
             fh.write(f"# manifest: {self.hash}\n")
             fh.write(",".join(header) + "\n")
@@ -123,7 +128,7 @@ class Run:
         self.manifest["self_check"] = (
             "failed" if self.violations else "passed")
         self.manifest["violations"] = self.violations
-        with open(self.out / "manifest.json", "w") as fh:
+        with open(self.path("manifest.json"), "w") as fh:
             json.dump(self.manifest, fh, sort_keys=True, indent=2, default=str)
             fh.write("\n")
         if self.violations:
@@ -202,12 +207,20 @@ def _settings(args, defaults: dict) -> dict:
     return settings
 
 
-def _finite_snr_grid(s: dict) -> list:
-    """The ``snr_db`` list of ``s``, checked finite: seeds use int(snr*10)."""
-    bad = [v for v in s["snr_db"] if not math.isfinite(v)]
+def _finite_snr(s: dict, allow_silence: bool = False):
+    """The ``snr_db`` setting of ``s`` (a value or a list), checked finite.
+
+    Key sessions need a finite SNR, and so do the points whose seeds use
+    int(snr * 10).  ``allow_silence`` also lets -inf (no signal) through.
+    """
+    snr = s["snr_db"]
+    bad = [v for v in (snr if isinstance(snr, list) else [snr])
+           if not (math.isfinite(v) or (allow_silence and v == -math.inf))]
     if bad:
-        raise ConfigError(f"--set snr_db: must be finite here, got {bad[0]}")
-    return s["snr_db"]
+        also = " or -inf" if allow_silence else ""
+        raise ConfigError(f"--set snr_db: must be finite{also} here, "
+                          f"got {bad[0]}")
+    return snr
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +230,7 @@ def _finite_snr_grid(s: dict) -> list:
 def cmd_capacity_sweep(args) -> int:
     cfg, coherence = _channel_from_args(args)
     s = _settings(args, {"snr_db": [-5.0 + 2.5 * k for k in range(15)]})
+    _finite_snr(s, allow_silence=True)
     run = Run("capacity_sweep", args, s, channel=_config_dict(cfg),
               coherence_s=coherence)
     rows = []
@@ -248,7 +262,7 @@ def cmd_rssi_compare(args) -> int:
     s = _settings(args, {"m_tones": 10, "bins": [2, 5, 10],
                          "snr_db": [0.0, 5.0, 10.0, 15.0, 20.0, 25.0],
                          "samples": 1_000_000 if args.full else 200_000})
-    grid = _finite_snr_grid(s)
+    grid = _finite_snr(s)
     run = Run("rssi_compare", args, s)
     m_tones, bins_list = s["m_tones"], s["bins"]
     rows = []
@@ -293,7 +307,7 @@ def cmd_rssi_compare(args) -> int:
 def cmd_magphase(args) -> int:
     s = _settings(args, {"snr_db": [0.0, 5.0, 10.0, 15.0, 20.0],
                          "samples": 1_000_000 if args.full else 200_000})
-    grid = _finite_snr_grid(s)
+    grid = _finite_snr(s)
     run = Run("magphase", args, s)
     rows = []
     for snr_db in grid:
@@ -383,6 +397,7 @@ def cmd_ldpc_waterfall(args) -> int:
     s = _settings(args, {"rates": [0.25, 0.5, 0.625, 0.75],
                          "variants": list(WATERFALL_VARIANTS), "blocks": 120,
                          "snr_step": 1.0, "snr_db": []})
+    _finite_snr(s)
     rates, variants, blocks = s["rates"], s["variants"], s["blocks"]
     for variant in variants:
         if variant not in WATERFALL_VARIANTS:
@@ -471,7 +486,8 @@ def cmd_keygen(args) -> int:
             cfg.sigma_h2 / args.noise)
     s = _settings(args, {"rate": 0.5, "levels": 2, "quantizer.thresholds": [],
                          "mode": "soft", "blocks": 120, "snr_db": snr_db})
-    rate, mode, blocks, snr_db = s["rate"], s["mode"], s["blocks"], s["snr_db"]
+    rate, mode, blocks = s["rate"], s["mode"], s["blocks"]
+    snr_db = _finite_snr(s)
     sessions = args.trials or 10
     run = Run("keygen", args, s, channel=_config_dict(cfg), sessions=sessions)
     n_data = 2 * blocks * cfg.num_delay_bins
@@ -496,7 +512,7 @@ def cmd_keygen(args) -> int:
               f"syndrome={_clip_hex(res.public_message_hex)} "
               f"key_a={_clip_hex(res.key_a_hex)} "
               f"key_b={_clip_hex(res.key_b_hex)}")
-    with open(run.out / "sessions.log", "w") as fh:
+    with open(run.path("sessions.log"), "w") as fh:
         fh.write(f"# manifest: {run.hash}\n")
         fh.write("# seed, snr_db, rate, mode, agreed, ber, key_len_bits, iterations\n")
         fh.write("\n".join(lines) + "\n")
@@ -506,7 +522,8 @@ def cmd_keygen(args) -> int:
 
 def cmd_phase_demo(args) -> int:
     s = _settings(args, {"grid": 8, "snr_db": 18.0, "blocks": 20})
-    grid_size, snr_db, blocks = s["grid"], s["snr_db"], s["blocks"]
+    grid_size, blocks = s["grid"], s["blocks"]
+    snr_db = _finite_snr(s)
     trials = args.trials or (100 if args.full else 20)
     cfg = ChannelConfig(**TABLE1_DEFAULTS | dict(n_paths=100, profile="flat"))
     run = Run("phase_demo", args, s, trials=trials)

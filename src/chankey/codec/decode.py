@@ -110,24 +110,23 @@ class _BinarySP:
         self.g = graph_for(pcm)
         self.sign = (1.0 - 2.0 * s.astype(np.float64))[self.g.edge_check]
         self.c2v = np.zeros(self.g.edge_var.size)
+        self.totals = np.zeros(pcm.n)  # var_totals(self.c2v)
         self.last_delta = np.inf
 
     def step(self, evidence_llr: np.ndarray) -> np.ndarray:
         g = self.g
-        totals = g.var_totals(self.c2v)
-        v2c = (evidence_llr + totals)[g.edge_var] - self.c2v
+        v2c = (evidence_llr + self.totals)[g.edge_var] - self.c2v
         np.clip(v2c, -LLR_CLAMP, LLR_CLAMP, out=v2c)
 
         t = np.tanh(0.5 * v2c)
         mag = np.abs(t)
         np.clip(mag, 1e-12, 1.0, out=mag)
         logt = np.log(mag)
-        neg = (t < 0.0).astype(np.int64)
+        neg = t < 0.0
         logsum = np.add.reduceat(logt, g.check_start)
-        negsum = np.add.reduceat(neg, g.check_start)
+        odd = np.logical_xor.reduceat(neg, g.check_start)
         excl_log = logsum[g.edge_check] - logt
-        excl_neg = negsum[g.edge_check] - neg
-        excl_sign = 1.0 - 2.0 * (excl_neg & 1)
+        excl_sign = 1.0 - 2.0 * (odd[g.edge_check] ^ neg)
         prod = np.exp(np.minimum(excl_log, 0.0))
         np.clip(prod, 0.0, 1.0 - 1e-15, out=prod)
         new_c2v = self.sign * excl_sign * 2.0 * np.arctanh(prod)
@@ -136,7 +135,8 @@ class _BinarySP:
         self.last_delta = float(np.max(np.abs(new_c2v - self.c2v))) \
             if new_c2v.size else 0.0
         self.c2v = new_c2v
-        return g.var_totals(new_c2v)
+        self.totals = g.var_totals(new_c2v)
+        return self.totals
 
 
 def decode_binary(pcm: SparseParityCheck, syndrome_bits: np.ndarray,

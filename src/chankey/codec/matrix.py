@@ -20,6 +20,7 @@ with the edge count and with m * n / 64 words.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left, insort
 
 import numpy as np
 from scipy import sparse
@@ -321,6 +322,20 @@ def construct_irregular(n: int, m: int, var_degree_distribution: dict,
     must agree within rounding.  Adding each edge avoids checks within
     distance 3 of the variable when possible, so 4-cycles appear only when
     forced (girth >= 6 best effort).
+
+    Each edge goes to a check of least load (degree minus target), chosen
+    uniformly among the first non-empty of: under-target checks outside
+    distance 3, under-target checks not yet adjacent, any check outside
+    distance 3, any check not yet adjacent.  The bookkeeping is incremental.
+    Variables are finished one at a time, so the distance-3 set of the
+    current variable is a running union: taking check c adds the checks of
+    every variable on c.  Checks sit in buckets by load, each sorted by
+    index; a pick walks the buckets from the lowest load and maps its draw
+    to the k-th entry of the first bucket not wholly blocked, stepping over
+    the blocked entries before it; the taken check then moves up one
+    bucket.  Per edge that is one pass over the blocked checks per bucket
+    visited, the union it adds and two sorted-list updates (C memmoves),
+    where a fresh mask per edge cost O(m) Python-level work.
     """
     if m < 1:
         raise ValueError(f"need at least one parity check, got m={m}")
@@ -345,36 +360,54 @@ def construct_irregular(n: int, m: int, var_degree_distribution: dict,
     order = np.argsort(var_deg, kind="stable")
     check_rows: list[list[int]] = [[] for _ in range(m)]
     var_adj: list[list[int]] = [[] for _ in range(n)]
-    degree = np.zeros(m, dtype=int)
+    load = (-targets).tolist()
+    low = min(load)
+    # buckets[i] holds the checks at load low + i; loads below 0 are under
+    # target, the first -low buckets
+    buckets: list[list[int]] = [[] for _ in range(max(*load, 0) - low + 1)]
+    for c, l in enumerate(load):
+        buckets[l - low].append(c)
 
-    def pick(allowed_mask):
-        cand = np.nonzero(allowed_mask)[0]
-        if cand.size == 0:
-            return None
-        load = (degree - targets)[cand]
-        best = cand[load == load.min()]
-        return int(best[rng.integers(0, best.size)])
+    def pick(blocked, under):
+        """Least-load check outside ``blocked``, drawn uniformly; under
+        target only if ``under``.  None (and no draw) if there is none."""
+        for i in range(-low if under else len(buckets)):
+            bucket = buckets[i]
+            if not bucket:
+                continue
+            level = i + low
+            skip = sorted([c for c in blocked if load[c] == level])
+            if len(bucket) > len(skip):
+                k = int(rng.integers(0, len(bucket) - len(skip)))
+                for c in skip:
+                    if c > bucket[k]:
+                        break
+                    k += 1
+                return bucket[k]
+        return None
 
     for v in order:
+        v = int(v)
+        adjacent = var_adj[v]
+        near: set[int] = set()  # checks within distance 3 of v
+        preferences = ((near, True), (adjacent, True), (near, False),
+                       (adjacent, False))
         for _ in range(int(var_deg[v])):
-            adjacent = np.zeros(m, dtype=bool)
-            adjacent[var_adj[v]] = True
-            near = adjacent.copy()
-            # checks within distance 3: neighbors of co-variables
-            co_vars = {u for c in var_adj[v] for u in check_rows[c]}
-            for u in co_vars:
-                near[var_adj[u]] = True
-            under = degree < targets
-            # prefer honoring the check-degree targets, then girth
-            for mask in (under & ~near, under & ~adjacent, ~near, ~adjacent):
-                c = pick(mask)
+            # prefer honoring the check-degree targets, then girth; a
+            # variable never exceeds m edges, so the last pick always finds one
+            for blocked, under in preferences:
+                c = pick(blocked, under)
                 if c is not None:
                     break
-            if c is None:
-                raise ValueError("cannot place edge without duplicating one")
-            check_rows[c].append(int(v))
-            var_adj[v].append(c)
-            degree[c] += 1
+            check_rows[c].append(v)
+            adjacent.append(c)
+            near.update(*[var_adj[u] for u in check_rows[c]])
+            i = load[c] - low
+            del buckets[i][bisect_left(buckets[i], c)]
+            load[c] += 1
+            if i + 1 == len(buckets):
+                buckets.append([])
+            insort(buckets[i + 1], c)
     if any(not r for r in check_rows):
         raise ValueError("a check node received no edges; distributions "
                          "leave some rows empty")

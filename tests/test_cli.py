@@ -230,6 +230,7 @@ def test_nonpositive_trials_exits_2(tmp_path, capsys, subcommand, trials):
 
 # extra flags that keep a run small should the setting get through
 BOUNDARY_RUNS = {
+    "capacity-sweep": (),
     "phase-demo": ("--trials", 1, "--set", "blocks=5"),
     "ldpc-waterfall": ("--trials", 1, "--set", "blocks=10",
                        "--set", "variants=binary_regular_soft"),
@@ -253,6 +254,10 @@ BOUNDARY_RUNS = {
     ("magphase", "snr_db=nan"), ("magphase", "snr_db=5,nan"),
     ("rssi-compare", "snr_db=inf"), ("rssi-compare", "snr_db=nan"),
     ("keygen", "snr_db=nan"), ("keygen", "rate=nan"),
+    # a key session needs a finite SNR; capacity-sweep takes -inf (silence)
+    ("keygen", "snr_db=inf"), ("keygen", "snr_db=-inf"),
+    ("ldpc-waterfall", "snr_db=10,inf"), ("phase-demo", "snr_db=inf"),
+    ("capacity-sweep", "snr_db=inf"), ("capacity-sweep", "snr_db=-inf,inf"),
 ])
 def test_bad_setting_exits_2_naming_key(tmp_path, capsys, subcommand,
                                         setting):
@@ -267,6 +272,7 @@ def test_keygen_rate_out_of_range_names_rate(tmp_path, capsys):
     assert run_cli("keygen", "--out", tmp_path / "x", "--trials", 1,
                    "--set", "blocks=10", "--set", "rate=1.5") == 2
     assert "rate=1.5" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("argv, setting", [

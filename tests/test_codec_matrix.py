@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chankey.codec import (
@@ -12,7 +12,7 @@ from chankey.codec import (
     construct_regular,
     coset_index,
 )
-from chankey.codec.matrix import _overlapping_pairs
+from chankey.codec.matrix import _overlapping_pairs, _realized_counts
 from chankey.rng import make_rng
 
 
@@ -359,3 +359,120 @@ def test_regular_long_code_bounded_memory():
     np.testing.assert_array_equal(pcm.col_degrees(), 3)
     np.testing.assert_array_equal(pcm.row_degrees(), 6)
     assert all(np.all(np.diff(r) > 0) for r in pcm.rows)
+
+
+def _mask_peg(n, m, var_dist, check_dist, seed, fallbacks):
+    """Reference: progressive edge growth with a fresh O(m) mask per edge.
+
+    The placement rule of ``construct_irregular`` written out directly.
+    ``fallbacks`` collects the index (1-3) of every preference mask after
+    the first that placed an edge.
+    """
+    if m < 1:
+        raise ValueError(f"need at least one parity check, got m={m}")
+    rng = make_rng(seed)
+    var_deg = _realized_counts(var_dist, n)
+    edges_total = int(var_deg.sum())
+    if check_dist is None:
+        base = edges_total // m
+        targets = np.full(m, base, dtype=int)
+        targets[: edges_total - base * m] += 1
+    else:
+        targets = _realized_counts(check_dist, m)
+        if abs(int(targets.sum()) - edges_total) > 1:
+            raise ValueError("edge-count mismatch")
+    if np.any(var_deg > m):
+        raise ValueError("a variable degree exceeds the check count")
+    order = np.argsort(var_deg, kind="stable")
+    check_rows = [[] for _ in range(m)]
+    var_adj = [[] for _ in range(n)]
+    degree = np.zeros(m, dtype=int)
+
+    def pick(allowed_mask):
+        cand = np.nonzero(allowed_mask)[0]
+        if cand.size == 0:
+            return None
+        load = (degree - targets)[cand]
+        best = cand[load == load.min()]
+        return int(best[rng.integers(0, best.size)])
+
+    for v in order:
+        for _ in range(int(var_deg[v])):
+            adjacent = np.zeros(m, dtype=bool)
+            adjacent[var_adj[v]] = True
+            near = adjacent.copy()
+            co_vars = {u for c in var_adj[v] for u in check_rows[c]}
+            for u in co_vars:
+                near[var_adj[u]] = True
+            under = degree < targets
+            masks = (under & ~near, under & ~adjacent, ~near, ~adjacent)
+            for i, mask in enumerate(masks):
+                c = pick(mask)
+                if c is not None:
+                    if i:
+                        fallbacks.add(i)
+                    break
+            if c is None:
+                raise ValueError("cannot place edge without duplicating one")
+            check_rows[c].append(int(v))
+            var_adj[v].append(c)
+            degree[c] += 1
+    if any(not r for r in check_rows):
+        raise ValueError("a check node received no edges")
+    return [np.array(r, dtype=np.int32) for r in check_rows]
+
+
+def _outcome(build):
+    """Rows of ``build()``, or the ValueError it raised."""
+    try:
+        return build()
+    except ValueError:
+        return ValueError
+
+
+def test_irregular_matches_mask_reference():
+    """Row for row the same code as the mask reference, from the same draws.
+
+    The explicit examples are small codes, most with degree-8 variables,
+    on which each fallback mask places an edge.
+    """
+    fallbacks = set()
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(n=st.integers(1, 60), m=st.integers(1, 24),
+           weights=st.dictionaries(st.integers(1, 8), st.integers(1, 5),
+                                   min_size=1, max_size=4),
+           check_side=st.sampled_from(["even", "split", "skewed"]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=12, m=8, weights={8: 1}, check_side="even", seed=3)
+    @example(n=40, m=10, weights={2: 1, 8: 1}, check_side="split", seed=5)
+    @example(n=6, m=9, weights={1: 1, 8: 1}, check_side="skewed", seed=1)
+    @example(n=5, m=6, weights={2: 2, 3: 4}, check_side="skewed", seed=65)
+    def check(n, m, weights, check_side, seed):
+        total = sum(weights.values())
+        var_dist = {d: w / total for d, w in weights.items()}
+        edges = int(_realized_counts(var_dist, n).sum()) if n else 0
+        d, r = divmod(edges, m)
+        check_dist = {"even": None,
+                      "split": {d: (m - r) / m, d + 1: r / m},
+                      "skewed": {max(d - 1, 1): 0.5, d + 1: 0.5}}[check_side]
+        ref = _outcome(lambda: _mask_peg(n, m, var_dist, check_dist, seed,
+                                         fallbacks))
+        got = _outcome(lambda: list(construct_irregular(
+            n, m, var_dist, check_dist, seed=seed).rows))
+        if ref is ValueError:
+            assert got is ValueError
+        else:
+            assert got is not ValueError and len(got) == len(ref)
+            for a, b in zip(got, ref):
+                np.testing.assert_array_equal(a, b)
+
+    check()
+    assert fallbacks == {1, 2, 3}
+
+
+def test_irregular_degree_above_check_count_rejected():
+    # a variable of degree 8 over 7 checks could not avoid a repeat; the
+    # degree guard rejects it before any edge is placed
+    with pytest.raises(ValueError, match="exceeds the check count"):
+        construct_irregular(10, 7, {8: 1.0}, None, seed=0)
