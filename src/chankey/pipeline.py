@@ -10,8 +10,12 @@ the key has ``N - rank(H)`` bits, ``N - m`` for a full-rank code (per plane
 for 4-level data), and reveals nothing through the syndrome by the coset
 argument.
 
-``sweep_rate_vs_snr`` maps post-decoding key bit error rate over a
-rate/SNR grid and reports the waterfall threshold per rate.
+A session's randomness (path delays and gains, unit sounding noise and the
+rotation) depends on neither the SNR nor the code: ``draw_session`` makes
+it, and ``run_session`` measures a draw at the session's SNR.
+``sweep_rate_vs_snr`` maps post-decoding key bit error rate over a rate/SNR
+grid, measuring each trial's one draw at every grid point, and reports the
+waterfall threshold per rate.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .quantize import (
     soft_evidence,
 )
 from .rng import derive_seed, split_streams
-from .sounding import interleave, rotation_grid, sound_blocks
+from .sounding import draw_noise, interleave, rotation_grid, sound_blocks
 
 PHASE_MODES = ("none", "constant_theta")
 DECODING_MODES = ("soft", "hard")
@@ -130,29 +134,74 @@ def monobit_z(bits: np.ndarray) -> float:
     return float((2.0 * bits.sum() - bits.size) / math.sqrt(bits.size))
 
 
-def _session_vectors(config: SessionConfig):
-    """Simulate all blocks: Alice/Bob data vectors plus per-entry law.
+# The SessionConfig fields a session's draw depends on.
+DRAW_FIELDS = ("seed", "channel", "blocks", "phase_mode", "theta_grid_size",
+               "theta")
 
-    All blocks are simulated in one batched pass; each block keeps its own
-    stream and per-stream draw order (see ``rng.split_streams``), so the
-    vectors are bit-identical to simulating the blocks one at a time.
+
+def _draw_source(config: SessionConfig) -> tuple:
+    return tuple(getattr(config, name) for name in DRAW_FIELDS)
+
+
+@dataclass(frozen=True)
+class SessionDraw:
+    """The SNR- and code-free randomness of one session.
+
+    ``h`` holds the ``(blocks, L)`` sampled coefficients, ``noise`` the
+    ``(blocks, 2, L)`` unit complex sounding noise of ``draw_noise`` and
+    ``theta`` Bob's rotation.  ``source`` holds the ``DRAW_FIELDS`` values
+    of the config the draw was made from.  The arrays are read-only, since
+    one draw serves many measurements.
     """
-    profile = build_snr_profile(config.channel, config.snr_f_db)
+
+    h: np.ndarray
+    noise: np.ndarray
+    theta: float
+    source: tuple
+
+
+def draw_session(config: SessionConfig) -> SessionDraw:
+    """Draw the channel, sounding noise and rotation of one session.
+
+    All blocks are drawn in one batched pass; each block keeps its own
+    stream and per-stream draw order (see ``rng.split_streams``), so the
+    draw is bit-identical to simulating the blocks one at a time.
+    """
     streams = split_streams(config.seed, config.blocks + 1)
     block_streams, theta_rng = streams[:-1], streams[-1]
-    grid = rotation_grid(config.theta_grid_size)
-
     if config.phase_mode == "none":
         theta = 0.0
     elif config.theta is not None:
         theta = float(config.theta)
     else:
+        grid = rotation_grid(config.theta_grid_size)
         theta = grid[theta_rng.integers(0, grid.size)]
 
     h = time_coefficients(sample_paths(config.channel, block_streams),
                           config.channel)
-    obs_a, obs_b = sound_blocks(h, profile.noise_var, block_streams)
-    b_obs = obs_b * np.exp(1j * theta)
+    noise = draw_noise(block_streams, h.shape[1])
+    h.flags.writeable = noise.flags.writeable = False
+    return SessionDraw(h=h, noise=noise, theta=theta,
+                       source=_draw_source(config))
+
+
+def _session_vectors(config: SessionConfig, draw: SessionDraw | None = None):
+    """Measure all blocks: Alice/Bob data vectors plus per-entry law.
+
+    ``draw`` defaults to a fresh ``draw_session(config)``; the vectors are
+    those of that draw sounded at ``config.snr_f_db``.
+    """
+    if draw is None:
+        draw = draw_session(config)
+    elif draw.source != _draw_source(config):
+        differ = [name for name, made, want
+                  in zip(DRAW_FIELDS, draw.source, _draw_source(config))
+                  if made != want]
+        raise ValueError(f"draw does not match the session's "
+                         f"{', '.join(differ)}")
+    profile = build_snr_profile(config.channel, config.snr_f_db)
+    obs_a, obs_b = sound_blocks(draw.h, draw.noise, profile.noise_var)
+    b_obs = obs_b * np.exp(1j * draw.theta)
 
     sigma_h2 = profile.per_bin_snr * profile.noise_var
     sigma_complex = np.sqrt(sigma_h2 + profile.noise_var)
@@ -161,18 +210,22 @@ def _session_vectors(config: SessionConfig):
     per_block_sigma = np.repeat(sigma_complex, 2)
     rho_vec = np.tile(per_block_rho, config.blocks)
     sigma_vec = np.tile(per_block_sigma, config.blocks)
-    return interleave(obs_a), b_obs, rho_vec, sigma_vec, theta
+    return interleave(obs_a), b_obs, rho_vec, sigma_vec, draw.theta
 
 
-def run_session(config: SessionConfig) -> KeySessionResult:
+def run_session(config: SessionConfig,
+                draw: SessionDraw | None = None) -> KeySessionResult:
     """Execute one full key-generation session.
 
-    Alice publishes the syndrome of each bit plane of her symbols (the
-    symbols themselves for 2 levels, their two ``bit_planes`` for 4) and
-    keeps the planes' coset indices as her key; Bob decodes her symbols and
-    takes the same indices.
+    The session measures ``draw`` at ``config.snr_f_db``, or a fresh
+    ``draw_session(config)`` when none is given; the result is the same
+    either way.  A draw made from other ``DRAW_FIELDS`` values than
+    ``config``'s raises ``ValueError``.  Alice publishes the syndrome of
+    each bit plane of her symbols (the symbols themselves for 2 levels,
+    their two ``bit_planes`` for 4) and keeps the planes' coset indices as
+    her key; Bob decodes her symbols and takes the same indices.
     """
-    x_raw, b_obs, rho_vec, sigma_vec, theta = _session_vectors(config)
+    x_raw, b_obs, rho_vec, sigma_vec, theta = _session_vectors(config, draw)
     q = config.quantizer
     pcm = config.code
     source_std = sigma_vec / math.sqrt(2.0)
@@ -229,16 +282,32 @@ def run_session(config: SessionConfig) -> KeySessionResult:
 
 
 def make_plane_code(n: int, rate: float, family: str, seed) -> SparseParityCheck:
-    """Build one plane code of the requested design rate."""
+    """Build one plane code of the requested design rate.
+
+    The arguments are recorded on the code, so a sweep can tell that its
+    template already holds the code it would build.
+    """
     m = round(n * (1.0 - rate))
     if not 0.0 < rate < 1.0:
         raise ValueError(f"code rate must be in (0, 1), got rate={rate} "
                          f"(m={m} parity checks)")
     if family == "regular":
-        return construct_regular(n, m, 3, seed)
-    if family == "irregular":
-        return construct_irregular(n, m, IRREGULAR_VAR_PROFILE, None, seed)
-    raise ValueError("family must be 'regular' or 'irregular'")
+        code = construct_regular(n, m, 3, seed)
+    elif family == "irregular":
+        code = construct_irregular(n, m, IRREGULAR_VAR_PROFILE, None, seed)
+    else:
+        raise ValueError("family must be 'regular' or 'irregular'")
+    code._cache["plane_code"] = (n, rate, family, seed)
+    return code
+
+
+def _sweep_code(template: SessionConfig, n: int, rate: float,
+                family: str) -> SparseParityCheck:
+    """The sweep's code at ``rate``: the template's if it is that code."""
+    seed = derive_seed(template.seed, 0xC0DE)
+    if template.code._cache.get("plane_code") == (n, rate, family, seed):
+        return template.code
+    return make_plane_code(n, rate, family, seed)
 
 
 @dataclass
@@ -262,32 +331,39 @@ def sweep_rate_vs_snr(template: SessionConfig, rates, snr_grid, trials: int,
     are skipped (too little secrecy to be interesting).  Trial seeds derive
     deterministically from the template seed, and are matched across rates
     and SNRs so variant comparisons see identical channels.
+
+    Each rate's code is built once (or taken from the template when it is
+    that code).  Trials run outermost: a trial's channel is drawn once and
+    measured at every (rate, SNR), so the sweep holds one draw plus one
+    code per rate.  Each grid position sums its integer error, bit and
+    agreement counts, so the rows are those of running every point's trials
+    in turn, and a duplicated rate or SNR keeps its own row.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     n_data = 2 * template.blocks * template.channel.num_delay_bins
-    rows = []
-    for rate in rates:
-        if rate < MIN_SWEEP_RATE:
-            continue
-        code = make_plane_code(n_data, rate, family,
-                               derive_seed(template.seed, 0xC0DE))
-        for snr_db in snr_grid:
-            errors = 0
-            bits = 0
-            agreed = 0
-            key_bits = 0
-            for t in range(trials):
-                res = run_session(replace(template, code=code, snr_f_db=snr_db,
-                                          seed=derive_seed(template.seed, t)))
-                errors += int(round(res.bit_error_rate * res.key_length))
-                bits += res.key_length
-                agreed += int(res.agreed)
-                key_bits = res.key_length
-            rows.append(SweepRow(rate=rate, snr_db=snr_db, sessions=trials,
-                                 agreed=agreed, ber=errors / bits,
-                                 key_bits_per_session=key_bits))
-    return rows
+    codes = [(rate, _sweep_code(template, n_data, rate, family))
+             for rate in rates if rate >= MIN_SWEEP_RATE]
+    snr_grid = list(snr_grid)
+    if not (codes and snr_grid):
+        return []
+    # [errors, bits, agreed] per grid position
+    tallies = [[[0, 0, 0] for _ in snr_grid] for _ in codes]
+    for t in range(trials):
+        trial = replace(template, seed=derive_seed(template.seed, t))
+        draw = draw_session(trial)
+        for (_, code), rate_tallies in zip(codes, tallies):
+            for snr_db, tally in zip(snr_grid, rate_tallies):
+                res = run_session(replace(trial, code=code, snr_f_db=snr_db),
+                                  draw)
+                tally[0] += int(round(res.bit_error_rate * res.key_length))
+                tally[1] += res.key_length
+                tally[2] += int(res.agreed)
+    # every session of a code has the same key length
+    return [SweepRow(rate=rate, snr_db=snr_db, sessions=trials, agreed=agreed,
+                     ber=errors / bits, key_bits_per_session=bits // trials)
+            for (rate, _), rate_tallies in zip(codes, tallies)
+            for snr_db, (errors, bits, agreed) in zip(snr_grid, rate_tallies)]
 
 
 def waterfall_thresholds(rows) -> dict:

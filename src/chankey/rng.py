@@ -53,12 +53,15 @@ def split_streams(seed, n: int) -> list[np.random.Generator]:
     A key session splits ``blocks + 1`` streams: stream i < blocks belongs to
     coherence block i, the last one draws the rotation offsets.  Block
     stream i draws, in this order, the P uniform path delays and the 2P gain
-    normals of ``channel.sample_paths`` (P = n_paths), then the 4L noise
-    normals of ``sounding.sound_blocks`` (Alice's L real parts, Bob's L real
+    normals of ``channel.sample_paths`` (P = n_paths), then the 4L unit noise
+    normals of ``sounding.draw_noise`` (Alice's L real parts, Bob's L real
     parts, then the imaginary parts in the same order).  This order is
     the reproducibility contract: a batched simulation may draw every
     stream's path values before any stream's noise, since streams are
-    independent, but must keep the order within each stream.
+    independent, but must keep the order within each stream.  No draw
+    depends on the SNR, so the same contract serves a session's draw
+    (``pipeline.draw_session``) and every measurement of it: sounding one
+    draw at several SNRs gives each the result of a fresh draw.
     """
     if isinstance(seed, np.random.Generator):
         # Derive a child SeedSequence from the generator's own stream.

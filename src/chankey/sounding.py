@@ -7,8 +7,11 @@ rotation ``e^{j theta}`` to Bob's side.  ``n`` blocks of observations form a
 real vector of length ``N = 2 n L``: per block the L complex coefficients
 interleave as [Re h_1, Im h_1, ..., Re h_L, Im h_L], blocks in order.
 
-``sound_blocks`` is the one place sounding noise is drawn: key sessions call
-it on all blocks at once, and ``two_way_sound`` is its one-block form.
+``draw_noise`` is the one place sounding noise is drawn, as unit-variance
+samples that do not depend on the SNR; ``sound_blocks`` scales them to a
+noise variance and adds them to the coefficients.  Key sessions call both on
+all blocks at once (a rate/SNR sweep draws once and sounds at every SNR), and
+``two_way_sound`` is their one-block form.
 """
 
 from __future__ import annotations
@@ -35,29 +38,45 @@ class MeasurementPair:
             raise ValueError("observation vectors must share a shape")
 
 
-def sound_blocks(h: np.ndarray, noise_var: float, streams):
-    """Alice's and Bob's noisy views of ``(blocks, L)`` coefficients ``h``.
+def draw_noise(streams, num_bins: int) -> np.ndarray:
+    """Unit complex sounding noise of one block per stream, ``(blocks, 2, L)``.
 
     Block i's stream draws ``4L`` standard normals: Alice's L real parts,
-    Bob's L real parts, then the imaginary parts in the same order.  Each
-    complex noise sample has variance ``noise_var`` (half per dimension).
+    Bob's L real parts, then the imaginary parts in the same order.  Index 0
+    of the middle axis is Alice's noise, index 1 Bob's; each complex sample
+    has variance 2 (1 per dimension).
     """
-    blocks, L = h.shape
-    normals = np.empty((blocks, 4 * L))
+    L = num_bins
+    normals = np.empty((len(streams), 4 * L))
     for rng, row in zip(streams, normals, strict=True):
         rng.standard_normal(out=row)
-    noise = (normals[:, :2 * L] + 1j * normals[:, 2 * L:]).reshape(blocks, 2, L)
+    return (normals[:, :2 * L] + 1j * normals[:, 2 * L:]).reshape(-1, 2, L)
+
+
+def sound_blocks(h: np.ndarray, noise: np.ndarray, noise_var: float):
+    """Alice's and Bob's noisy views of ``(blocks, L)`` coefficients ``h``.
+
+    ``noise`` is ``draw_noise``'s unit noise for the same blocks; it is
+    scaled by ``sqrt(noise_var / 2)``, so each complex noise sample has
+    variance ``noise_var`` (half per dimension).  The same draw sounded at
+    several noise variances gives each one the views a fresh draw from the
+    same streams would.
+    """
     scale = np.sqrt(noise_var / 2.0)
     return h + scale * noise[:, 0], h + scale * noise[:, 1]
 
 
 def two_way_sound(realization: ChannelRealization, profile: SnrProfile,
                   seed=None) -> MeasurementPair:
-    """One block of ``sound_blocks``; apply_phase_offset adds the rotation."""
+    """One block of two-way sounding: ``draw_noise`` then ``sound_blocks``.
+
+    ``apply_phase_offset`` adds the rotation.
+    """
     h = realization.time_coeffs
     if h.size != profile.num_delay_bins:
         raise ValueError("realization and profile disagree on L")
-    obs_a, obs_b = sound_blocks(h[None], profile.noise_var, [make_rng(seed)])
+    noise = draw_noise([make_rng(seed)], h.size)
+    obs_a, obs_b = sound_blocks(h[None], noise, profile.noise_var)
     return MeasurementPair(obs_a=obs_a[0], obs_b=obs_b[0],
                            noise_var=profile.noise_var)
 

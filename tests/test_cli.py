@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from chankey.cli import main
+from chankey.pipeline import make_plane_code
 
 TABLE1_CFG = Path(__file__).resolve().parents[1] / "configs" / "80211a.cfg"
 
@@ -154,6 +155,26 @@ def test_waterfall_small(tmp_path):
     values = {line.split(",")[0]: line.split(",")[2] for line in thr[2:]}
     assert float(values["binary_regular_soft"]) <= \
         float(values["binary_regular_hard"])
+
+
+def test_waterfall_builds_each_code_once(tmp_path, monkeypatch):
+    # the template's code is the sweep's code at the first rate
+    built = []
+
+    def counting(n, rate, family, seed):
+        built.append((family, rate))
+        return make_plane_code(n, rate, family, seed)
+
+    monkeypatch.setattr("chankey.cli.make_plane_code", counting)
+    monkeypatch.setattr("chankey.pipeline.make_plane_code", counting)
+    code = run_cli("ldpc-waterfall", "--seed", 4, "--out", tmp_path / "wf",
+                   "--trials", 1, "--set", "blocks=10",
+                   "--set", "rates=0.5,0.75", "--set", "snr_db=25",
+                   "--set", "variants=binary_regular_soft,"
+                            "binary_irregular_soft")
+    assert code == 0
+    assert sorted(built) == [("irregular", 0.5), ("irregular", 0.75),
+                             ("regular", 0.5), ("regular", 0.75)]
 
 
 def test_waterfall_one_sided_threshold_ok(tmp_path):

@@ -1,8 +1,12 @@
+import dataclasses
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chankey.channel import (
     ChannelConfig,
@@ -12,8 +16,12 @@ from chankey.channel import (
     time_coefficients,
 )
 from chankey.pipeline import (
+    MIN_SWEEP_RATE,
+    PHASE_MODES,
     SessionConfig,
+    SweepRow,
     _session_vectors,
+    draw_session,
     make_plane_code,
     monobit_z,
     run_session,
@@ -21,7 +29,7 @@ from chankey.pipeline import (
     waterfall_thresholds,
 )
 from chankey.quantize import Quantizer
-from chankey.rng import split_streams
+from chankey.rng import derive_seed, split_streams
 from chankey.sounding import interleave, rotation_grid, two_way_sound
 
 TABLE1 = ChannelConfig(m_tones=52, bandwidth_hz=16.25e6, duration_s=3.2e-6,
@@ -293,3 +301,125 @@ def test_sweep_keeps_template_rotation():
                                trials=4)
     assert row.agreed == 0
     assert row.ber > 0.3
+
+
+# ---------------------------------------------------------------------------
+# one draw per trial, measured at every (rate, SNR)
+
+
+def _reference_sweep(template, rates, snr_grid, trials, family):
+    """The sweep as rate, then SNR, then trial, each session drawn afresh."""
+    n_data = 2 * template.blocks * template.channel.num_delay_bins
+    rows = []
+    for rate in rates:
+        if rate < MIN_SWEEP_RATE:
+            continue
+        code = make_plane_code(n_data, rate, family,
+                               derive_seed(template.seed, 0xC0DE))
+        for snr_db in snr_grid:
+            errors = bits = agreed = key_bits = 0
+            for t in range(trials):
+                res = run_session(replace(template, code=code, snr_f_db=snr_db,
+                                          seed=derive_seed(template.seed, t)))
+                errors += int(round(res.bit_error_rate * res.key_length))
+                bits += res.key_length
+                agreed += int(res.agreed)
+                key_bits = res.key_length
+            rows.append(SweepRow(rate=rate, snr_db=snr_db, sessions=trials,
+                                 agreed=agreed, ber=errors / bits,
+                                 key_bits_per_session=key_bits))
+    return rows
+
+
+# quantizer, decoding, family, extra SessionConfig settings
+SWEEP_VARIANTS = {
+    "soft": (Q2, "soft", "regular", {}),
+    "hard": (Q2, "hard", "regular", {}),
+    "irregular": (Q2, "soft", "irregular", {}),
+    "quaternary": (Q4, "soft", "regular", {}),
+    "drawn_rotation": (Q2, "soft", "irregular",
+                       dict(phase_mode="constant_theta", theta_grid_size=4)),
+}
+
+
+@pytest.mark.parametrize("variant", SWEEP_VARIANTS)
+def test_sweep_matches_fresh_session_per_point(variant):
+    quantizer, mode, family, extra = SWEEP_VARIANTS[variant]
+    template = _small_session(0.0, seed=(19, 4), quantizer=quantizer,
+                              mode=mode, family=family, **extra)
+    args = (template, [0.1, 0.5, 0.75], [8.0, 14.0, 25.0], 3, family)
+    rows = sweep_rate_vs_snr(*args)
+    assert len(rows) == 6
+    assert rows == _reference_sweep(*args)
+
+
+def test_sweep_keeps_duplicate_grid_entries():
+    # tallies are kept per grid position: a repeated rate or SNR is a row of
+    # its own, equal to its twin
+    template = _small_session(0.0, seed=3)
+    args = (template, [0.5, 0.1, 0.5], [10.0, 10.0, 25.0], 2, "regular")
+    rows = sweep_rate_vs_snr(*args)
+    assert [(r.rate, r.snr_db) for r in rows] == [
+        (0.5, 10.0), (0.5, 10.0), (0.5, 25.0)] * 2
+    assert rows == _reference_sweep(*args)
+    assert rows[0] == rows[1] == rows[3] == rows[4]
+
+
+def _count_split_streams(monkeypatch):
+    calls = []
+
+    def counting(seed, n):
+        calls.append(seed)
+        return split_streams(seed, n)
+
+    monkeypatch.setattr("chankey.pipeline.split_streams", counting)
+    return calls
+
+
+def test_sweep_draws_each_trial_once(monkeypatch):
+    calls = _count_split_streams(monkeypatch)
+    template = _small_session(0.0, seed=5)
+    sweep_rate_vs_snr(template, [0.5, 0.75], [10.0, 25.0], trials=3)
+    assert calls == [derive_seed(5, t) for t in range(3)]
+
+
+def test_sweep_below_min_rate_makes_no_draw(monkeypatch):
+    calls = _count_split_streams(monkeypatch)
+    template = _small_session(0.0, seed=5)
+    assert sweep_rate_vs_snr(template, [0.1, 0.2], [10.0, 25.0], trials=3) == []
+    assert calls == []
+
+
+SMALL_CODE = make_plane_code(N_SMALL, 0.5, "regular", 7)
+
+
+def _assert_same_result(a, b):
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), field.name
+        else:
+            assert x == y, field.name
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32), snr_db=st.floats(-10.0, 40.0),
+       phase_mode=st.sampled_from(PHASE_MODES))
+def test_session_with_its_own_draw_matches(seed, snr_db, phase_mode):
+    cfg = SessionConfig(channel=SMALL, snr_f_db=snr_db, blocks=16,
+                        quantizer=Q2, code=SMALL_CODE, phase_mode=phase_mode,
+                        theta_grid_size=4, seed=seed)
+    _assert_same_result(run_session(cfg), run_session(cfg, draw_session(cfg)))
+
+
+@pytest.mark.parametrize("change", ["seed", "blocks", "channel"])
+def test_session_rejects_draw_of_other_settings(change):
+    cfg = _small_session(10.0, seed=1)
+    other = {
+        "seed": replace(cfg, seed=2),
+        "blocks": replace(cfg, blocks=8,
+                          code=make_plane_code(N_SMALL // 2, 0.5, "regular", 7)),
+        "channel": replace(cfg, channel=replace(SMALL, n_paths=41)),
+    }[change]
+    with pytest.raises(ValueError, match=change):
+        run_session(cfg, draw_session(other))
