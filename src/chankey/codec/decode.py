@@ -20,6 +20,23 @@ rule: the estimate meets the target syndrome, no message moves by
 Messages on the plane codes live in the log-likelihood-ratio domain
 (positive favors bit 0, clamped to +/-LLR_CLAMP); factor-node and rotation
 messages live in the normalized probability domain.
+
+The sum-product kernel (``_Graph``, ``_BinarySP``) lays the edges out by
+degree class.  The checks of one degree form one contiguous block, stored
+edge slot by edge slot, so a per-check log-sum, sign parity or syndrome
+bit is a reduction over the block's d rows, done as whole-vector
+operations; the variables of one degree gather their messages into a block
+the same way.  The stop test is the parity of the
+hard decision over those blocks, against the syndrome in block order.
+
+Exact-rounding contract: the kernel's outputs are bit-identical to a
+per-segment ``np.add.reduceat`` formulation of the same step.  Every float
+sum over a check or a variable is rounded as numpy (2.x) rounds one
+reduceat segment -- the first term plus numpy's pairwise sum of the rest
+(``_segment_sum``): a left-to-right sum up to degree 8, eight interleaved
+accumulators from degree 9 on.  ``tests/test_codec_decode.py`` pins the
+step and the summation against ``np.add.reduceat``, so a numpy release
+that sums differently fails there by name.
 """
 
 from __future__ import annotations
@@ -49,25 +66,102 @@ class DecodeResult:
     theta_hat: float | None = None
 
 
+def _pairwise_sum(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum of the rows of ``rows``, each column rounded as numpy's pairwise
+    sum of that column.
+
+    This is the summation numpy's float add-reduction applies to a run of
+    terms: under 8 terms a left-to-right sum started from -0.0, up to 128
+    terms eight interleaved accumulators combined as a balanced tree, and
+    beyond that the two halves (split at a multiple of 8) summed apart.
+    """
+    n = len(rows)
+    if n < 8:
+        # row after row from -0.0; with one column numpy's reduction runs
+        # its pairwise loop, which under 8 terms is the same sum
+        return np.add.reduce(rows, axis=0, out=out, initial=-0.0)
+    if n <= 128:
+        acc = rows[:8].copy()
+        tail = n - n % 8
+        for base in range(8, tail, 8):
+            acc += rows[base:base + 8]
+        pairs = acc[0::2] + acc[1::2]
+        np.add(pairs[0] + pairs[1], pairs[2] + pairs[3], out=out)
+        for row in rows[tail:]:
+            out += row
+        return out
+    half = n // 2 - (n // 2) % 8
+    _pairwise_sum(rows[:half], out)
+    out += _pairwise_sum(rows[half:], np.empty_like(out))
+    return out
+
+
+def _segment_sum(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum of the rows of ``rows``, each column rounded bit for bit as
+    ``np.add.reduceat`` rounds one segment: the first term plus the pairwise
+    sum of the rest."""
+    _pairwise_sum(rows[1:], out)
+    out += rows[0]
+    return out
+
+
 class _Graph:
-    """Flattened edge layout of a parity-check matrix (cached per matrix)."""
+    """Degree-class edge layout of a parity-check matrix (cached per matrix).
+
+    Checks are grouped by degree, ascending, in their original order within
+    a degree (``check_order``).  ``check_blocks`` holds one ``(edges,
+    checks, d)`` entry per check degree: the class's edges are the slice
+    ``edges`` of the layout, read as a C-ordered ``(d, count)`` block whose
+    column j holds the edges of check ``check_order[checks][j]`` in their
+    original row order, so a per-check reduction runs over the block's
+    rows.  ``edge_var`` is the variable of each edge in the layout.
+
+    Variables are grouped by degree the same way: ``var_blocks`` holds one
+    ``(variables, edges, d)`` entry per variable degree, and
+    ``var_edges[edges]``, read as a ``(d, count)`` block, gives in column j
+    the layout positions of the edges of ``variables[j]`` in their original
+    order (ascending check index).  ``variables`` is a full slice when one
+    degree covers every variable.
+    """
 
     def __init__(self, pcm: SparseParityCheck):
-        self.edge_var = np.concatenate(pcm.rows).astype(np.int64)
         deg = pcm.row_degrees()
-        self.check_start = np.concatenate([[0], np.cumsum(deg)])[:-1]
-        self.edge_check = np.repeat(np.arange(pcm.m), deg)
-        order = np.argsort(self.edge_var, kind="stable")
-        self.by_var = order
-        var_deg = np.bincount(self.edge_var, minlength=pcm.n)
-        if np.any(var_deg == 0):
-            raise ValueError("graph has an unconnected variable")
-        self.var_start = np.concatenate([[0], np.cumsum(var_deg)])[:-1]
+        row_start = np.concatenate([[0], np.cumsum(deg)])[:-1]
+        self.check_order = np.argsort(deg, kind="stable")
+        self.check_blocks = []
+        source = []  # row-order edge index of each layout position
+        first_edge = first_check = 0
+        for d, count in zip(*np.unique(deg, return_counts=True)):
+            checks = slice(first_check, first_check + count)
+            rows = self.check_order[checks]
+            source.append((row_start[rows] + np.arange(d)[:, None]).ravel())
+            self.check_blocks.append(
+                (slice(first_edge, first_edge + count * d), checks, int(d)))
+            first_check += count
+            first_edge += count * d
+        source = np.concatenate(source)
+        edge_var = np.concatenate(pcm.rows).astype(np.int64)
+        self.edge_var = edge_var[source]
 
-    def var_totals(self, c2v: np.ndarray) -> np.ndarray:
-        """Sum of check-to-variable messages per variable."""
-        sums = np.add.reduceat(c2v[self.by_var], self.var_start)
-        return sums
+        position = np.empty_like(source)
+        position[source] = np.arange(source.size)
+        by_var = position[np.argsort(edge_var, kind="stable")]
+        var_deg = np.bincount(edge_var, minlength=pcm.n)
+        var_start = np.concatenate([[0], np.cumsum(var_deg)])[:-1]
+        degrees = np.unique(var_deg)
+        self.var_blocks = []
+        var_edges = []
+        first_edge = 0
+        for d in degrees:
+            variables = np.flatnonzero(var_deg == d)
+            var_edges.append(
+                by_var[var_start[variables] + np.arange(d)[:, None]].ravel())
+            size = variables.size * int(d)
+            self.var_blocks.append(
+                (variables if degrees.size > 1 else slice(None),
+                 slice(first_edge, first_edge + size), int(d)))
+            first_edge += size
+        self.var_edges = np.concatenate(var_edges)
 
 
 def graph_for(pcm: SparseParityCheck) -> _Graph:
@@ -101,6 +195,8 @@ class _BinarySP:
     Evidence may change between iterations (the factor-coupled and
     rotation-aware decoders update it), so each step takes the current
     per-variable LLRs and returns the new per-variable extrinsic totals.
+    Messages live in the graph's degree-class edge layout; the syndrome is
+    held in its check order.
     """
 
     def __init__(self, pcm: SparseParityCheck, syndrome_bits: np.ndarray):
@@ -108,35 +204,71 @@ class _BinarySP:
         if s.size != pcm.m:
             raise ValueError(f"syndrome length {s.size} != {pcm.m} rows")
         self.g = graph_for(pcm)
-        self.sign = (1.0 - 2.0 * s.astype(np.float64))[self.g.edge_check]
-        self.c2v = np.zeros(self.g.edge_var.size)
-        self.totals = np.zeros(pcm.n)  # var_totals(self.c2v)
+        self.syndrome = s[self.g.check_order].astype(bool)
+        edges = self.g.edge_var.size
+        self.c2v = np.zeros(edges)
+        self.totals = np.zeros(pcm.n)  # per-variable sums of self.c2v
         self.last_delta = np.inf
+        self._next = np.empty(edges)
+        self._work = np.empty(edges)
+        self._excl = np.empty(edges)
+        self._neg = np.empty(edges, dtype=bool)
 
     def step(self, evidence_llr: np.ndarray) -> np.ndarray:
         g = self.g
-        v2c = (evidence_llr + self.totals)[g.edge_var] - self.c2v
-        np.clip(v2c, -LLR_CLAMP, LLR_CLAMP, out=v2c)
+        work, excl, neg, new = self._work, self._excl, self._neg, self._next
+        # variable-to-check messages, then log|tanh(v2c / 2)| and its sign;
+        # take's "clip" mode (indices are in range) writes to out unbuffered
+        np.take(evidence_llr + self.totals, g.edge_var, out=work, mode="clip")
+        work -= self.c2v
+        np.clip(work, -LLR_CLAMP, LLR_CLAMP, out=work)
+        work *= 0.5
+        np.tanh(work, out=work)
+        np.less(work, 0.0, out=neg)
+        np.abs(work, out=work)
+        np.clip(work, 1e-12, 1.0, out=work)
+        np.log(work, out=work)
 
-        t = np.tanh(0.5 * v2c)
-        mag = np.abs(t)
-        np.clip(mag, 1e-12, 1.0, out=mag)
-        logt = np.log(mag)
-        neg = t < 0.0
-        logsum = np.add.reduceat(logt, g.check_start)
-        odd = np.logical_xor.reduceat(neg, g.check_start)
-        excl_log = logsum[g.edge_check] - logt
-        excl_sign = 1.0 - 2.0 * (odd[g.edge_check] ^ neg)
-        prod = np.exp(np.minimum(excl_log, 0.0))
-        np.clip(prod, 0.0, 1.0 - 1e-15, out=prod)
-        new_c2v = self.sign * excl_sign * 2.0 * np.arctanh(prod)
-        np.clip(new_c2v, -LLR_CLAMP, LLR_CLAMP, out=new_c2v)
+        # per check: the log-product of the other edges, and whether the
+        # outgoing message is negated (odd parity of the others' signs and
+        # of the target syndrome bit)
+        for edges, checks, d in g.check_blocks:
+            logt = work[edges].reshape(d, -1)
+            flip = neg[edges].reshape(d, -1)
+            logsum = _segment_sum(logt, np.empty(logt.shape[1]))
+            np.subtract(logsum, logt, out=excl[edges].reshape(d, -1))
+            odd = np.bitwise_xor.reduce(flip, axis=0)
+            flip ^= odd ^ self.syndrome[checks]
 
-        self.last_delta = float(np.max(np.abs(new_c2v - self.c2v))) \
-            if new_c2v.size else 0.0
-        self.c2v = new_c2v
-        self.totals = g.var_totals(new_c2v)
-        return self.totals
+        np.minimum(excl, 0.0, out=excl)
+        np.exp(excl, out=excl)
+        np.minimum(excl, 1.0 - 1e-15, out=excl)  # exp >= +0.0 already
+        np.arctanh(excl, out=excl)
+        np.multiply(neg, -4.0, out=new)
+        new += 2.0  # +/-2.0 by sign
+        new *= excl
+        np.clip(new, -LLR_CLAMP, LLR_CLAMP, out=new)
+
+        np.subtract(new, self.c2v, out=excl)
+        self.last_delta = float(np.abs(excl, out=excl).max())
+        self._next, self.c2v = self.c2v, new
+
+        np.take(new, g.var_edges, out=excl, mode="clip")
+        totals = np.empty(self.totals.size)
+        for variables, edges, d in g.var_blocks:
+            block = excl[edges].reshape(d, -1)
+            totals[variables] = _segment_sum(block, np.empty(block.shape[1]))
+        self.totals = totals
+        return totals
+
+    def satisfied(self, hard: np.ndarray) -> bool:
+        """Whether the 0/1 decisions ``hard`` meet the target syndrome."""
+        bits = hard[self.g.edge_var]
+        for edges, checks, d in self.g.check_blocks:
+            parity = np.bitwise_xor.reduce(bits[edges].reshape(d, -1), axis=0)
+            if not np.array_equal(parity, self.syndrome[checks]):
+                return False
+        return True
 
 
 def decode_binary(pcm: SparseParityCheck, syndrome_bits: np.ndarray,
@@ -159,8 +291,7 @@ def decode_binary(pcm: SparseParityCheck, syndrome_bits: np.ndarray,
             totals = sp.step(evidence_llr)
             yield ((evidence_llr + totals) < 0).astype(np.uint8), sp.last_delta
 
-    return _flood(steps(), lambda x: np.array_equal(pcm.syndrome(x), s),
-                  max_iter)
+    return _flood(steps(), sp.satisfied, max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +317,7 @@ def evidence_to_llr(evidence) -> np.ndarray:
 
 
 def _plane_evidence(g: np.ndarray, ext_m, ext_l):
-    """Factor-node messages into both planes and the symbol marginal.
+    """Factor-node messages into both planes.
 
     ``g`` holds the per-symbol channel evidence over levels {0,1,2,3} and
     ``ext_*`` the plane codes' extrinsic LLRs.  Per the coupling constraint
@@ -194,7 +325,6 @@ def _plane_evidence(g: np.ndarray, ext_m, ext_l):
 
       to M: mu(0) ~ G(0) muL(0) + G(1) muL(1),  mu(1) ~ G(2) muL(0) + G(3) muL(1)
       to L: mu(0) ~ G(0) muM(0) + G(2) muM(1),  mu(1) ~ G(1) muM(0) + G(3) muM(1)
-      to x: mu(a) ~ muM(a_M) muL(a_L)
     """
     pm0, pm1 = _llr_to_prob(ext_m)
     pl0, pl1 = _llr_to_prob(ext_l)
@@ -202,10 +332,17 @@ def _plane_evidence(g: np.ndarray, ext_m, ext_l):
                      g[:, 2] * pl0 + g[:, 3] * pl1)
     to_l = _safe_llr(g[:, 0] * pm0 + g[:, 2] * pm1,
                      g[:, 1] * pm0 + g[:, 3] * pm1)
+    return to_m, to_l
+
+
+def _symbol_marginal(ext_m, ext_l):
+    """Factor-to-symbol message mu(a) ~ muM(a_M) muL(a_L), normalized."""
+    pm0, pm1 = _llr_to_prob(ext_m)
+    pl0, pl1 = _llr_to_prob(ext_l)
     to_sym = np.stack([pm0 * pl0, pm0 * pl1, pm1 * pl0, pm1 * pl1], axis=1)
     norm = to_sym.sum(axis=1, keepdims=True)
     to_sym /= np.maximum(norm, _TINY)
-    return to_m, to_l, to_sym
+    return to_sym
 
 
 def decode_quaternary(pcm_m: SparseParityCheck, pcm_l: SparseParityCheck,
@@ -234,17 +371,16 @@ def decode_quaternary(pcm_m: SparseParityCheck, pcm_l: SparseParityCheck,
         ext_m = np.zeros(pcm_m.n)
         ext_l = np.zeros(pcm_l.n)
         while True:
-            ev_m, ev_l, _ = _plane_evidence(g, ext_m, ext_l)
+            ev_m, ev_l = _plane_evidence(g, ext_m, ext_l)
             ext_m = sp_m.step(ev_m)
             ext_l = sp_l.step(ev_l)
-            _, _, to_sym = _plane_evidence(g, ext_m, ext_l)
+            to_sym = _symbol_marginal(ext_m, ext_l)
             estimate = np.argmax(g * to_sym, axis=1).astype(np.uint8)
             yield estimate, max(sp_m.last_delta, sp_l.last_delta)
 
     def satisfies(estimate):
         est_m, est_l = bit_planes(estimate)
-        return (np.array_equal(pcm_m.syndrome(est_m), s_m)
-                and np.array_equal(pcm_l.syndrome(est_l), s_l))
+        return sp_m.satisfied(est_m) and sp_l.satisfied(est_l)
 
     return _flood(steps(), satisfies, max_iter)
 
@@ -340,7 +476,6 @@ def decode_with_phase_offset(pcm: SparseParityCheck, syndrome_bits: np.ndarray,
             log_to_theta -= log_to_theta.max(axis=1, keepdims=True)
             yield estimate, max(sp.last_delta, ev_delta)
 
-    result = _flood(steps(), lambda x: np.array_equal(pcm.syndrome(x), s),
-                    max_iter)
+    result = _flood(steps(), sp.satisfied, max_iter)
     result.theta_hat = float(theta_grid[np.argmax(log_to_theta.sum(axis=0))])
     return result

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chankey.codec import (
     SparseParityCheck,
@@ -12,7 +14,13 @@ from chankey.codec import (
     decode_with_phase_offset,
     evidence_to_llr,
 )
-from chankey.codec.decode import _plane_evidence
+from chankey.codec.decode import (
+    LLR_CLAMP,
+    _BinarySP,
+    _plane_evidence,
+    _segment_sum,
+    _symbol_marginal,
+)
 from chankey.quantize import Quantizer, bit_planes, quantize, soft_evidence
 from chankey.rng import make_rng
 
@@ -142,7 +150,7 @@ def test_plane_coupling_worked_message():
     g = np.array([[0.1, 0.2, 0.3, 0.4]])
     mu_l0, mu_l1 = 0.7, 0.3
     ext_l = np.array([math.log(mu_l0 / mu_l1)])
-    to_m, _, _ = _plane_evidence(g, np.zeros(1), ext_l)
+    to_m, _ = _plane_evidence(g, np.zeros(1), ext_l)
     num0 = g[0, 0] * mu_l0 + g[0, 1] * mu_l1
     num1 = g[0, 2] * mu_l0 + g[0, 3] * mu_l1
     assert to_m[0] == pytest.approx(math.log(num0 / num1), abs=1e-9)
@@ -150,10 +158,9 @@ def test_plane_coupling_worked_message():
 
 def test_plane_coupling_symbol_marginal():
     # mu_{F->x}(a) ~ muM(a_M) muL(a_L), e.g. level 2 pairs muM(1) muL(0)
-    g = np.full((1, 4), 0.25)
     ext_m = np.array([math.log(0.2 / 0.8)])
     ext_l = np.array([math.log(0.6 / 0.4)])
-    _, _, to_sym = _plane_evidence(g, ext_m, ext_l)
+    to_sym = _symbol_marginal(ext_m, ext_l)
     expected = np.array([0.2 * 0.6, 0.2 * 0.4, 0.8 * 0.6, 0.8 * 0.4])
     np.testing.assert_allclose(to_sym[0], expected / expected.sum(), atol=1e-9)
 
@@ -347,3 +354,153 @@ def test_decoders_reject_zero_iterations(decoder):
     }
     with pytest.raises(ValueError, match="max_iter"):
         calls[decoder]()
+
+
+# ---------------------------------------------------------------------------
+# sum-product kernel: bitwise equal to the per-segment reduceat step
+
+
+class _ReduceatStep:
+    """The binary sum-product step as it was before the degree-class
+    layout: edges in row order, per-check and per-variable sums by
+    np.add.reduceat.  Frozen here as the rounding reference."""
+
+    def __init__(self, pcm, syndrome_bits):
+        self.edge_var = np.concatenate(pcm.rows).astype(np.int64)
+        deg = pcm.row_degrees()
+        self.check_start = np.concatenate([[0], np.cumsum(deg)])[:-1]
+        self.edge_check = np.repeat(np.arange(pcm.m), deg)
+        self.by_var = np.argsort(self.edge_var, kind="stable")
+        var_deg = np.bincount(self.edge_var, minlength=pcm.n)
+        self.var_start = np.concatenate([[0], np.cumsum(var_deg)])[:-1]
+        s = np.asarray(syndrome_bits)
+        self.sign = (1.0 - 2.0 * s.astype(np.float64))[self.edge_check]
+        self.c2v = np.zeros(self.edge_var.size)
+        self.totals = np.zeros(pcm.n)
+        self.last_delta = np.inf
+
+    def step(self, evidence_llr):
+        v2c = (evidence_llr + self.totals)[self.edge_var] - self.c2v
+        np.clip(v2c, -LLR_CLAMP, LLR_CLAMP, out=v2c)
+
+        t = np.tanh(0.5 * v2c)
+        mag = np.abs(t)
+        np.clip(mag, 1e-12, 1.0, out=mag)
+        logt = np.log(mag)
+        neg = t < 0.0
+        logsum = np.add.reduceat(logt, self.check_start)
+        odd = np.logical_xor.reduceat(neg, self.check_start)
+        excl_log = logsum[self.edge_check] - logt
+        excl_sign = 1.0 - 2.0 * (odd[self.edge_check] ^ neg)
+        prod = np.exp(np.minimum(excl_log, 0.0))
+        np.clip(prod, 0.0, 1.0 - 1e-15, out=prod)
+        new_c2v = self.sign * excl_sign * 2.0 * np.arctanh(prod)
+        np.clip(new_c2v, -LLR_CLAMP, LLR_CLAMP, out=new_c2v)
+
+        self.last_delta = float(np.max(np.abs(new_c2v - self.c2v)))
+        self.c2v = new_c2v
+        self.totals = np.add.reduceat(new_c2v[self.by_var], self.var_start)
+        return self.totals
+
+
+def _mixed_degree_code(rng, n, m, max_degree=20):
+    """Random rows of degree 1..max_degree; uncovered columns get rows of
+    their own (degree-1 columns), so row and column degrees both vary
+    widely."""
+    rows = [rng.choice(n, size=int(rng.integers(1, min(max_degree, n) + 1)),
+                       replace=False) for _ in range(m)]
+    covered = np.zeros(n, dtype=bool)
+    for r in rows:
+        covered[r] = True
+    missing = np.flatnonzero(~covered)
+    if missing.size:
+        rows += np.array_split(missing, -(-missing.size // max_degree))
+    return SparseParityCheck(rows, n)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64),
+       m=st.integers(1, 40))
+def test_kernel_step_bitwise_equals_reduceat_step(seed, n, m):
+    rng = np.random.default_rng(seed)
+    # rows past degree 27 let the exclusive product underflow to zero, so
+    # the sign of zero messages is exercised too
+    pcm = _mixed_degree_code(rng, n, m, max_degree=32)
+    s = rng.integers(0, 2, pcm.m).astype(np.uint8)
+    kernel, reference = _BinarySP(pcm, s), _ReduceatStep(pcm, s)
+    # layout position -> row-order edge index: each check class is a
+    # (d, count) block whose column j is check check_order[checks][j]
+    g = kernel.g
+    source = np.concatenate([
+        (reference.check_start[g.check_order[checks]]
+         + np.arange(d)[:, None]).ravel() for _, checks, d in g.check_blocks])
+    special = np.array([LLR_CLAMP, -LLR_CLAMP, 0.0, -0.0, 1e3, -1e3])
+    for _ in range(30):
+        evidence = rng.standard_normal(pcm.n) * rng.choice([0.1, 2.0, 40.0])
+        pick = rng.random(pcm.n) < rng.choice([0.3, 1.0])
+        evidence[pick] = rng.choice(special, size=int(pick.sum()),
+                                    p=[0.1, 0.1, 0.35, 0.35, 0.05, 0.05])
+        np.testing.assert_array_equal(_bits(kernel.step(evidence)),
+                                      _bits(reference.step(evidence)))
+        np.testing.assert_array_equal(_bits(kernel.c2v),
+                                      _bits(reference.c2v[source]))
+        assert _bits(kernel.last_delta) == _bits(reference.last_delta)
+
+
+@pytest.mark.parametrize("count", [1, 2, 64])
+def test_segment_sum_rounds_as_reduceat(count):
+    # numpy reduces a one-column block with its pairwise loop and a wider
+    # one row after row, so both shapes are pinned
+    rng = np.random.default_rng(2024 + count)
+    for d in range(1, 41):
+        terms = rng.standard_normal((count, d)) * 10.0 ** rng.integers(
+            -12, 12, (count, d))
+        terms[rng.random((count, d)) < 0.1] = 0.0
+        terms[rng.random((count, d)) < 0.1] = -0.0
+        terms[0] = -0.0
+        reference = np.add.reduceat(terms.ravel(), np.arange(count) * d)
+        got = _segment_sum(np.ascontiguousarray(terms.T), np.empty(count))
+        np.testing.assert_array_equal(_bits(got), _bits(reference),
+                                      err_msg=f"d={d}")
+
+
+# ---------------------------------------------------------------------------
+# syndrome_satisfied means exactly that, for every decoder
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       decoder=st.sampled_from(["binary", "quaternary", "phase_offset"]),
+       grid=st.sampled_from([1, 4]), max_iter=st.sampled_from([1, 3, 50]),
+       rho=st.sampled_from([0.3, 0.95, 0.999]))
+def test_decoders_report_satisfied_exactly(seed, decoder, grid, max_iter, rho):
+    rng = np.random.default_rng(seed)
+    pcm = _mixed_degree_code(rng, 64, int(rng.integers(8, 48)), max_degree=12)
+    x_raw = rng.standard_normal(64)
+    y_raw = rho * x_raw + math.sqrt(1 - rho**2) * rng.standard_normal(64)
+    if decoder == "quaternary":
+        planes = bit_planes(quantize(x_raw, Q4))
+        targets = [pcm.syndrome(p) for p in planes]
+        res = decode_quaternary(pcm, pcm, *targets,
+                                soft_evidence(y_raw, rho, math.sqrt(2), Q4),
+                                max_iter=max_iter)
+        estimates = bit_planes(res.estimate)
+    else:
+        targets = [pcm.syndrome(quantize(x_raw, Q2))]
+        if decoder == "binary":
+            llr = evidence_to_llr(soft_evidence(y_raw, rho, math.sqrt(2), Q2))
+            res = decode_binary(pcm, targets[0], llr, max_iter=max_iter)
+        else:
+            obs = y_raw[0::2] + 1j * y_raw[1::2]
+            res = decode_with_phase_offset(
+                pcm, targets[0], obs, 2 * np.pi * np.arange(grid) / grid,
+                rho, math.sqrt(2), Q2, max_iter=max_iter)
+        estimates = [res.estimate]
+    truth = all(np.array_equal(pcm.syndrome(e), t)
+                for e, t in zip(estimates, targets))
+    assert res.syndrome_satisfied == truth
+    assert res.iterations_used <= max_iter
