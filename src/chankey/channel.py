@@ -29,10 +29,6 @@ from .rng import make_rng
 
 PROFILE_MODES = ("exponential", "flat")
 
-# Half-widths, in delay bins, of the truncated interpolation kernel used by
-# the optional sinc mode.
-SINC_LOBES = 8
-
 
 @dataclass(frozen=True)
 class ChannelConfig:
@@ -195,9 +191,10 @@ def sample_paths(config: ChannelConfig, seed=None) -> PathSet:
     on stream i would return.
 
     Reproducibility contract: each stream draws, in this order, the P
-    uniform delays (one ``uniform(0, tau_max, P)`` call) and then the 2P
-    gain normals (one ``standard_normal(2P)`` call: P real parts, then P
-    imaginary parts), where P = n_paths.
+    uniform delays (one ``random(P)`` call scaled by tau_max, which gives
+    the values of ``uniform(0, tau_max, P)``) and then the 2P gain normals
+    (one ``standard_normal(2P)`` call: P real parts, then P imaginary
+    parts), where P = n_paths.
     """
     if config.n_paths < 1:
         raise ValueError("need at least one path")
@@ -210,8 +207,9 @@ def sample_paths(config: ChannelConfig, seed=None) -> PathSet:
     delays = np.empty((len(rngs), P))
     normals = np.empty((len(rngs), 2 * P))
     for i, rng in enumerate(rngs):
-        delays[i] = rng.uniform(0.0, config.tau_max_s, size=P)
+        rng.random(out=delays[i])
         rng.standard_normal(out=normals[i])
+    delays *= config.tau_max_s
     if config.profile == "exponential" and config.tau_max_s > 0:
         weights = np.exp(-delays / config.decay_s)
     else:
@@ -231,28 +229,16 @@ def freq_coefficients(paths: PathSet, config: ChannelConfig) -> np.ndarray:
     return phase @ paths.gains
 
 
-def time_coefficients(paths: PathSet, config: ChannelConfig,
-                      interpolation: str = "bin") -> np.ndarray:
+def time_coefficients(paths: PathSet, config: ChannelConfig) -> np.ndarray:
     """Sampled coefficients h_l over the L resolvable delay bins.
 
-    ``bin`` mode aggregates each path's gain into the bin containing its
-    delay (bin l covers ((l-0.5)/W, (l+0.5)/W]); ``sinc`` mode evaluates the
-    interpolation kernel truncated to +/- SINC_LOBES bins.  Bin mode also
-    takes a batch of realizations (paths along the last axis) and returns
-    one row of L coefficients per realization; sinc mode takes one.
+    Each path's gain goes into the bin containing its delay (bin l covers
+    ((l-0.5)/W, (l+0.5)/W]).  A batch of realizations (paths along the last
+    axis) gives one row of L coefficients per realization.
     """
     L = config.num_delay_bins
     root_m = math.sqrt(config.m_tones)
     tau_bins = paths.delays * config.bandwidth_hz
-    if interpolation == "sinc":
-        if tau_bins.ndim != 1:
-            raise ValueError("sinc interpolation takes one realization")
-        ell = np.arange(L)
-        kernel = np.sinc(ell[:, None] - tau_bins[None, :])
-        kernel[np.abs(ell[:, None] - tau_bins[None, :]) > SINC_LOBES] = 0.0
-        return root_m * (kernel @ paths.gains)
-    if interpolation != "bin":
-        raise ValueError("interpolation must be 'bin' or 'sinc'")
     idx = np.ceil(tau_bins - 0.5).astype(int)
     idx = np.clip(idx, 0, L - 1).reshape(-1, tau_bins.shape[-1])
     rows = idx.shape[0]
@@ -278,13 +264,12 @@ def freq_from_time(time_coeffs: np.ndarray, m_tones: int) -> np.ndarray:
     return (dft @ time_coeffs) / math.sqrt(m_tones)
 
 
-def realize(config: ChannelConfig, seed=None,
-            interpolation: str = "bin") -> ChannelRealization:
+def realize(config: ChannelConfig, seed=None) -> ChannelRealization:
     """Sample paths and materialize both coefficient views."""
     paths = sample_paths(config, seed)
     return ChannelRealization(
         freq_coeffs=freq_coefficients(paths, config),
-        time_coeffs=time_coefficients(paths, config, interpolation),
+        time_coeffs=time_coefficients(paths, config),
         source_paths=paths,
     )
 

@@ -60,6 +60,8 @@ class Evidence:
     posteriors: np.ndarray
 
     def __post_init__(self):
+        if not np.all(np.isfinite(self.posteriors)):
+            raise ValueError("posteriors must be finite")
         if np.any(self.posteriors < 0):
             raise ValueError("posteriors must be nonnegative")
         sums = self.posteriors.sum(axis=1)
@@ -103,6 +105,8 @@ def soft_evidence(y: np.ndarray, rho: np.ndarray | float, sigma: np.ndarray | fl
     per-element vectors.
     """
     y = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("observations must be finite")
     rho = np.broadcast_to(np.asarray(rho, dtype=float), y.shape)
     sigma = np.broadcast_to(np.asarray(sigma, dtype=float), y.shape)
     if np.any(np.abs(rho) >= 1.0):

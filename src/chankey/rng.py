@@ -5,11 +5,26 @@ integer, a ``numpy.random.SeedSequence``, or an already-built
 ``numpy.random.Generator``.  Integers are expanded through a counter-based
 Philox generator so that independent streams can be split off a single
 experiment seed and results stay bit-reproducible.
+
+``split_streams`` keys each stream exactly as ``SeedSequence.spawn`` would,
+but derives the keys itself: ``_child_keys`` runs numpy's SeedSequence hash
+(numpy/random/bit_generator.pyx) over an array of child indices.  It follows
+the hash as numpy has had it since 1.19, which began zero-padding the
+entropy of spawned sequences; the package requires numpy >= 1.24, and
+tests/test_rng.py checks the keys against ``SeedSequence.spawn`` of the
+installed numpy.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
+
+# numpy's SeedSequence constants; all its arithmetic is on uint32 words.
+MASK32 = 0xFFFFFFFF
+INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
+INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
+MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 def make_rng(seed=None) -> np.random.Generator:
@@ -50,6 +65,16 @@ def split_streams(seed, n: int) -> list[np.random.Generator]:
     Used to give each coherence block / trial its own stream, so blocks can
     be generated in any order (or in parallel) without changing the result.
 
+    Stream i is ``Generator(Philox(children[i]))`` for ``children =
+    parent.spawn(n)``, draw for draw.  The parent is ``SeedSequence(seed)``
+    for an integer or tuple seed, and ``SeedSequence`` of 4 words drawn by
+    ``seed.integers(0, 2**63 - 1, size=4)`` for a Generator.  A SeedSequence
+    seed is the parent itself: its children count on from
+    ``n_children_spawned``, which advances by n.  The n Philox keys come
+    from one vectorised pass (``_child_keys``), not from n SeedSequence
+    objects, so a stream's ``bit_generator.seed_seq`` holds only its key and
+    cannot spawn.
+
     A key session splits ``blocks + 1`` streams: stream i < blocks belongs to
     coherence block i, the last one draws the rotation offsets.  Block
     stream i draws, in this order, the P uniform path delays and the 2P gain
@@ -63,9 +88,99 @@ def split_streams(seed, n: int) -> list[np.random.Generator]:
     (``pipeline.draw_session``) and every measurement of it: sounding one
     draw at several SNRs gives each the result of a fresh draw.
     """
+    parent = seed
     if isinstance(seed, np.random.Generator):
-        # Derive a child SeedSequence from the generator's own stream.
-        seed = np.random.SeedSequence(seed.integers(0, 2**63 - 1, size=4).tolist())
+        parent = np.random.SeedSequence(seed.integers(0, 2**63 - 1, size=4).tolist())
     elif not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    return [np.random.Generator(np.random.Philox(s)) for s in seed.spawn(n)]
+        parent = np.random.SeedSequence(seed)
+    keys = _child_keys(parent.entropy, parent.spawn_key, parent.pool_size,
+                       parent.n_children_spawned, n)
+    if parent is seed:
+        # n_children_spawned is read-only and spawn is the one way to advance
+        # it, so that the caller's next spawn does not repeat these children
+        seed.spawn(n)
+    return [np.random.Generator(np.random.Philox(_Keyed(key)))
+            for key in keys.tolist()]
+
+
+class _Keyed(ISeedSequence):
+    """Seed sequence whose state is one precomputed Philox key."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
+def _words(x) -> list[int]:
+    """An integer, or a nested sequence of them, as SeedSequence splits it
+    into uint32 words (least significant first, at least one per integer)."""
+    if isinstance(x, (int, np.integer)):
+        x = int(x)
+        words = [x & MASK32]
+        while x > MASK32:
+            x >>= 32
+            words.append(x & MASK32)
+        return words
+    return [w for item in x for w in _words(item)]
+
+
+def _hash(value, const, mult, u=int):
+    """One SeedSequence hash step: ``(value ^ const) * const'`` folded, with
+    ``const' = const * mult``.  Returns the hashed value and ``const'``.
+    ``u`` wraps the operands: ``int`` for one word, ``np.uint64`` for an
+    array of words (uint32 values held in uint64, so products stay exact
+    whatever numpy's scalar promotion rules)."""
+    const_next = const * mult & MASK32
+    value = (value ^ u(const)) * u(const_next) & u(MASK32)
+    return value ^ value >> u(16), const_next
+
+
+def _mix(x, y, u=int):
+    value = (u(MIX_MULT_L) * x - u(MIX_MULT_R) * y) & u(MASK32)
+    return value ^ value >> u(16)
+
+
+def _child_keys(entropy, spawn_key, pool_size, start, n) -> np.ndarray:
+    """Philox keys, ``(n, 2)`` uint64, of SeedSequence children start..start+n-1.
+
+    Row j equals ``SeedSequence(entropy, spawn_key=spawn_key + (start + j,),
+    pool_size=pool_size).generate_state(2, np.uint64)``.  A child's entropy
+    words are the parent's entropy zero-padded to the pool size, the
+    parent's spawn key, then the child index.  Only that last word differs
+    between children, and it is mixed in last, so the pool is hashed once
+    up to it and the index is mixed into it for all children at once.
+    """
+    if start + n > MASK32 + 1:
+        raise ValueError("child indices must fit in one uint32 word")
+    run = _words(entropy)
+    words = run + [0] * (pool_size - len(run)) + _words(spawn_key)
+    const = INIT_A
+    pool = []
+    for word in words[:pool_size]:
+        value, const = _hash(word, const, MULT_A)
+        pool.append(value)
+    for src in range(pool_size):
+        for dst in range(pool_size):
+            if src != dst:
+                value, const = _hash(pool[src], const, MULT_A)
+                pool[dst] = _mix(pool[dst], value)
+    for word in words[pool_size:]:
+        for dst in range(pool_size):
+            value, const = _hash(word, const, MULT_A)
+            pool[dst] = _mix(pool[dst], value)
+    # the child index joins every pool word, but generate_state(2, uint64)
+    # reads only the first four (the pool has at least four)
+    u = np.uint64
+    index = np.arange(start, start + n, dtype=u)
+    keys = np.empty((2, n), dtype=u)
+    const_b = INIT_B
+    for dst in range(4):
+        value, const = _hash(index, const, MULT_A, u)
+        word, const_b = _hash(_mix(u(pool[dst]), value, u), const_b, MULT_B, u)
+        if dst % 2:
+            keys[dst // 2] |= word << u(32)
+        else:
+            keys[dst // 2] = word
+    return keys.T

@@ -142,13 +142,6 @@ def test_single_stream_batch_equals_single_seed(cfg, seed):
     assert np.array_equal(single.gains, ref_gains)
 
 
-def test_sinc_interpolation_rejects_batches():
-    cfg = ChannelConfig(**TABLE1)
-    batch = sample_paths(cfg, split_streams(3, 2))
-    with pytest.raises(ValueError):
-        time_coefficients(batch, cfg, interpolation="sinc")
-
-
 def test_freq_coefficients_zero_delay_path():
     cfg = ChannelConfig(m_tones=8, bandwidth_hz=2.5e6, duration_s=3.2e-6,
                         n_paths=1, tau_max_s=0.0)
@@ -235,17 +228,6 @@ def test_transform_consistency_at_bin_centers():
     direct = freq_coefficients(paths, cfg)
     via_time = freq_from_time(time_coefficients(paths, cfg), cfg.m_tones)
     np.testing.assert_allclose(via_time, direct, rtol=1e-9, atol=1e-12)
-
-
-def test_sinc_interpolation_close_to_binning():
-    cfg = ChannelConfig(**TABLE1)
-    paths = sample_paths(cfg, seed=11)
-    h_bin = time_coefficients(paths, cfg, interpolation="bin")
-    h_sinc = time_coefficients(paths, cfg, interpolation="sinc")
-    # same support scale; the kernels agree exactly for bin-centered delays
-    assert h_sinc.shape == h_bin.shape
-    assert np.linalg.norm(h_sinc) == pytest.approx(np.linalg.norm(h_bin),
-                                                   rel=0.5)
 
 
 def test_build_snr_profile_flat_table1():

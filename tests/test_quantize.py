@@ -148,6 +148,13 @@ def test_soft_evidence_rejects_bad_params():
         soft_evidence(np.zeros(3), rho=0.5, sigma=0.0, quantizer=Q2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_soft_evidence_rejects_non_finite_observation(bad):
+    y = np.array([0.3, bad, -0.2])
+    with pytest.raises(ValueError, match="finite"):
+        soft_evidence(y, rho=0.5, sigma=1.0, quantizer=Q4)
+
+
 # ---------------------------------------------------------------------------
 # hard evidence
 
@@ -319,3 +326,10 @@ def test_evidence_validation():
         Evidence(posteriors=np.array([[0.5, 0.6]]))
     with pytest.raises(ValueError):
         Evidence(posteriors=np.array([[-0.5, 1.5]]))
+
+
+@pytest.mark.parametrize("row", [[np.nan, np.nan], [np.nan, 1.0],
+                                 [np.inf, -np.inf]])
+def test_evidence_rejects_non_finite_posteriors(row):
+    with pytest.raises(ValueError, match="finite"):
+        Evidence(posteriors=np.array([[0.5, 0.5], row]))
