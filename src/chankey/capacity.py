@@ -182,11 +182,8 @@ def mi_estimate(xs: np.ndarray, ys: np.ndarray, bins: int = DEFAULT_BINS) -> MiE
         raise ValueError("need two equal-length 1-D sample vectors")
     if xs.size < 1000:
         raise ValueError("need at least 1000 samples")
-    ix = _quantile_bins(xs, bins)
-    iy = _quantile_bins(ys, bins)
-    value = max(0.0, _binned_mi_bits(ix, iy, bins, bins))
-    se = _bootstrap_se(ix, iy, bins, bins)
-    return MiEstimate(value, se, "histogram", xs.size)
+    return _mi_from_bins(_quantile_bins(xs, bins), _quantile_bins(ys, bins),
+                         bins, bins, "histogram")
 
 
 def _mi_from_bins(ix, iy, kx, ky, estimator: str) -> MiEstimate:
@@ -222,35 +219,32 @@ def gaussian_mi_estimate(xs: np.ndarray, ys: np.ndarray) -> MiEstimate:
 _CHUNK = 100_000
 
 
-def _simulate_pair_obs(per_bin_sigma2: np.ndarray, noise_var: float,
-                       samples: int, rng):
-    """Yield chunks of (obs_a, obs_b) matrices, one row per realization."""
+def _simulate_pairs(per_bin_sigma2: np.ndarray, noise_var: float,
+                    samples: int, rng, reduce) -> list:
+    """``reduce(obs_a, obs_b)`` of each chunk of simulated observation rows
+    (it may draw from ``rng`` after them), concatenated over the chunks."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
     L = per_bin_sigma2.size
     scale_h = np.sqrt(per_bin_sigma2 / 2.0)
     scale_n = math.sqrt(noise_var / 2.0)
-    done = 0
-    while done < samples:
+    parts = []
+    for done in range(0, samples, _CHUNK):
         m = min(_CHUNK, samples - done)
         h = scale_h * (rng.standard_normal((m, L)) + 1j * rng.standard_normal((m, L)))
         na = scale_n * (rng.standard_normal((m, L)) + 1j * rng.standard_normal((m, L)))
         nb = scale_n * (rng.standard_normal((m, L)) + 1j * rng.standard_normal((m, L)))
-        yield h + na, h + nb
-        done += m
+        parts.append(reduce(h + na, h + nb))
+    return [np.concatenate(column) for column in zip(*parts)]
 
 
 def simulate_rssi_pairs(profile: SnrProfile, samples: int, seed=None):
     """Monte-Carlo draw of both parties' received-strength readings."""
-    rng = make_rng(seed)
     sigma2 = profile.per_bin_snr * profile.noise_var
-    ra = np.empty(samples)
-    rb = np.empty(samples)
-    done = 0
-    for oa, ob in _simulate_pair_obs(sigma2, profile.noise_var, samples, rng):
-        m = oa.shape[0]
-        ra[done:done + m] = np.abs(oa).__pow__(2).sum(axis=1)
-        rb[done:done + m] = np.abs(ob).__pow__(2).sum(axis=1)
-        done += m
-    return ra, rb
+    return tuple(_simulate_pairs(
+        sigma2, profile.noise_var, samples, make_rng(seed),
+        lambda oa, ob: ((np.abs(oa) ** 2).sum(axis=1),
+                        (np.abs(ob) ** 2).sum(axis=1))))
 
 
 def rssi_capacity_numeric(profile: SnrProfile, m_tones: int, samples: int,
@@ -293,8 +287,8 @@ class MagPhaseReport:
         return math.hypot(self.i_mag.std_error, self.i_phase.std_error)
 
 
-def magphase_decomposition(snr: float, samples: int, seed=None,
-                           bins: int | None = None) -> MagPhaseReport:
+def magphase_decomposition(snr: float, samples: int,
+                           seed=None) -> MagPhaseReport:
     """Compare real/imaginary and magnitude/phase information splits.
 
     Simulates one coefficient observed by both parties at the given SNR
@@ -303,28 +297,18 @@ def magphase_decomposition(snr: float, samples: int, seed=None,
     the parametric Gaussian estimator (those pairs are exactly Gaussian, and
     histogram quantization loss would mask the equality at high SNR); the
     magnitude/phase MIs have no parametric form and use the histogram
-    estimator, with ``bins=None`` picking a count matched to the sample
-    size.
+    estimator, the magnitude with ``auto_bins`` bins for the sample size.
     """
     if samples < 100_000:
         raise ValueError("need at least 1e5 samples")
     if snr < 0:
         raise ValueError("snr must be nonnegative")
-    if bins is None:
-        bins = auto_bins(samples)
-    rng = make_rng(seed)
     rho = snr / (1.0 + snr)
-    a = np.empty(samples, dtype=complex)
-    b = np.empty(samples, dtype=complex)
-    done = 0
-    for oa, ob in _simulate_pair_obs(np.array([snr]), 1.0, samples, rng):
-        m = oa.shape[0]
-        a[done:done + m] = oa[:, 0]
-        b[done:done + m] = ob[:, 0]
-        done += m
+    a, b = _simulate_pairs(np.array([snr]), 1.0, samples, make_rng(seed),
+                           lambda oa, ob: (oa[:, 0], ob[:, 0]))
     i_re = gaussian_mi_estimate(a.real, b.real)
     i_im = gaussian_mi_estimate(a.imag, b.imag)
-    i_mag = mi_estimate(np.abs(a), np.abs(b), bins)
+    i_mag = mi_estimate(np.abs(a), np.abs(b), auto_bins(samples))
     i_phase = _mi_from_bins(
         _sector_bins(np.angle(a), PHASE_SECTORS),
         _sector_bins(np.angle(b), PHASE_SECTORS),
@@ -354,17 +338,14 @@ def phase_offset_loss(num_bins: int, snr: float, grid_size: int, samples: int,
         raise ValueError("grid must be nonempty")
     rng = make_rng(seed)
     thetas = rotation_grid(grid_size)
-    t_idx = np.empty(samples, dtype=int)
-    psi = np.empty(samples)
-    sigma2 = np.full(num_bins, snr)
-    done = 0
-    for oa, ob in _simulate_pair_obs(sigma2, 1.0, samples, rng):
-        m = oa.shape[0]
-        t = rng.integers(0, grid_size, size=m)
+
+    def reduce(oa, ob):
+        t = rng.integers(0, grid_size, size=oa.shape[0])
         rotated = ob * np.exp(1j * thetas[t])[:, None]
-        t_idx[done:done + m] = t
-        psi[done:done + m] = np.angle((oa.conj() * rotated).sum(axis=1))
-        done += m
+        return t, np.angle((oa.conj() * rotated).sum(axis=1))
+
+    t_idx, psi = _simulate_pairs(np.full(num_bins, snr), 1.0, samples, rng,
+                                 reduce)
     return _mi_from_bins(
         t_idx, _sector_bins(psi, PHASE_SECTORS), grid_size, PHASE_SECTORS,
         "histogram",

@@ -50,6 +50,11 @@ class ChannelConfig:
     sigma_h2: float = 1.0
 
     def __post_init__(self):
+        for name in ("bandwidth_hz", "duration_s", "tau_max_s", "sigma_h2",
+                     "pdp_decay_s"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.m_tones < 1:
             raise ValueError("m_tones must be a positive integer")
         if self.bandwidth_hz <= 0 or self.duration_s <= 0:
@@ -95,15 +100,6 @@ class PathSet:
     def __post_init__(self):
         if self.delays.shape != self.gains.shape:
             raise ValueError("delays and gains must have equal length")
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One coherence block: paths plus both coefficient views."""
-
-    freq_coeffs: np.ndarray
-    time_coeffs: np.ndarray
-    source_paths: PathSet
 
 
 @dataclass(frozen=True)
@@ -262,16 +258,6 @@ def freq_from_time(time_coeffs: np.ndarray, m_tones: int) -> np.ndarray:
     ell = np.arange(time_coeffs.size)
     dft = np.exp(-2j * np.pi * np.outer(n, ell) / m_tones)
     return (dft @ time_coeffs) / math.sqrt(m_tones)
-
-
-def realize(config: ChannelConfig, seed=None) -> ChannelRealization:
-    """Sample paths and materialize both coefficient views."""
-    paths = sample_paths(config, seed)
-    return ChannelRealization(
-        freq_coeffs=freq_coefficients(paths, config),
-        time_coeffs=time_coefficients(paths, config),
-        source_paths=paths,
-    )
 
 
 def build_snr_profile(config: ChannelConfig, snr_f_db: float) -> SnrProfile:

@@ -417,11 +417,12 @@ def decode_with_phase_offset(pcm: SparseParityCheck, syndrome_bits: np.ndarray,
     s = np.asarray(syndrome_bits, dtype=np.uint8)
     num_grid = theta_grid.size
 
-    # per-hypothesis channel evidence: prob[b, i, level]
-    prob = np.empty((num_grid, n, 2))
-    for b, theta in enumerate(theta_grid):
-        y = interleave(raw_obs * np.exp(-1j * theta))
-        prob[b] = soft_evidence(y, rho, sigma, quantizer).posteriors
+    # every hypothesis's channel evidence in one call: prob[b, i, level]
+    y = interleave(raw_obs * np.exp(-1j * theta_grid)[:, None])
+    rho, sigma = (np.tile(np.broadcast_to(v, n), num_grid)
+                  for v in (rho, sigma))
+    prob = soft_evidence(y, rho, sigma, quantizer).posteriors
+    prob = prob.reshape(num_grid, n, 2)
 
     if num_grid == 1:
         # degenerate grid: the rotation node is deterministic and the

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats
-from scipy.special import ndtr, owens_t
+from scipy.special import ndtr, ndtri, owens_t
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,7 @@ class Quantizer:
     def equiprobable(cls, levels: int) -> "Quantizer":
         """Gaussian-quantile thresholds giving each cell probability 1/q."""
         probs = np.arange(1, levels) / levels
-        return cls(levels=levels, thresholds=tuple(stats.norm.ppf(probs)))
+        return cls(levels=levels, thresholds=tuple(ndtri(probs)))
 
     def cell_edges(self) -> np.ndarray:
         """Cell boundaries including the infinite outer edges."""
@@ -118,8 +117,7 @@ def soft_evidence(y: np.ndarray, rho: np.ndarray | float, sigma: np.ndarray | fl
     cond_std = source_std * np.sqrt(1.0 - rho * rho)
     edges = quantizer.cell_edges() * source_std[:, None]
     z = (edges - cond_mean[:, None]) / cond_std[:, None]
-    cdf = stats.norm.cdf(z)
-    post = np.diff(cdf, axis=1)
+    post = np.diff(ndtr(z), axis=1)
     post /= post.sum(axis=1, keepdims=True)
     return Evidence(posteriors=post)
 
@@ -164,12 +162,13 @@ def hard_evidence(y_symbols: np.ndarray, rho: np.ndarray | float,
     if y_symbols.size and (y_symbols.min() < 0
                            or y_symbols.max() >= quantizer.levels):
         raise ValueError("symbols out of range")
+    q = quantizer.levels
     rho_vec = np.broadcast_to(np.asarray(rho, dtype=float), y_symbols.shape)
-    post = np.empty((y_symbols.size, quantizer.levels))
-    for r in np.unique(rho_vec):
-        joint = confusion_matrix(r, quantizer)
-        cond = joint / joint.sum(axis=0, keepdims=True)
-        mask = rho_vec == r
-        post[mask] = cond[:, y_symbols[mask]].T
+    rhos, which = np.unique(rho_vec, return_inverse=True)
+    # reshape, not stack: an empty input has no matrices to stack
+    joint = np.array([confusion_matrix(r, quantizer) for r in rhos])
+    joint = joint.reshape(-1, q, q)
+    cond = joint / joint.sum(axis=1, keepdims=True)
+    post = cond[which.ravel(), :, y_symbols.ravel()]
     post /= post.sum(axis=1, keepdims=True)
     return Evidence(posteriors=post)

@@ -7,12 +7,12 @@ Philox generator so that independent streams can be split off a single
 experiment seed and results stay bit-reproducible.
 
 ``split_streams`` keys each stream exactly as ``SeedSequence.spawn`` would,
-but derives the keys itself: ``_child_keys`` runs numpy's SeedSequence hash
+but derives the keys itself: ``_child_keys`` starts from the parent's
+``SeedSequence.pool`` and runs numpy's SeedSequence hash
 (numpy/random/bit_generator.pyx) over an array of child indices.  It follows
 the hash as numpy has had it since 1.19, which began zero-padding the
 entropy of spawned sequences; the package requires numpy >= 1.24, and
-tests/test_rng.py checks the keys against ``SeedSequence.spawn`` of the
-installed numpy.
+tests/test_rng.py checks the keys against ``SeedSequence.spawn``.
 """
 
 from __future__ import annotations
@@ -93,8 +93,7 @@ def split_streams(seed, n: int) -> list[np.random.Generator]:
         parent = np.random.SeedSequence(seed.integers(0, 2**63 - 1, size=4).tolist())
     elif not isinstance(seed, np.random.SeedSequence):
         parent = np.random.SeedSequence(seed)
-    keys = _child_keys(parent.entropy, parent.spawn_key, parent.pool_size,
-                       parent.n_children_spawned, n)
+    keys = _child_keys(parent, parent.n_children_spawned, n)
     if parent is seed:
         # n_children_spawned is read-only and spawn is the one way to advance
         # it, so that the caller's next spawn does not repeat these children
@@ -126,59 +125,53 @@ def _words(x) -> list[int]:
     return [w for item in x for w in _words(item)]
 
 
-def _hash(value, const, mult, u=int):
+def _hash(value, const, mult):
     """One SeedSequence hash step: ``(value ^ const) * const'`` folded, with
     ``const' = const * mult``.  Returns the hashed value and ``const'``.
-    ``u`` wraps the operands: ``int`` for one word, ``np.uint64`` for an
-    array of words (uint32 values held in uint64, so products stay exact
-    whatever numpy's scalar promotion rules)."""
+    ``value`` holds uint32 words in uint64, so products stay exact whatever
+    numpy's scalar promotion rules."""
+    u = np.uint64
     const_next = const * mult & MASK32
     value = (value ^ u(const)) * u(const_next) & u(MASK32)
     return value ^ value >> u(16), const_next
 
 
-def _mix(x, y, u=int):
+def _mix(x, y):
+    u = np.uint64
     value = (u(MIX_MULT_L) * x - u(MIX_MULT_R) * y) & u(MASK32)
     return value ^ value >> u(16)
 
 
-def _child_keys(entropy, spawn_key, pool_size, start, n) -> np.ndarray:
-    """Philox keys, ``(n, 2)`` uint64, of SeedSequence children start..start+n-1.
+def _child_keys(parent: np.random.SeedSequence, start, n) -> np.ndarray:
+    """Philox keys, ``(n, 2)`` uint64, of ``parent``'s children start..start+n-1.
 
-    Row j equals ``SeedSequence(entropy, spawn_key=spawn_key + (start + j,),
-    pool_size=pool_size).generate_state(2, np.uint64)``.  A child's entropy
-    words are the parent's entropy zero-padded to the pool size, the
-    parent's spawn key, then the child index.  Only that last word differs
-    between children, and it is mixed in last, so the pool is hashed once
-    up to it and the index is mixed into it for all children at once.
+    A child's entropy words are the parent's entropy zero-padded to the
+    pool size, the parent's spawn key, then the child index.  Only that last
+    word differs between children, and it is mixed in last, so every child
+    starts from ``parent.pool``, numpy's mix of the words before it, with
+    the hash constant advanced once per step of that mix, and the index is
+    mixed in for all children at once.
     """
     if start + n > MASK32 + 1:
         raise ValueError("child indices must fit in one uint32 word")
-    run = _words(entropy)
-    words = run + [0] * (pool_size - len(run)) + _words(spawn_key)
-    const = INIT_A
-    pool = []
-    for word in words[:pool_size]:
-        value, const = _hash(word, const, MULT_A)
-        pool.append(value)
-    for src in range(pool_size):
-        for dst in range(pool_size):
-            if src != dst:
-                value, const = _hash(pool[src], const, MULT_A)
-                pool[dst] = _mix(pool[dst], value)
-    for word in words[pool_size:]:
-        for dst in range(pool_size):
-            value, const = _hash(word, const, MULT_A)
-            pool[dst] = _mix(pool[dst], value)
+    size = parent.pool_size
+    words = (max(len(_words(parent.entropy)), size)
+             + len(_words(parent.spawn_key)))
+    # the mix hashes each pool word (zero past a short unpadded entropy,
+    # as the padding would), then every ordered pair of distinct pool
+    # words, then each word past the pool into every pool word
+    steps = size * size + size * (words - size)
+    const = INIT_A * pow(MULT_A, steps, MASK32 + 1) & MASK32
     # the child index joins every pool word, but generate_state(2, uint64)
     # reads only the first four (the pool has at least four)
     u = np.uint64
+    pool = parent.pool.astype(u)
     index = np.arange(start, start + n, dtype=u)
     keys = np.empty((2, n), dtype=u)
     const_b = INIT_B
     for dst in range(4):
-        value, const = _hash(index, const, MULT_A, u)
-        word, const_b = _hash(_mix(u(pool[dst]), value, u), const_b, MULT_B, u)
+        value, const = _hash(index, const, MULT_A)
+        word, const_b = _hash(_mix(pool[dst], value), const_b, MULT_B)
         if dst % 2:
             keys[dst // 2] |= word << u(32)
         else:

@@ -11,7 +11,7 @@ interleave as [Re h_1, Im h_1, ..., Re h_L, Im h_L], blocks in order.
 samples that do not depend on the SNR; ``sound_blocks`` scales them to a
 noise variance and adds them to the coefficients.  Key sessions call both on
 all blocks at once (a rate/SNR sweep draws once and sounds at every SNR), and
-``two_way_sound`` is their one-block form.
+``two_way_sound`` is their one-block form, on one block's ``(L,)`` ``h``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelRealization, SnrProfile
+from .channel import SnrProfile
 from .rng import make_rng
 
 
@@ -66,15 +66,15 @@ def sound_blocks(h: np.ndarray, noise: np.ndarray, noise_var: float):
     return h + scale * noise[:, 0], h + scale * noise[:, 1]
 
 
-def two_way_sound(realization: ChannelRealization, profile: SnrProfile,
+def two_way_sound(h: np.ndarray, profile: SnrProfile,
                   seed=None) -> MeasurementPair:
-    """One block of two-way sounding: ``draw_noise`` then ``sound_blocks``.
+    """Two-way sounding of one block's ``(L,)`` coefficients ``h``:
+    ``draw_noise`` then ``sound_blocks``.
 
     ``apply_phase_offset`` adds the rotation.
     """
-    h = realization.time_coeffs
     if h.size != profile.num_delay_bins:
-        raise ValueError("realization and profile disagree on L")
+        raise ValueError("coefficients and profile disagree on L")
     noise = draw_noise([make_rng(seed)], h.size)
     obs_a, obs_b = sound_blocks(h[None], noise, profile.noise_var)
     return MeasurementPair(obs_a=obs_a[0], obs_b=obs_b[0],

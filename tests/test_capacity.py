@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from chankey import capacity
 from chankey.capacity import (
+    PHASE_SECTORS,
     CapacityReport,
     MiEstimate,
     csi_capacity,
@@ -19,6 +21,7 @@ from chankey.capacity import (
 )
 from chankey.channel import flat_profile
 from chankey.rng import make_rng
+from chankey.sounding import rotation_grid
 
 
 def _gaussian_pair(rho, n, seed):
@@ -188,6 +191,51 @@ def test_rssi_correlation_is_rho_squared():
     rs = [np.corrcoef(ra[idx], rb[idx])[0, 1] for idx in blocks]
     se = np.std(rs, ddof=1) / math.sqrt(len(rs))
     assert abs(np.corrcoef(ra, rb)[0, 1] - rho**2) < 3 * se
+
+
+def _reference_chunks(per_bin_sigma2, noise_var, samples, rng, chunk):
+    """Reference draw order of the Monte-Carlo estimators: per chunk the
+    shared coefficients, then Alice's and Bob's noise, each as real then
+    imaginary parts."""
+    L = per_bin_sigma2.size
+    done = 0
+    while done < samples:
+        m = min(chunk, samples - done)
+        h = np.sqrt(per_bin_sigma2 / 2.0) * (
+            rng.standard_normal((m, L)) + 1j * rng.standard_normal((m, L)))
+        noise = [math.sqrt(noise_var / 2.0) * (
+            rng.standard_normal((m, L)) + 1j * rng.standard_normal((m, L)))
+            for _ in range(2)]
+        yield h + noise[0], h + noise[1]
+        done += m
+
+
+def test_chunked_draws_match_reference(monkeypatch):
+    # small chunks, the last one partial, so chunk boundaries are crossed
+    monkeypatch.setattr(capacity, "_CHUNK", 1000)
+    prof = flat_profile(3.0, 4, 10)
+    ra, rb = simulate_rssi_pairs(prof, 2501, seed=5)
+    pairs = list(_reference_chunks(prof.per_bin_snr * prof.noise_var,
+                                   prof.noise_var, 2501, make_rng(5), 1000))
+    assert np.array_equal(ra, np.concatenate(
+        [(np.abs(oa) ** 2).sum(axis=1) for oa, _ in pairs]))
+    assert np.array_equal(rb, np.concatenate(
+        [(np.abs(ob) ** 2).sum(axis=1) for _, ob in pairs]))
+
+    # phase_offset_loss draws each chunk's rotations after its observations
+    rng = make_rng(6)
+    thetas = rotation_grid(8)
+    t_idx, psi = [], []
+    for oa, ob in _reference_chunks(np.full(3, 2.0), 1.0, 2501, rng, 1000):
+        t = rng.integers(0, 8, size=oa.shape[0])
+        rotated = ob * np.exp(1j * thetas[t])[:, None]
+        t_idx.append(t)
+        psi.append(np.angle((oa.conj() * rotated).sum(axis=1)))
+    reference = capacity._mi_from_bins(
+        np.concatenate(t_idx),
+        capacity._sector_bins(np.concatenate(psi), PHASE_SECTORS), 8,
+        PHASE_SECTORS, "histogram")
+    assert phase_offset_loss(3, 2.0, 8, 2501, seed=6) == reference
 
 
 def test_rssi_numeric_rejects_small_samples():

@@ -14,7 +14,6 @@ from chankey.channel import (
     freq_coefficients,
     freq_from_time,
     load_config,
-    realize,
     sample_paths,
     time_coefficients,
 )
@@ -37,9 +36,9 @@ def small_mc():
     times = np.empty((R, L), dtype=complex)
     freqs = np.empty((R, M), dtype=complex)
     for i, rng in enumerate(split_streams(101, R)):
-        r = realize(SMALL, rng)
-        times[i] = r.time_coeffs
-        freqs[i] = r.freq_coeffs
+        paths = sample_paths(SMALL, rng)
+        times[i] = time_coefficients(paths, SMALL)
+        freqs[i] = freq_coefficients(paths, SMALL)
     return times, freqs
 
 
@@ -53,6 +52,14 @@ def test_config_invariants():
         ChannelConfig(**{**TABLE1, "n_paths": 0})
     with pytest.raises(ValueError):
         ChannelConfig(**{**TABLE1, "tau_max_s": 4e-6})  # > duration
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["bandwidth_hz", "duration_s", "tau_max_s",
+                                   "sigma_h2", "pdp_decay_s"])
+def test_config_rejects_non_finite_floats(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        ChannelConfig(**{**TABLE1, field: value})
 
 
 def test_sample_paths_degenerate_single_path():

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chankey
 from chankey.cli import main
 from chankey.pipeline import make_plane_code
 
@@ -80,6 +84,16 @@ def test_keygen_log_deterministic(tmp_path):
 
 def test_missing_config_exits_2(tmp_path):
     assert run_cli("capacity-sweep", "--config", tmp_path / "nope.cfg") == 2
+
+
+def test_non_finite_config_value_exits_2_naming_field(tmp_path, capsys):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(TABLE1_CFG.read_text().replace("sigma_h2     = 1.0",
+                                                  "sigma_h2 = nan"))
+    out = tmp_path / "x"
+    assert run_cli("capacity-sweep", "--config", cfg, "--out", out) == 2
+    assert "sigma_h2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_malformed_override_exits_2(tmp_path):
@@ -347,3 +361,15 @@ def test_internal_key_error_is_not_a_config_error(tmp_path, monkeypatch):
     with pytest.raises(KeyError, match="internal"):
         run_cli("keygen", "--out", tmp_path / "x", "--trials", 1,
                 "--set", "blocks=10")
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats costs ~44 MB and ~0.6 s to import; chankey needs only
+    # scipy.special and scipy.sparse
+    src = str(Path(chankey.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, chankey.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"

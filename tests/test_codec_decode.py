@@ -236,6 +236,27 @@ def test_phase_single_point_grid_equals_plain_decoder():
     assert res_phase.theta_hat == 0.0
 
 
+@pytest.mark.parametrize("grid", [[0.0], [0.0, 0.0]])
+def test_phase_repeated_hypothesis_with_per_symbol_channel(grid):
+    # every copy of the zero rotation must see each symbol's own rho and
+    # sigma, so the decoder reduces to the plain one on the same evidence
+    pcm = _phase_code()
+    rho = np.where(np.arange(256) % 4 < 2, 0.995, 0.7)
+    sigma = np.linspace(1.0, 2.0, 256)
+    rng = make_rng(9)
+    x_raw = rng.standard_normal(256)
+    y_raw = rho * x_raw + np.sqrt(1 - rho**2) * rng.standard_normal(256)
+    s = pcm.syndrome(quantize(x_raw, Q2))
+    obs = y_raw[0::2] + 1j * y_raw[1::2]
+    res_phase = decode_with_phase_offset(pcm, s, obs, np.array(grid), rho,
+                                         sigma, Q2)
+    ev = soft_evidence(y_raw, rho, sigma, Q2)
+    res_plain = decode_binary(pcm, s, evidence_to_llr(ev))
+    np.testing.assert_array_equal(res_phase.estimate, res_plain.estimate)
+    assert res_phase.iterations_used == res_plain.iterations_used
+    assert res_phase.syndrome_satisfied
+
+
 def test_phase_noiseless_on_grid_exact():
     pcm = _phase_code()
     B = 8
@@ -454,9 +475,11 @@ def test_kernel_step_bitwise_equals_reduceat_step(seed, n, m):
 @pytest.mark.parametrize("count", [1, 2, 64])
 def test_segment_sum_rounds_as_reduceat(count):
     # numpy reduces a one-column block with its pairwise loop and a wider
-    # one row after row, so both shapes are pinned
+    # one row after row, so both shapes are pinned; the degrees past 129
+    # reach the split branch of _pairwise_sum (keygen at rate 0.98 has
+    # checks of degree 150)
     rng = np.random.default_rng(2024 + count)
-    for d in range(1, 41):
+    for d in (*range(1, 41), 64, 127, 128, 129, 136, 137, 255, 256, 257, 300):
         terms = rng.standard_normal((count, d)) * 10.0 ** rng.integers(
             -12, 12, (count, d))
         terms[rng.random((count, d)) < 0.1] = 0.0

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from chankey.channel import (
     ChannelConfig,
     build_snr_profile,
-    realize,
     sample_paths,
     time_coefficients,
 )
@@ -228,7 +227,9 @@ def test_session_vectors_match_two_way_sound(channel):
                         seed=(8, 2))
     x_raw, b_obs, _, _, _ = _session_vectors(cfg)
     profile = build_snr_profile(channel, cfg.snr_f_db)
-    pairs = [two_way_sound(realize(channel, rng), profile, rng)
+    pairs = [two_way_sound(
+                 time_coefficients(sample_paths(channel, rng), channel),
+                 profile, rng)
              for rng in split_streams(cfg.seed, blocks + 1)[:-1]]
     assert np.array_equal(x_raw, interleave(np.array([p.obs_a for p in pairs])))
     assert np.array_equal(b_obs, np.array([p.obs_b for p in pairs]))

@@ -282,6 +282,46 @@ def test_hard_evidence_rows_normalized_and_cached():
     np.testing.assert_array_equal(ev.posteriors, ev2.posteriors)
 
 
+def _hard_evidence_per_rho(y_symbols, rho, quantizer):
+    """Reference: the per-rho mask loop hard_evidence used to run."""
+    rho_vec = np.broadcast_to(np.asarray(rho, dtype=float), y_symbols.shape)
+    post = np.empty((y_symbols.size, quantizer.levels))
+    for r in np.unique(rho_vec):
+        joint = confusion_matrix(r, quantizer)
+        cond = joint / joint.sum(axis=0, keepdims=True)
+        mask = rho_vec == r
+        post[mask] = cond[:, y_symbols[mask]].T
+    post /= post.sum(axis=1, keepdims=True)
+    return post
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(),
+       quantizer=st.sampled_from([Q2, Q4, Quantizer(2, (0.4,)),
+                                  Quantizer(4, (-1.1, 0.3, 0.8))]),
+       size=st.integers(1, 200), distinct=st.integers(1, 6),
+       scalar=st.booleans())
+def test_hard_evidence_matches_per_rho_loop(data, quantizer, size, distinct,
+                                            scalar):
+    levels = quantizer.levels
+    symbols = np.array(data.draw(st.lists(st.integers(0, levels - 1),
+                                          min_size=size, max_size=size)))
+    pool = data.draw(st.lists(st.floats(-0.999, 0.999), min_size=distinct,
+                              max_size=distinct))
+    rho = pool[0] if scalar else np.array(data.draw(
+        st.lists(st.sampled_from(pool), min_size=size, max_size=size)))
+    got = hard_evidence(symbols, rho, quantizer).posteriors
+    assert np.array_equal(got, _hard_evidence_per_rho(symbols, rho,
+                                                      quantizer))
+
+
+@pytest.mark.parametrize("rho", [0.5, np.array([])])
+def test_hard_evidence_empty_input(rho):
+    for quantizer in (Q2, Q4):
+        ev = hard_evidence(np.array([], dtype=np.uint8), rho, quantizer)
+        assert ev.posteriors.shape == (0, quantizer.levels)
+
+
 def test_hard_evidence_rejects_out_of_range():
     with pytest.raises(ValueError):
         hard_evidence(np.array([2]), rho=0.5, quantizer=Q2)

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from chankey.channel import ChannelConfig, build_snr_profile, realize
+from chankey.channel import (
+    ChannelConfig,
+    build_snr_profile,
+    sample_paths,
+    time_coefficients,
+)
 from chankey.rng import make_rng, split_streams
 from chankey.sounding import (
     MeasurementPair,
@@ -23,14 +28,18 @@ def _pair(obs_a, obs_b, noise_var=1.0):
                            noise_var=noise_var)
 
 
+def _coefficients(seed):
+    return time_coefficients(sample_paths(FLAT, seed), FLAT)
+
+
 def test_noiseless_reciprocity():
     prof = build_snr_profile(FLAT, 20.0)
     noiseless = type(prof)(noise_var=0.0, per_bin_snr=prof.per_bin_snr,
                            per_tone_snr=prof.per_tone_snr)
-    r = realize(FLAT, seed=1)
-    pair = two_way_sound(r, noiseless, seed=2)
-    np.testing.assert_array_equal(pair.obs_a, r.time_coeffs)
-    np.testing.assert_array_equal(pair.obs_b, r.time_coeffs)
+    h = _coefficients(1)
+    pair = two_way_sound(h, noiseless, seed=2)
+    np.testing.assert_array_equal(pair.obs_a, h)
+    np.testing.assert_array_equal(pair.obs_b, h)
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +51,7 @@ def sounded_blocks():
     a = np.empty((R, L), dtype=complex)
     b = np.empty((R, L), dtype=complex)
     for i, rng in enumerate(split_streams(404, R)):
-        pair = two_way_sound(realize(FLAT, rng), prof, rng)
+        pair = two_way_sound(_coefficients(rng), prof, rng)
         a[i] = pair.obs_a
         b[i] = pair.obs_b
     return prof, a, b
@@ -102,7 +111,7 @@ def test_rotation_invariance_of_distribution():
     def batch(seed, theta):
         out = np.empty(n, dtype=complex)
         for i, rng in enumerate(split_streams(seed, n)):
-            pair = two_way_sound(realize(FLAT, rng), prof, rng)
+            pair = two_way_sound(_coefficients(rng), prof, rng)
             if theta:
                 pair = apply_phase_offset(pair, theta)
             out[i] = pair.obs_b[0]
