@@ -6,7 +6,9 @@ Everything without a closed form -- signal-strength MI at small L, the
 magnitude/phase decomposition, the phase-offset information loss -- is
 estimated from simulation with a histogram mutual-information estimator
 (equiprobable bins, Miller-Madow bias correction, block-bootstrap standard
-errors).
+errors).  The bootstrap counts the joint bins of each contiguous sample
+block once; a replicate resamples whole blocks and sums their per-block
+joint counts, which equals binning the concatenated blocks.
 
 Capacities are reported in bits per real dimension of the stacked
 observation vector (the 1/(2M) normalization), with bits-per-coherence and
@@ -125,13 +127,12 @@ def _entropy_bits(counts: np.ndarray, n: int) -> float:
     p = counts / n
     # fsum makes the result independent of summation order, so the estimator
     # is exactly symmetric in its arguments.
-    return -math.fsum(p * np.log2(p))
+    return -math.fsum((p * np.log2(p)).tolist())
 
 
-def _binned_mi_bits(ix: np.ndarray, iy: np.ndarray, kx: int, ky: int) -> float:
-    """Plug-in MI with Miller-Madow correction from bin assignments."""
-    n = ix.size
-    joint = np.bincount(ix * ky + iy, minlength=kx * ky)
+def _counts_mi_bits(joint: np.ndarray, n: int, kx: int, ky: int) -> float:
+    """Plug-in MI with Miller-Madow correction from ``n`` samples' joint
+    bin counts (row-major over the ``kx`` x ``ky`` cells)."""
     px = joint.reshape(kx, ky).sum(axis=1)
     py = joint.reshape(kx, ky).sum(axis=0)
     plug = _entropy_bits(px, n) + _entropy_bits(py, n) - _entropy_bits(joint, n)
@@ -142,26 +143,51 @@ def _binned_mi_bits(ix: np.ndarray, iy: np.ndarray, kx: int, ky: int) -> float:
     return plug + correction
 
 
-def _bootstrap_se(ix: np.ndarray, iy: np.ndarray, kx: int, ky: int) -> float:
-    """Block-bootstrap standard error of the binned MI."""
+def _block_counts(ix: np.ndarray, iy: np.ndarray, kx: int, ky: int):
+    """Joint bin counts of each of the bootstrap's contiguous sample blocks,
+    as a ``(blocks, kx * ky)`` array, and the block sizes."""
     n = ix.size
-    nblocks = min(BOOTSTRAP_BLOCKS, n)
-    bounds = np.linspace(0, n, nblocks + 1).astype(int)
-    slices = [slice(bounds[i], bounds[i + 1]) for i in range(nblocks)]
+    bounds = np.linspace(0, n, min(BOOTSTRAP_BLOCKS, n) + 1).astype(int)
+    keys = ix * ky + iy
+    counts = np.stack([np.bincount(keys[lo:hi], minlength=kx * ky)
+                       for lo, hi in zip(bounds[:-1], bounds[1:])])
+    return counts, np.diff(bounds)
+
+
+def _bootstrap_se(counts: np.ndarray, sizes: np.ndarray, kx: int,
+                  ky: int) -> float:
+    """Block-bootstrap standard error of the binned MI.
+
+    Each replicate draws as many blocks as there are, with replacement, and
+    sums their per-block joint counts (``_block_counts``): the same counts,
+    and so the same MI, as binning the concatenation of the picked blocks.
+    """
+    nblocks = sizes.size
     rng = make_rng(0xB007)
     reps = np.empty(BOOTSTRAP_REPS)
     for r in range(BOOTSTRAP_REPS):
         pick = rng.integers(0, nblocks, size=nblocks)
-        rix = np.concatenate([ix[slices[b]] for b in pick])
-        riy = np.concatenate([iy[slices[b]] for b in pick])
-        reps[r] = _binned_mi_bits(rix, riy, kx, ky)
+        reps[r] = _counts_mi_bits(counts[pick].sum(axis=0),
+                                  int(sizes[pick].sum()), kx, ky)
     return float(np.std(reps, ddof=1))
 
 
 def _quantile_bins(x: np.ndarray, bins: int) -> np.ndarray:
-    """Assign each sample to one of ``bins`` equiprobable cells."""
-    edges = np.quantile(x, np.linspace(0.0, 1.0, bins + 1)[1:-1])
-    return np.searchsorted(edges, x, side="right")
+    """Assign each sample to one of ``bins`` equiprobable cells.
+
+    A sample's cell is the number of quantile edges at or below it.  One
+    sort gives both the edges (``np.quantile`` of the sorted copy takes the
+    same order statistics) and, for each edge, the sorted position where
+    the samples at or above it start.  ``x`` must be finite.
+    """
+    order = np.argsort(x)
+    xs = x[order]
+    cuts = np.searchsorted(
+        xs, np.quantile(xs, np.linspace(0.0, 1.0, bins + 1)[1:-1]), "left")
+    out = np.empty(x.size, dtype=np.intp)
+    out[order] = np.repeat(np.arange(bins),
+                           np.diff(cuts, prepend=0, append=x.size))
+    return out
 
 
 def _sector_bins(angles: np.ndarray, sectors: int) -> np.ndarray:
@@ -170,25 +196,35 @@ def _sector_bins(angles: np.ndarray, sectors: int) -> np.ndarray:
     return np.clip(idx, 0, sectors - 1)
 
 
-def mi_estimate(xs: np.ndarray, ys: np.ndarray, bins: int = DEFAULT_BINS) -> MiEstimate:
-    """Histogram MI between two continuous sample vectors, in bits.
-
-    Equiprobable (quantile) bins per axis, Miller-Madow correction, clamped
-    at zero; standard error from a 20-block bootstrap.
-    """
+def _sample_pair(xs, ys):
+    """Validate two sample vectors for an MI estimate, as float arrays."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1:
         raise ValueError("need two equal-length 1-D sample vectors")
     if xs.size < 1000:
         raise ValueError("need at least 1000 samples")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("samples must be finite")
+    return xs, ys
+
+
+def mi_estimate(xs: np.ndarray, ys: np.ndarray, bins: int = DEFAULT_BINS) -> MiEstimate:
+    """Histogram MI between two continuous sample vectors, in bits.
+
+    Equiprobable (quantile) bins per axis, Miller-Madow correction, clamped
+    at zero; standard error from a 20-block bootstrap.  Raises ValueError
+    for non-finite samples.
+    """
+    xs, ys = _sample_pair(xs, ys)
     return _mi_from_bins(_quantile_bins(xs, bins), _quantile_bins(ys, bins),
                          bins, bins, "histogram")
 
 
 def _mi_from_bins(ix, iy, kx, ky, estimator: str) -> MiEstimate:
-    value = max(0.0, _binned_mi_bits(ix, iy, kx, ky))
-    se = _bootstrap_se(ix, iy, kx, ky)
+    counts, sizes = _block_counts(ix, iy, kx, ky)
+    value = max(0.0, _counts_mi_bits(counts.sum(axis=0), ix.size, kx, ky))
+    se = _bootstrap_se(counts, sizes, kx, ky)
     return MiEstimate(value, se, estimator, ix.size)
 
 
@@ -198,14 +234,13 @@ def gaussian_mi_estimate(xs: np.ndarray, ys: np.ndarray) -> MiEstimate:
     Plugs the sample correlation into the closed form; the standard error
     follows from the delta method.  Unbiased at any correlation, unlike the
     histogram estimator whose quantization loss grows as |rho| -> 1.
+    Raises ValueError for non-finite samples or a zero-variance side.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.shape != ys.shape or xs.ndim != 1:
-        raise ValueError("need two equal-length 1-D sample vectors")
-    if xs.size < 1000:
-        raise ValueError("need at least 1000 samples")
-    r = float(np.corrcoef(xs, ys)[0, 1])
+    xs, ys = _sample_pair(xs, ys)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = float(np.corrcoef(xs, ys)[0, 1])
+    if math.isnan(r):
+        raise ValueError("samples must have finite nonzero variance")
     r = max(-1.0 + 1e-12, min(1.0 - 1e-12, r))
     se_r = (1.0 - r * r) / math.sqrt(xs.size)
     dmi_dr = abs(r) / ((1.0 - r * r) * _LN2)
@@ -217,6 +252,13 @@ def gaussian_mi_estimate(xs: np.ndarray, ys: np.ndarray) -> MiEstimate:
 # Monte-Carlo models
 
 _CHUNK = 100_000
+
+
+def _add_noise(out, shared, scale, buf, rng):
+    """``out = shared + scale * z`` for a fresh standard normal draw z."""
+    rng.standard_normal(out=buf)
+    np.multiply(buf, scale, out=out)
+    out += shared
 
 
 def _simulate_pairs(per_bin_sigma2: np.ndarray, noise_var: float,
@@ -231,10 +273,20 @@ def _simulate_pairs(per_bin_sigma2: np.ndarray, noise_var: float,
     parts = []
     for done in range(0, samples, _CHUNK):
         m = min(_CHUNK, samples - done)
-        h = scale_h * (rng.standard_normal((m, L)) + 1j * rng.standard_normal((m, L)))
-        na = scale_n * (rng.standard_normal((m, L)) + 1j * rng.standard_normal((m, L)))
-        nb = scale_n * (rng.standard_normal((m, L)) + 1j * rng.standard_normal((m, L)))
-        parts.append(reduce(h + na, h + nb))
+        # Draw order per chunk: the shared coefficients' real and imaginary
+        # parts, then each side's noise, real then imaginary.  Each part of
+        # an observation is summed straight into ``obs``, as h + n would sum
+        # it, and every buffer is released before the next chunk is drawn.
+        hr = scale_h * rng.standard_normal((m, L))
+        hi = scale_h * rng.standard_normal((m, L))
+        obs = np.empty((2, m, L), dtype=complex)
+        noise = np.empty((m, L))
+        for side in range(2):
+            _add_noise(obs[side].real, hr, scale_n, noise, rng)
+            _add_noise(obs[side].imag, hi, scale_n, noise, rng)
+        del hr, hi, noise
+        parts.append(reduce(obs[0], obs[1]))
+        del obs
     return [np.concatenate(column) for column in zip(*parts)]
 
 

@@ -292,7 +292,7 @@ def load_config(path) -> ChannelConfig:
     kwargs = {}
     for key in ("m_tones", "n_paths"):
         if key in values:
-            kwargs[key] = int(float(values[key]))
+            kwargs[key] = _integer_value(key, values[key])
     for key in ("bandwidth_hz", "duration_s", "tau_max_s", "pdp_decay_s",
                 "sigma_h2"):
         if key in values:
@@ -304,6 +304,17 @@ def load_config(path) -> ChannelConfig:
     if missing:
         raise ValueError(f"config {path} missing keys: {sorted(missing)}")
     return ChannelConfig(**kwargs)
+
+
+def _integer_value(key: str, text: str) -> int:
+    """An integral config value such as ``52`` or ``5.2e1``."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value.is_integer():  # also false for inf and nan
+        raise ValueError(f"{key} must be an integer, got {text!r}")
+    return int(value)
 
 
 def read_keyvalue_file(path) -> dict:

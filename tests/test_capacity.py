@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chankey import capacity
 from chankey.capacity import (
@@ -157,6 +160,98 @@ def test_mi_estimate_rejects_bad_input():
         mi_estimate(np.zeros(100), np.zeros(100))
 
 
+@pytest.mark.parametrize("estimator", [mi_estimate, gaussian_mi_estimate])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_mi_estimators_reject_non_finite_samples(estimator, bad):
+    x, y = _gaussian_pair(0.5, 2000, seed=17)
+    x[123] = bad
+    with pytest.raises(ValueError, match="finite"):
+        estimator(x, y)
+    with pytest.raises(ValueError, match="finite"):
+        estimator(y, x)
+
+
+def test_gaussian_mi_estimate_rejects_zero_variance():
+    x = make_rng(18).standard_normal(2000)
+    with pytest.raises(ValueError, match="variance"):
+        gaussian_mi_estimate(x, np.full(2000, 3.0))
+
+
+def _reference_quantile_bins(x, bins):
+    edges = np.quantile(x, np.linspace(0.0, 1.0, bins + 1)[1:-1])
+    return np.searchsorted(edges, x, side="right")
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1000, 3000),
+       bins=st.integers(2, 200), decimals=st.sampled_from([None, 0, 1, 2]),
+       run=st.floats(0.0, 0.6), signed_zeros=st.booleans())
+def test_quantile_bins_match_searchsorted_of_quantiles(seed, n, bins, decimals,
+                                                       run, signed_zeros):
+    rng = make_rng(seed)
+    x = rng.standard_normal(n)
+    if decimals is not None:  # heavy ties
+        x = np.round(x, decimals)
+    start = int(rng.integers(0, n))
+    x[start:start + int(run * n)] = x[start]  # a constant run
+    if signed_zeros:
+        x[rng.integers(0, n, size=n // 10)] = rng.choice([0.0, -0.0],
+                                                          size=n // 10)
+    got = capacity._quantile_bins(x, bins)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, _reference_quantile_bins(x, bins))
+
+
+def _reference_entropy_bits(counts, n):
+    p = counts[counts > 0] / n
+    return -math.fsum(p * np.log2(p))
+
+
+def _reference_binned_mi_bits(ix, iy, kx, ky):
+    n = ix.size
+    joint = np.bincount(ix * ky + iy, minlength=kx * ky)
+    px = joint.reshape(kx, ky).sum(axis=1)
+    py = joint.reshape(kx, ky).sum(axis=0)
+    plug = (_reference_entropy_bits(px, n) + _reference_entropy_bits(py, n)
+            - _reference_entropy_bits(joint, n))
+    occupied = int((joint > 0).sum()), int((px > 0).sum()), int((py > 0).sum())
+    return plug + (occupied[1] - 1 + occupied[2] - 1 - (occupied[0] - 1)) / (
+        2.0 * n * math.log(2.0))
+
+
+def _reference_bootstrap_se(ix, iy, kx, ky):
+    """Each replicate bins the concatenation of its picked sample blocks."""
+    n = ix.size
+    nblocks = min(capacity.BOOTSTRAP_BLOCKS, n)
+    bounds = np.linspace(0, n, nblocks + 1).astype(int)
+    slices = [slice(bounds[i], bounds[i + 1]) for i in range(nblocks)]
+    rng = make_rng(0xB007)
+    reps = np.empty(capacity.BOOTSTRAP_REPS)
+    for r in range(capacity.BOOTSTRAP_REPS):
+        pick = rng.integers(0, nblocks, size=nblocks)
+        rix = np.concatenate([ix[slices[b]] for b in pick])
+        riy = np.concatenate([iy[slices[b]] for b in pick])
+        reps[r] = _reference_binned_mi_bits(rix, riy, kx, ky)
+    return float(np.std(reps, ddof=1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1000, 2501),
+       shape=st.sampled_from([(8, 64), (64, 8), (16, 16), (3, 5)]),
+       coupling=st.floats(0.0, 1.0))
+def test_block_count_bootstrap_matches_concatenated_resamples(seed, n, shape,
+                                                              coupling):
+    kx, ky = shape
+    rng = make_rng(seed)
+    ix = rng.integers(0, kx, size=n)
+    noisy = rng.random(n) >= coupling
+    iy = np.where(noisy, rng.integers(0, ky, size=n), ix * ky // kx)
+    est = capacity._mi_from_bins(ix, iy, kx, ky, "histogram")
+    assert est == MiEstimate(
+        max(0.0, _reference_binned_mi_bits(ix, iy, kx, ky)),
+        _reference_bootstrap_se(ix, iy, kx, ky), "histogram", n)
+
+
 def test_gaussian_mi_estimate_unbiased_at_high_rho():
     x, y = _gaussian_pair(100 / 101, 200_000, seed=6)
     est = gaussian_mi_estimate(x, y)
@@ -236,6 +331,17 @@ def test_chunked_draws_match_reference(monkeypatch):
         capacity._sector_bins(np.concatenate(psi), PHASE_SECTORS), 8,
         PHASE_SECTORS, "histogram")
     assert phase_offset_loss(3, 2.0, 8, 2501, seed=6) == reference
+
+
+def test_phase_offset_loss_bounded_memory():
+    tracemalloc.start()
+    try:
+        phase_offset_loss(13, 1.0, 8, 200_000, seed=19)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 100k-row chunk of L = 13 observations is 41.6 MB for both sides
+    assert peak < 100 * 2**20
 
 
 def test_rssi_numeric_rejects_small_samples():

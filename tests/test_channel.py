@@ -315,6 +315,23 @@ def test_load_config_roundtrip(tmp_path):
     assert cfg == ChannelConfig(**TABLE1)
 
 
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan", "2.7", "1e400", "five"])
+@pytest.mark.parametrize("key", ["m_tones", "n_paths"])
+def test_load_config_rejects_non_integral_counts(tmp_path, key, text):
+    path = tmp_path / "bad.cfg"
+    values = {**TABLE1, key: text}
+    path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+        load_config(path)
+
+
+def test_load_config_accepts_integral_float_notation(tmp_path):
+    path = tmp_path / "link.cfg"
+    values = {**TABLE1, "m_tones": "5.2e1", "n_paths": "300.0"}
+    path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    assert load_config(path) == ChannelConfig(**TABLE1)
+
+
 def test_load_config_missing_key(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("m_tones = 52\n")

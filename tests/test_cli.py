@@ -96,6 +96,18 @@ def test_non_finite_config_value_exits_2_naming_field(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line", ["n_paths = inf", "m_tones = nan",
+                                  "m_tones = 2.7"])
+def test_non_integral_config_count_exits_2_naming_key(tmp_path, capsys, line):
+    key = line.partition(" ")[0]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TABLE1_CFG.read_text() + line + "\n")
+    out = tmp_path / "x"
+    assert run_cli("capacity-sweep", "--config", cfg, "--out", out) == 2
+    assert f"{key} must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_malformed_override_exits_2(tmp_path):
     assert run_cli("keygen", "--out", tmp_path / "x", "--set", "blocks") == 2
 
