@@ -214,8 +214,11 @@ def mi_estimate(xs: np.ndarray, ys: np.ndarray, bins: int = DEFAULT_BINS) -> MiE
 
     Equiprobable (quantile) bins per axis, Miller-Madow correction, clamped
     at zero; standard error from a 20-block bootstrap.  Raises ValueError
-    for non-finite samples.
+    for non-finite samples, or for ``bins`` other than an integer >= 1.
     """
+    if (isinstance(bins, bool) or not isinstance(bins, (int, np.integer))
+            or bins < 1):
+        raise ValueError(f"bins must be an integer >= 1, got {bins!r}")
     xs, ys = _sample_pair(xs, ys)
     return _mi_from_bins(_quantile_bins(xs, bins), _quantile_bins(ys, bins),
                          bins, bins, "histogram")

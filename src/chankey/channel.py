@@ -184,7 +184,9 @@ def sample_paths(config: ChannelConfig, seed=None) -> PathSet:
     ``(n_paths,)`` delays and gains.  A list of Generators (one per coherence
     block, e.g. from ``split_streams``) gives a batch with ``(blocks,
     n_paths)`` delays and gains, whose row i is exactly what a single call
-    on stream i would return.
+    on stream i would return.  Key sessions call it on consecutive chunks of
+    their block streams (see ``pipeline.draw_session``); any split of the
+    streams gives the same rows.
 
     Reproducibility contract: each stream draws, in this order, the P
     uniform delays (one ``random(P)`` call scaled by tau_max, which gives
@@ -206,13 +208,22 @@ def sample_paths(config: ChannelConfig, seed=None) -> PathSet:
         rng.random(out=delays[i])
         rng.standard_normal(out=normals[i])
     delays *= config.tau_max_s
+    # weight -> variance -> gain scale in one buffer, each step rounded as
+    # sqrt(sigma_h2 * w / sum(w) / 2) with w = exp(-delay / decay)
     if config.profile == "exponential" and config.tau_max_s > 0:
-        weights = np.exp(-delays / config.decay_s)
+        scale = np.negative(delays)
+        scale /= config.decay_s
+        np.exp(scale, out=scale)
     else:
-        weights = np.ones_like(delays)
-    variances = config.sigma_h2 * weights / weights.sum(axis=1, keepdims=True)
-    scale = np.sqrt(variances / 2.0)
-    gains = scale * (normals[:, :P] + 1j * normals[:, P:])
+        scale = np.ones_like(delays)
+    total = scale.sum(axis=1, keepdims=True)
+    scale *= config.sigma_h2
+    scale /= total
+    scale /= 2.0
+    np.sqrt(scale, out=scale)
+    gains = np.empty((len(rngs), P), dtype=complex)
+    np.multiply(scale, normals[:, :P], out=gains.real)
+    np.multiply(scale, normals[:, P:], out=gains.imag)
     if not batched:
         delays, gains = delays[0], gains[0]
     return PathSet(delays=delays, gains=gains)
@@ -233,20 +244,25 @@ def time_coefficients(paths: PathSet, config: ChannelConfig) -> np.ndarray:
     axis) gives one row of L coefficients per realization.
     """
     L = config.num_delay_bins
-    root_m = math.sqrt(config.m_tones)
-    tau_bins = paths.delays * config.bandwidth_hz
-    idx = np.ceil(tau_bins - 0.5).astype(int)
-    idx = np.clip(idx, 0, L - 1).reshape(-1, tau_bins.shape[-1])
-    rows = idx.shape[0]
-    # one bincount over all rows, row r's bins offset by r*L; it adds each
-    # bin's gains in path order, so the sums match a per-row accumulation
-    flat = (idx + L * np.arange(rows)[:, None]).ravel()
-    out = np.empty(tau_bins.shape[:-1] + (L,), dtype=complex)
+    rows = paths.delays.size // paths.delays.shape[-1]
+    # bin index ceil(tau W - 1/2) clipped to [0, L-1], computed in one float
+    # buffer, plus row r's offset r*L so that one bincount serves all rows;
+    # it adds each bin's gains in path order, so the sums match a per-row
+    # accumulation
+    idx = np.multiply(paths.delays, config.bandwidth_hz).reshape(rows, -1)
+    idx -= 0.5
+    np.ceil(idx, out=idx)
+    np.maximum(idx, 0, out=idx)
+    np.minimum(idx, L - 1, out=idx)
+    idx += L * np.arange(rows)[:, None]
+    flat = idx.astype(np.intp).ravel()
+    out = np.empty(paths.delays.shape[:-1] + (L,), dtype=complex)
     out.real = np.bincount(flat, weights=paths.gains.real.ravel(),
                            minlength=rows * L).reshape(out.shape)
     out.imag = np.bincount(flat, weights=paths.gains.imag.ravel(),
                            minlength=rows * L).reshape(out.shape)
-    return root_m * out
+    out *= math.sqrt(config.m_tones)
+    return out
 
 
 def freq_from_time(time_coeffs: np.ndarray, m_tones: int) -> np.ndarray:

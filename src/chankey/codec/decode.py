@@ -336,13 +336,36 @@ def _plane_evidence(g: np.ndarray, ext_m, ext_l):
 
 
 def _symbol_marginal(ext_m, ext_l):
-    """Factor-to-symbol message mu(a) ~ muM(a_M) muL(a_L), normalized."""
+    """Factor-to-symbol message mu(a) ~ muM(a_M) muL(a_L), normalized.
+
+    Returns the four levels' ``(N,)`` columns.  Their total is summed left
+    to right, the rounding numpy's ``sum(axis=1)`` gives a row of four.
+    """
     pm0, pm1 = _llr_to_prob(ext_m)
     pl0, pl1 = _llr_to_prob(ext_l)
-    to_sym = np.stack([pm0 * pl0, pm0 * pl1, pm1 * pl0, pm1 * pl1], axis=1)
-    norm = to_sym.sum(axis=1, keepdims=True)
-    to_sym /= np.maximum(norm, _TINY)
-    return to_sym
+    mu = [pm0 * pl0, pm0 * pl1, pm1 * pl0, pm1 * pl1]
+    norm = mu[0] + mu[1]
+    norm += mu[2]
+    norm += mu[3]
+    np.maximum(norm, _TINY, out=norm)
+    for col in mu:
+        col /= norm
+    return mu
+
+
+def _symbol_decision(g_cols, mu) -> np.ndarray:
+    """Per symbol the level a maximizing G(a) mu(a), ties to the lowest.
+
+    ``g_cols`` and ``mu`` hold one finite ``(N,)`` column per level; the
+    columns of ``mu`` are overwritten.  Levels 0/1 and 2/3 are compared in
+    pairs and the pair winners against each other, strictly greater winning
+    each comparison, which gives ``np.argmax``'s first maximum.
+    """
+    v0, v1, v2, v3 = (np.multiply(m, g, out=m) for m, g in zip(mu, g_cols))
+    high = np.maximum(v2, v3) > np.maximum(v0, v1)
+    estimate = np.add(high, high, dtype=np.uint8)
+    estimate += np.where(high, v3 > v2, v1 > v0)
+    return estimate
 
 
 def decode_quaternary(pcm_m: SparseParityCheck, pcm_l: SparseParityCheck,
@@ -354,13 +377,17 @@ def decode_quaternary(pcm_m: SparseParityCheck, pcm_l: SparseParityCheck,
     posteriors.  Each iteration floods both plane codes once and exchanges
     messages through the per-symbol coupling factors; decoding stops early
     when both plane syndromes are satisfied.  Symbols are decided by the
-    per-symbol posterior argmax (ties to the lowest level).
+    per-symbol posterior argmax (ties to the lowest level).  Non-finite
+    evidence raises ValueError.
     """
     g = np.asarray(getattr(evidence, "posteriors", evidence), dtype=float)
     if pcm_m.n != pcm_l.n:
         raise ValueError("plane codes must share the block length")
     if g.shape != (pcm_m.n, 4):
         raise ValueError(f"evidence must be ({pcm_m.n}, 4)")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("evidence must be finite")
+    g_cols = np.ascontiguousarray(g.T)
     s_m = np.asarray(syndrome_m, dtype=np.uint8)
     s_l = np.asarray(syndrome_l, dtype=np.uint8)
 
@@ -374,8 +401,8 @@ def decode_quaternary(pcm_m: SparseParityCheck, pcm_l: SparseParityCheck,
             ev_m, ev_l = _plane_evidence(g, ext_m, ext_l)
             ext_m = sp_m.step(ev_m)
             ext_l = sp_l.step(ev_l)
-            to_sym = _symbol_marginal(ext_m, ext_l)
-            estimate = np.argmax(g * to_sym, axis=1).astype(np.uint8)
+            estimate = _symbol_decision(g_cols,
+                                        _symbol_marginal(ext_m, ext_l))
             yield estimate, max(sp_m.last_delta, sp_l.last_delta)
 
     def satisfies(estimate):

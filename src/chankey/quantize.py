@@ -108,17 +108,30 @@ def soft_evidence(y: np.ndarray, rho: np.ndarray | float, sigma: np.ndarray | fl
         raise ValueError("observations must be finite")
     rho = np.broadcast_to(np.asarray(rho, dtype=float), y.shape)
     sigma = np.broadcast_to(np.asarray(sigma, dtype=float), y.shape)
-    if np.any(np.abs(rho) >= 1.0):
+    if not np.all(np.abs(rho) < 1.0):
         raise ValueError("need |rho| < 1")
-    if np.any(sigma <= 0):
-        raise ValueError("sigma must be positive")
+    if not np.all((sigma > 0) & np.isfinite(sigma)):
+        raise ValueError("sigma must be positive and finite")
     source_std = sigma / math.sqrt(2.0)
     cond_mean = rho * y
     cond_std = source_std * np.sqrt(1.0 - rho * rho)
-    edges = quantizer.cell_edges() * source_std[:, None]
-    z = (edges - cond_mean[:, None]) / cond_std[:, None]
-    post = np.diff(ndtr(z), axis=1)
-    post /= post.sum(axis=1, keepdims=True)
+    # cell k holds cdf[k+1] - cdf[k], where cdf is exactly 0.0 and 1.0 at
+    # the infinite outer edges and ndtr of the standardized threshold at
+    # each finite one; the row totals add the cells left to right
+    cdf = []
+    for t in quantizer.thresholds:
+        z = np.multiply(t, source_std)
+        z -= cond_mean
+        z /= cond_std
+        cdf.append(ndtr(z, out=z))
+    cells = [cdf[0]] + [np.subtract(hi, lo)
+                        for lo, hi in zip(cdf, cdf[1:] + [1.0])]
+    total = cells[0] + cells[1]
+    for cell in cells[2:]:
+        total += cell
+    post = np.empty(y.shape + (len(cells),))
+    for k, cell in enumerate(cells):
+        np.divide(cell, total, out=post[:, k])
     return Evidence(posteriors=post)
 
 

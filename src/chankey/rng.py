@@ -81,9 +81,10 @@ def split_streams(seed, n: int) -> list[np.random.Generator]:
     normals of ``channel.sample_paths`` (P = n_paths), then the 4L unit noise
     normals of ``sounding.draw_noise`` (Alice's L real parts, Bob's L real
     parts, then the imaginary parts in the same order).  This order is
-    the reproducibility contract: a batched simulation may draw every
-    stream's path values before any stream's noise, since streams are
-    independent, but must keep the order within each stream.  No draw
+    the reproducibility contract: since streams are independent, a
+    simulation may batch them in any grouping (``pipeline.draw_session``
+    draws consecutive chunks of block streams, each chunk's path values
+    before its noise), but must keep the order within each stream.  No draw
     depends on the SNR, so the same contract serves a session's draw
     (``pipeline.draw_session``) and every measurement of it: sounding one
     draw at several SNRs gives each the result of a fresh draw.

@@ -9,9 +9,10 @@ interleave as [Re h_1, Im h_1, ..., Re h_L, Im h_L], blocks in order.
 
 ``draw_noise`` is the one place sounding noise is drawn, as unit-variance
 samples that do not depend on the SNR; ``sound_blocks`` scales them to a
-noise variance and adds them to the coefficients.  Key sessions call both on
-all blocks at once (a rate/SNR sweep draws once and sounds at every SNR), and
-``two_way_sound`` is their one-block form, on one block's ``(L,)`` ``h``.
+noise variance and adds them to the coefficients.  Key sessions draw the
+noise in chunks of blocks and sound all blocks at once (a rate/SNR sweep
+draws once and sounds at every SNR), and ``two_way_sound`` is their one-block
+form, on one block's ``(L,)`` ``h``.
 """
 
 from __future__ import annotations

@@ -160,6 +160,22 @@ def test_mi_estimate_rejects_bad_input():
         mi_estimate(np.zeros(100), np.zeros(100))
 
 
+@pytest.mark.parametrize("bins", [0, -3, 2.5, True])
+def test_mi_estimate_rejects_bad_bins(bins):
+    rng = make_rng(4)
+    x, y = rng.standard_normal(2000), rng.standard_normal(2000)
+    with pytest.raises(ValueError, match="bins"):
+        mi_estimate(x, y, bins)
+
+
+def test_mi_estimate_accepts_numpy_and_single_bins():
+    rng = make_rng(4)
+    x = rng.standard_normal(2000)
+    y = x + rng.standard_normal(2000)
+    assert mi_estimate(x, y, np.int64(8)) == mi_estimate(x, y, 8)
+    assert mi_estimate(x, y, 1).value == 0.0
+
+
 @pytest.mark.parametrize("estimator", [mi_estimate, gaussian_mi_estimate])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_mi_estimators_reject_non_finite_samples(estimator, bad):

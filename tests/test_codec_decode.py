@@ -16,9 +16,12 @@ from chankey.codec import (
 )
 from chankey.codec.decode import (
     LLR_CLAMP,
+    _TINY,
     _BinarySP,
+    _llr_to_prob,
     _plane_evidence,
     _segment_sum,
+    _symbol_decision,
     _symbol_marginal,
 )
 from chankey.quantize import Quantizer, bit_planes, quantize, soft_evidence
@@ -160,7 +163,7 @@ def test_plane_coupling_symbol_marginal():
     # mu_{F->x}(a) ~ muM(a_M) muL(a_L), e.g. level 2 pairs muM(1) muL(0)
     ext_m = np.array([math.log(0.2 / 0.8)])
     ext_l = np.array([math.log(0.6 / 0.4)])
-    to_sym = _symbol_marginal(ext_m, ext_l)
+    to_sym = np.stack(_symbol_marginal(ext_m, ext_l), axis=1)
     expected = np.array([0.2 * 0.6, 0.2 * 0.4, 0.8 * 0.6, 0.8 * 0.4])
     np.testing.assert_allclose(to_sym[0], expected / expected.sum(), atol=1e-9)
 
@@ -203,6 +206,48 @@ def test_quaternary_rejects_mismatched_planes():
     with pytest.raises(ValueError):
         decode_quaternary(a, b, np.zeros(16, np.uint8), np.zeros(8, np.uint8),
                           np.full((64, 4), 0.25))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_quaternary_rejects_non_finite_evidence(bad):
+    pcm = construct_irregular(64, 16, {3: 1.0}, None, seed=8)
+    g = np.full((64, 4), 0.25)
+    g[5, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        decode_quaternary(pcm, pcm, np.zeros(16, np.uint8),
+                          np.zeros(16, np.uint8), g)
+
+
+def _stacked_symbol_decision(g, ext_m, ext_l):
+    """The ``(N, 4)`` formulation of the 4-level decision: the stacked
+    factor-to-symbol marginal, its row sums, and ``argmax`` of ``g`` times
+    it.  Returns the marginal and the decisions."""
+    pm0, pm1 = _llr_to_prob(ext_m)
+    pl0, pl1 = _llr_to_prob(ext_l)
+    to_sym = np.stack([pm0 * pl0, pm0 * pl1, pm1 * pl0, pm1 * pl1], axis=1)
+    norm = to_sym.sum(axis=1, keepdims=True)
+    to_sym /= np.maximum(norm, _TINY)
+    return to_sym, np.argmax(g * to_sym, axis=1).astype(np.uint8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
+       scale=st.sampled_from([0.1, 5.0, 60.0]), ties=st.booleans())
+def test_symbol_decision_matches_stacked_argmax(seed, n, scale, ties):
+    rng = make_rng(seed)
+    if ties:
+        # few distinct values, so equal products (ties) are common
+        ext_m, ext_l = rng.choice([0.0, -1.0, 2.0, 40.0], (2, n))
+        g = rng.choice([0.0, 0.25, 0.5], (n, 4))
+    else:
+        ext_m, ext_l = rng.normal(0.0, scale, (2, n))
+        g = rng.dirichlet(np.ones(4), n)
+    want_mu, want = _stacked_symbol_decision(g, ext_m, ext_l)
+    mu = _symbol_marginal(ext_m, ext_l)
+    assert np.stack(mu, axis=1).tobytes() == want_mu.tobytes()
+    got = _symbol_decision(np.ascontiguousarray(g.T), mu)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

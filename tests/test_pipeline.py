@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -14,11 +15,13 @@ from chankey.channel import (
     sample_paths,
     time_coefficients,
 )
+from chankey.codec import SparseParityCheck
 from chankey.pipeline import (
     MIN_SWEEP_RATE,
     PHASE_MODES,
     SessionConfig,
     SweepRow,
+    _chunk_blocks,
     _session_vectors,
     draw_session,
     make_plane_code,
@@ -29,7 +32,7 @@ from chankey.pipeline import (
 )
 from chankey.quantize import Quantizer
 from chankey.rng import derive_seed, split_streams
-from chankey.sounding import interleave, rotation_grid, two_way_sound
+from chankey.sounding import draw_noise, interleave, rotation_grid, two_way_sound
 
 TABLE1 = ChannelConfig(m_tones=52, bandwidth_hz=16.25e6, duration_s=3.2e-6,
                        n_paths=300, tau_max_s=800e-9)
@@ -212,6 +215,48 @@ def test_batched_session_vectors_match_block_loop(channel, phase_mode, snr_db):
     assert theta == ref_theta
     assert np.array_equal(x_raw, ref_a)
     assert np.array_equal(interleave(b_obs), ref_b)
+
+
+def _draw_config(channel, blocks, seed):
+    """A session config for drawing only; its one-check code is never used."""
+    n_data = 2 * blocks * channel.num_delay_bins
+    return SessionConfig(channel=channel, snr_f_db=10.0, blocks=blocks,
+                         quantizer=Q2,
+                         code=SparseParityCheck([np.arange(n_data)], n_data),
+                         seed=seed)
+
+
+def _unchunked_draw(cfg):
+    """``draw_session``'s h and noise from one call on all block streams."""
+    streams = split_streams(cfg.seed, cfg.blocks + 1)[:-1]
+    h = time_coefficients(sample_paths(cfg.channel, streams), cfg.channel)
+    return h, draw_noise(streams, h.shape[1])
+
+
+@pytest.mark.parametrize("channel", [TABLE1, SMALL, FLAT_1BIN, EXP_1PATH],
+                         ids=["exponential", "flat", "tau0", "one_path"])
+def test_chunked_draw_matches_unchunked_at_chunk_boundaries(channel):
+    chunk = _chunk_blocks(channel)
+    for blocks in sorted({1, max(1, chunk - 1), chunk, chunk + 1,
+                          2 * chunk + 3}):
+        cfg = _draw_config(channel, blocks, (31, blocks))
+        draw = draw_session(cfg)
+        h, noise = _unchunked_draw(cfg)
+        assert np.array_equal(draw.h, h), blocks
+        assert np.array_equal(draw.noise, noise), blocks
+
+
+def test_draw_session_memory_stays_chunk_sized():
+    # one unchunked pass built ~2.5 MB of (blocks, n_paths) temporaries here
+    cfg = _draw_config(TABLE1, 120, 3)
+    draw_session(cfg)
+    tracemalloc.start()
+    try:
+        draw_session(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("channel", [TABLE1, SMALL, FLAT_1BIN],

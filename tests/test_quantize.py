@@ -148,6 +148,58 @@ def test_soft_evidence_rejects_bad_params():
         soft_evidence(np.zeros(3), rho=0.5, sigma=0.0, quantizer=Q2)
 
 
+def _soft_evidence_edge_matrix(y, rho, sigma, quantizer):
+    """Soft posteriors from the ``(N, q+1)`` matrix of standardized cell
+    edges, infinite outer edges included: ndtr, ``np.diff`` and row sums."""
+    y = np.asarray(y, dtype=float)
+    rho = np.broadcast_to(np.asarray(rho, dtype=float), y.shape)
+    sigma = np.broadcast_to(np.asarray(sigma, dtype=float), y.shape)
+    source_std = sigma / math.sqrt(2.0)
+    cond_mean = rho * y
+    cond_std = source_std * np.sqrt(1.0 - rho * rho)
+    edges = quantizer.cell_edges() * source_std[:, None]
+    z = (edges - cond_mean[:, None]) / cond_std[:, None]
+    post = np.diff(ndtr(z), axis=1)
+    post /= post.sum(axis=1, keepdims=True)
+    return post
+
+
+NEAR_ONE = np.nextafter(1.0, 0.0)
+RHOS = st.one_of(st.floats(-0.999999, 0.999999),
+                 st.sampled_from([NEAR_ONE, -NEAR_ONE, 1.0 - 1e-12,
+                                  -(1.0 - 1e-9), 0.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(),
+       quantizer=st.sampled_from([Q2, Q4, Quantizer(2, (0.4,)),
+                                  Quantizer(4, (-1.1, 0.3, 0.8))]),
+       size=st.integers(0, 120), scalar_rho=st.booleans(),
+       scalar_sigma=st.booleans(), y_scale=st.sampled_from([1.0, 1e3, 1e8]))
+def test_soft_evidence_matches_cell_edge_matrix(data, quantizer, size,
+                                                scalar_rho, scalar_sigma,
+                                                y_scale):
+    def values(strategy, scalar):
+        if scalar:
+            return data.draw(strategy)
+        return np.array(data.draw(st.lists(strategy, min_size=size,
+                                           max_size=size)), dtype=float)
+
+    y = y_scale * values(st.floats(-10.0, 10.0), False)
+    rho = values(RHOS, scalar_rho)
+    sigma = values(st.floats(1e-3, 1e3), scalar_sigma)
+    got = soft_evidence(y, rho, sigma, quantizer).posteriors
+    want = _soft_evidence_edge_matrix(y, rho, sigma, quantizer)
+    assert got.shape == want.shape == (size, quantizer.levels)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("sigma", [np.inf, np.nan, -1.0])
+def test_soft_evidence_rejects_unusable_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma"):
+        soft_evidence(np.zeros(3), rho=0.5, sigma=sigma, quantizer=Q4)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_soft_evidence_rejects_non_finite_observation(bad):
     y = np.array([0.3, bad, -0.2])
