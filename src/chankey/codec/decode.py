@@ -344,10 +344,7 @@ def _symbol_marginal(ext_m, ext_l):
     pm0, pm1 = _llr_to_prob(ext_m)
     pl0, pl1 = _llr_to_prob(ext_l)
     mu = [pm0 * pl0, pm0 * pl1, pm1 * pl0, pm1 * pl1]
-    norm = mu[0] + mu[1]
-    norm += mu[2]
-    norm += mu[3]
-    np.maximum(norm, _TINY, out=norm)
+    norm = np.maximum(sum(mu[1:], start=mu[0]), _TINY)
     for col in mu:
         col /= norm
     return mu

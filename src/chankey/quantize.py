@@ -47,10 +47,6 @@ class Quantizer:
         probs = np.arange(1, levels) / levels
         return cls(levels=levels, thresholds=tuple(ndtri(probs)))
 
-    def cell_edges(self) -> np.ndarray:
-        """Cell boundaries including the infinite outer edges."""
-        return np.concatenate([[-np.inf], self.thresholds, [np.inf]])
-
 
 @dataclass(frozen=True)
 class Evidence:
@@ -124,11 +120,8 @@ def soft_evidence(y: np.ndarray, rho: np.ndarray | float, sigma: np.ndarray | fl
         z -= cond_mean
         z /= cond_std
         cdf.append(ndtr(z, out=z))
-    cells = [cdf[0]] + [np.subtract(hi, lo)
-                        for lo, hi in zip(cdf, cdf[1:] + [1.0])]
-    total = cells[0] + cells[1]
-    for cell in cells[2:]:
-        total += cell
+    cells = [cdf[0]] + [hi - lo for lo, hi in zip(cdf, cdf[1:] + [1.0])]
+    total = sum(cells[1:], start=cells[0])
     post = np.empty(y.shape + (len(cells),))
     for k, cell in enumerate(cells):
         np.divide(cell, total, out=post[:, k])

@@ -32,7 +32,12 @@ from chankey.pipeline import (
 )
 from chankey.quantize import Quantizer
 from chankey.rng import derive_seed, split_streams
-from chankey.sounding import draw_noise, interleave, rotation_grid, two_way_sound
+from chankey.sounding import (
+    draw_noise,
+    interleave,
+    rotation_grid,
+    two_way_sound,
+)
 
 TABLE1 = ChannelConfig(m_tones=52, bandwidth_hz=16.25e6, duration_s=3.2e-6,
                        n_paths=300, tau_max_s=800e-9)
