@@ -310,24 +310,24 @@ def _safe_llr(p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
 
 def evidence_to_llr(evidence) -> np.ndarray:
     """log(G(0)/G(1)) per symbol for binary evidence, clamped."""
-    g = np.asarray(getattr(evidence, "posteriors", evidence), dtype=float)
+    g = np.asarray(evidence, dtype=float)
     if g.ndim != 2 or g.shape[1] != 2:
         raise ValueError("binary evidence required")
     return _safe_llr(g[:, 0], g[:, 1])
 
 
-def _plane_evidence(g: np.ndarray, ext_m, ext_l):
+def _plane_evidence(g: np.ndarray, prob_m, prob_l):
     """Factor-node messages into both planes.
 
     ``g`` holds the per-symbol channel evidence over levels {0,1,2,3} and
-    ``ext_*`` the plane codes' extrinsic LLRs.  Per the coupling constraint
-    x = x_L + 2 x_M:
+    ``prob_*`` the plane codes' extrinsic messages as ``_llr_to_prob``
+    pairs.  Per the coupling constraint x = x_L + 2 x_M:
 
       to M: mu(0) ~ G(0) muL(0) + G(1) muL(1),  mu(1) ~ G(2) muL(0) + G(3) muL(1)
       to L: mu(0) ~ G(0) muM(0) + G(2) muM(1),  mu(1) ~ G(1) muM(0) + G(3) muM(1)
     """
-    pm0, pm1 = _llr_to_prob(ext_m)
-    pl0, pl1 = _llr_to_prob(ext_l)
+    pm0, pm1 = prob_m
+    pl0, pl1 = prob_l
     to_m = _safe_llr(g[:, 0] * pl0 + g[:, 1] * pl1,
                      g[:, 2] * pl0 + g[:, 3] * pl1)
     to_l = _safe_llr(g[:, 0] * pm0 + g[:, 2] * pm1,
@@ -335,14 +335,15 @@ def _plane_evidence(g: np.ndarray, ext_m, ext_l):
     return to_m, to_l
 
 
-def _symbol_marginal(ext_m, ext_l):
+def _symbol_marginal(prob_m, prob_l):
     """Factor-to-symbol message mu(a) ~ muM(a_M) muL(a_L), normalized.
 
-    Returns the four levels' ``(N,)`` columns.  Their total is summed left
-    to right, the rounding numpy's ``sum(axis=1)`` gives a row of four.
+    ``prob_*`` are the planes' ``_llr_to_prob`` pairs.  Returns the four
+    levels' ``(N,)`` columns.  Their total is summed left to right, the
+    rounding numpy's ``sum(axis=1)`` gives a row of four.
     """
-    pm0, pm1 = _llr_to_prob(ext_m)
-    pl0, pl1 = _llr_to_prob(ext_l)
+    pm0, pm1 = prob_m
+    pl0, pl1 = prob_l
     mu = [pm0 * pl0, pm0 * pl1, pm1 * pl0, pm1 * pl1]
     norm = np.maximum(sum(mu[1:], start=mu[0]), _TINY)
     for col in mu:
@@ -370,14 +371,14 @@ def decode_quaternary(pcm_m: SparseParityCheck, pcm_l: SparseParityCheck,
                       evidence, max_iter: int = DEFAULT_MAX_ITER) -> DecodeResult:
     """Joint decoding of both bit planes of 4-level quantized data.
 
-    ``evidence`` is an Evidence object or an (N, 4) array of per-symbol
-    posteriors.  Each iteration floods both plane codes once and exchanges
-    messages through the per-symbol coupling factors; decoding stops early
-    when both plane syndromes are satisfied.  Symbols are decided by the
-    per-symbol posterior argmax (ties to the lowest level).  Non-finite
-    evidence raises ValueError.
+    ``evidence`` is the (N, 4) array of per-symbol posteriors.  Each
+    iteration floods both plane codes once and exchanges messages through
+    the per-symbol coupling factors; decoding stops early when both plane
+    syndromes are satisfied.  Symbols are decided by the per-symbol
+    posterior argmax (ties to the lowest level).  Non-finite evidence
+    raises ValueError.
     """
-    g = np.asarray(getattr(evidence, "posteriors", evidence), dtype=float)
+    g = np.asarray(evidence, dtype=float)
     if pcm_m.n != pcm_l.n:
         raise ValueError("plane codes must share the block length")
     if g.shape != (pcm_m.n, 4):
@@ -392,14 +393,14 @@ def decode_quaternary(pcm_m: SparseParityCheck, pcm_l: SparseParityCheck,
     sp_l = _BinarySP(pcm_l, s_l)
 
     def steps():
-        ext_m = np.zeros(pcm_m.n)
-        ext_l = np.zeros(pcm_l.n)
+        # one conversion serves this symbol decision and the next evidence
+        prob_m = prob_l = _llr_to_prob(np.zeros(pcm_m.n))
         while True:
-            ev_m, ev_l = _plane_evidence(g, ext_m, ext_l)
-            ext_m = sp_m.step(ev_m)
-            ext_l = sp_l.step(ev_l)
+            ev_m, ev_l = _plane_evidence(g, prob_m, prob_l)
+            prob_m = _llr_to_prob(sp_m.step(ev_m))
+            prob_l = _llr_to_prob(sp_l.step(ev_l))
             estimate = _symbol_decision(g_cols,
-                                        _symbol_marginal(ext_m, ext_l))
+                                        _symbol_marginal(prob_m, prob_l))
             yield estimate, max(sp_m.last_delta, sp_l.last_delta)
 
     def satisfies(estimate):
@@ -445,8 +446,7 @@ def decode_with_phase_offset(pcm: SparseParityCheck, syndrome_bits: np.ndarray,
     y = interleave(raw_obs * np.exp(-1j * theta_grid)[:, None])
     rho, sigma = (np.tile(np.broadcast_to(v, n), num_grid)
                   for v in (rho, sigma))
-    prob = soft_evidence(y, rho, sigma, quantizer).posteriors
-    prob = prob.reshape(num_grid, n, 2)
+    prob = soft_evidence(y, rho, sigma, quantizer).reshape(num_grid, n, 2)
 
     if num_grid == 1:
         # degenerate grid: the rotation node is deterministic and the

@@ -15,6 +15,8 @@ Construction and row reduction never form a dense m x n matrix (only
 triangle of the sparse product H Hᵀ, and the row reduction runs on rows
 bit-packed into uint64 words straight from the row lists, so memory grows
 with the edge count and with m * n / 64 words.
+
+``scipy.sparse`` serves only code construction and syndromes: it loads on use.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ import warnings
 from bisect import bisect_left, insort
 
 import numpy as np
-from scipy import sparse
 
 from ..rng import make_rng
+# scipy.sparse is imported by its users: with scipy.special it costs a fresh
+# process ~0.3 s and ~20 MB that the numpy-only capacity commands skip
 
 # Budget multipliers for the random-swap repairs in construct_regular.
 _REPAIR_TRIES = 200
@@ -89,6 +92,7 @@ class SparseParityCheck:
 
     def _csr(self):
         if "csr" not in self._cache:
+            from scipy import sparse
             data = np.ones(self._indices.size, dtype=np.uint8)
             self._cache["csr"] = sparse.csr_matrix(
                 (data, self._indices, self._indptr), shape=(self.m, self.n)
@@ -262,6 +266,7 @@ def _overlapping_pairs(entries: np.ndarray) -> np.ndarray:
     product of the duplicate-free rows, so memory grows with the number of
     edges rather than with m x n.
     """
+    from scipy import sparse
     m, k = entries.shape
     n = int(entries.max()) + 1
     h = sparse.csr_matrix(

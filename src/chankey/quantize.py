@@ -10,6 +10,8 @@ Bob's decoder consumes per-symbol posteriors over Alice's levels: from his
 raw real observation in soft mode, or from his own quantized symbol (via the
 level confusion matrix) in hard mode.  The confusion matrix is computed in
 closed form from Owen's T function, exact at every correlation |rho| < 1.
+
+``scipy.special`` serves key sessions only, so it loads on first use.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr, ndtri, owens_t
+# scipy.special is imported by its users: with scipy.sparse it costs a fresh
+# process ~0.3 s and ~20 MB that the numpy-only capacity commands skip
 
 
 @dataclass(frozen=True)
@@ -44,24 +47,9 @@ class Quantizer:
     @classmethod
     def equiprobable(cls, levels: int) -> "Quantizer":
         """Gaussian-quantile thresholds giving each cell probability 1/q."""
+        from scipy.special import ndtri
         probs = np.arange(1, levels) / levels
         return cls(levels=levels, thresholds=tuple(ndtri(probs)))
-
-
-@dataclass(frozen=True)
-class Evidence:
-    """Per-symbol posteriors over Alice's levels (rows sum to one)."""
-
-    posteriors: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.posteriors)):
-            raise ValueError("posteriors must be finite")
-        if np.any(self.posteriors < 0):
-            raise ValueError("posteriors must be nonnegative")
-        sums = self.posteriors.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > 1e-9):
-            raise ValueError("posterior rows must sum to 1")
 
 
 def quantize(x: np.ndarray, quantizer: Quantizer, scale=1.0) -> np.ndarray:
@@ -91,14 +79,16 @@ def bit_planes(symbols: np.ndarray):
 
 
 def soft_evidence(y: np.ndarray, rho: np.ndarray | float, sigma: np.ndarray | float,
-                  quantizer: Quantizer) -> Evidence:
+                  quantizer: Quantizer) -> np.ndarray:
     """Posterior over Alice's cells given Bob's raw real observation.
 
-    The pair of raw values is bivariate Gaussian with correlation ``rho``
-    and common variance ``sigma**2 / 2`` per real dimension (``sigma`` is
-    the complex observation scale); ``rho`` and ``sigma`` may be scalars or
-    per-element vectors.
+    Returns the ``(N, q)`` posteriors, each row summing to one.  The pair
+    of raw values is bivariate Gaussian with correlation ``rho`` and common
+    variance ``sigma**2 / 2`` per real dimension (``sigma`` is the complex
+    observation scale); ``rho`` and ``sigma`` may be scalars or per-element
+    vectors.
     """
+    from scipy.special import ndtr
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):
         raise ValueError("observations must be finite")
@@ -125,7 +115,7 @@ def soft_evidence(y: np.ndarray, rho: np.ndarray | float, sigma: np.ndarray | fl
     post = np.empty(y.shape + (len(cells),))
     for k, cell in enumerate(cells):
         np.divide(cell, total, out=post[:, k])
-    return Evidence(posteriors=post)
+    return post
 
 
 @lru_cache(maxsize=32)
@@ -138,6 +128,7 @@ def _confusion_cached(rho: float, levels: int, thresholds: tuple) -> tuple:
     1956), where a zero edge sends a T argument to +-inf, which the formula
     absorbs everywhere but at h = k = 0.
     """
+    from scipy.special import ndtr, owens_t
     if abs(rho) >= 1.0:
         raise ValueError("need |rho| < 1")
     t = np.asarray(thresholds, dtype=float) + 0.0  # no -0.0: it flips a_h
@@ -162,8 +153,8 @@ def confusion_matrix(rho: float, quantizer: Quantizer) -> np.ndarray:
 
 
 def hard_evidence(y_symbols: np.ndarray, rho: np.ndarray | float,
-                  quantizer: Quantizer) -> Evidence:
-    """Posterior over Alice's cells given Bob's quantized symbol."""
+                  quantizer: Quantizer) -> np.ndarray:
+    """Posterior over Alice's cells given Bob's quantized symbol, ``(N, q)``."""
     y_symbols = np.asarray(y_symbols)
     if y_symbols.size and (y_symbols.min() < 0
                            or y_symbols.max() >= quantizer.levels):
@@ -177,4 +168,7 @@ def hard_evidence(y_symbols: np.ndarray, rho: np.ndarray | float,
     cond = joint / joint.sum(axis=1, keepdims=True)
     post = cond[which.ravel(), :, y_symbols.ravel()]
     post /= post.sum(axis=1, keepdims=True)
-    return Evidence(posteriors=post)
+    # a Bob level of probability zero under rho would make its rows 0/0
+    if not np.all(np.isfinite(post)):
+        raise ValueError("posteriors must be finite")
+    return post

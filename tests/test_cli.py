@@ -375,13 +375,44 @@ def test_internal_key_error_is_not_a_config_error(tmp_path, monkeypatch):
                 "--set", "blocks=10")
 
 
-def test_import_does_not_load_scipy_stats():
-    # scipy.stats costs ~44 MB and ~0.6 s to import; chankey needs only
-    # scipy.special and scipy.sparse
+SCIPY_PROBE = """
+import sys
+import numpy as np
+
+SCIPY = ("scipy.special", "scipy.sparse", "scipy.stats")
+
+def loaded():
+    return [m for m in SCIPY if m in sys.modules]
+
+import chankey.cli
+from chankey import capacity
+from chankey.channel import flat_profile
+capacity.magphase_decomposition(10.0, 100_000, seed=1)
+capacity.rssi_capacity_numeric(flat_profile(1.0, 2, 10), 10, 10_000, seed=2)
+print(loaded())
+
+from chankey.codec.matrix import construct_regular
+from chankey.quantize import Quantizer, soft_evidence
+q = Quantizer.equiprobable(4)
+post = soft_evidence(np.zeros(3), 0.5, 1.0, q)
+pcm = construct_regular(24, 12, 3, seed=0)
+assert np.allclose(post.sum(axis=1), 1.0) and pcm.m == 12
+assert not pcm.syndrome(np.zeros(24, np.uint8)).any()
+print(loaded())
+"""
+
+
+def test_capacity_paths_import_no_scipy_submodule():
+    # scipy.special and scipy.sparse cost ~0.3 s and ~20 MB to import, and
+    # scipy.stats more; the capacity commands need none of them.  A fresh
+    # interpreter, because pytest's IntegrationWarning filter imports
+    # scipy.integrate, and with it scipy.special, into this process.
     src = str(Path(chankey.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = "import sys, chankey.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", SCIPY_PROBE], env=env,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    lines = out.stdout.splitlines()
+    assert lines[:1] == ["[]"], out.stdout + out.stderr
+    assert out.returncode == 0, out.stderr
+    assert lines[1] == "['scipy.special', 'scipy.sparse']"

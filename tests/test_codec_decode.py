@@ -153,7 +153,8 @@ def test_plane_coupling_worked_message():
     g = np.array([[0.1, 0.2, 0.3, 0.4]])
     mu_l0, mu_l1 = 0.7, 0.3
     ext_l = np.array([math.log(mu_l0 / mu_l1)])
-    to_m, _ = _plane_evidence(g, np.zeros(1), ext_l)
+    to_m, _ = _plane_evidence(g, _llr_to_prob(np.zeros(1)),
+                              _llr_to_prob(ext_l))
     num0 = g[0, 0] * mu_l0 + g[0, 1] * mu_l1
     num1 = g[0, 2] * mu_l0 + g[0, 3] * mu_l1
     assert to_m[0] == pytest.approx(math.log(num0 / num1), abs=1e-9)
@@ -163,7 +164,8 @@ def test_plane_coupling_symbol_marginal():
     # mu_{F->x}(a) ~ muM(a_M) muL(a_L), e.g. level 2 pairs muM(1) muL(0)
     ext_m = np.array([math.log(0.2 / 0.8)])
     ext_l = np.array([math.log(0.6 / 0.4)])
-    to_sym = np.stack(_symbol_marginal(ext_m, ext_l), axis=1)
+    to_sym = np.stack(_symbol_marginal(_llr_to_prob(ext_m),
+                                       _llr_to_prob(ext_l)), axis=1)
     expected = np.array([0.2 * 0.6, 0.2 * 0.4, 0.8 * 0.6, 0.8 * 0.4])
     np.testing.assert_allclose(to_sym[0], expected / expected.sum(), atol=1e-9)
 
@@ -243,7 +245,7 @@ def test_symbol_decision_matches_stacked_argmax(seed, n, scale, ties):
         ext_m, ext_l = rng.normal(0.0, scale, (2, n))
         g = rng.dirichlet(np.ones(4), n)
     want_mu, want = _stacked_symbol_decision(g, ext_m, ext_l)
-    mu = _symbol_marginal(ext_m, ext_l)
+    mu = _symbol_marginal(_llr_to_prob(ext_m), _llr_to_prob(ext_l))
     assert np.stack(mu, axis=1).tobytes() == want_mu.tobytes()
     got = _symbol_decision(np.ascontiguousarray(g.T), mu)
     assert got.dtype == np.uint8
@@ -370,7 +372,7 @@ def test_phase_joint_exhaustive_oracle_small():
             y_b = np.empty(8)
             rot = obs * np.exp(-1j * th)
             y_b[0::2], y_b[1::2] = rot.real, rot.imag
-            post = soft_evidence(y_b, rho, math.sqrt(2), Q2).posteriors
+            post = soft_evidence(y_b, rho, math.sqrt(2), Q2)
             logp = np.log(np.maximum(post, 1e-300))
             for x in _enumerate_bits(8):
                 if np.array_equal(pcm.syndrome(x), s):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from chankey.quantize import (
-    Evidence,
     Quantizer,
     bit_planes,
     confusion_matrix,
@@ -108,19 +107,19 @@ def test_quantize_equiprobable_cells():
 def test_soft_evidence_independent_is_uniform():
     ev = soft_evidence(np.array([-3.0, 0.2, 5.0]), rho=0.0, sigma=2.0,
                        quantizer=Q4)
-    np.testing.assert_allclose(ev.posteriors, 0.25, atol=1e-12)
+    np.testing.assert_allclose(ev, 0.25, atol=1e-12)
 
 
 def test_soft_evidence_confident_tail():
     sigma = 2.0
     ev = soft_evidence(np.array([3.0 * sigma]), rho=0.99, sigma=sigma,
                        quantizer=Q2)
-    assert ev.posteriors[0, 1] > 0.999
+    assert ev[0, 1] > 0.999
 
 
 def test_soft_evidence_symmetric_at_zero():
     ev = soft_evidence(np.array([0.0]), rho=0.9, sigma=1.0, quantizer=Q4)
-    g = ev.posteriors[0]
+    g = ev[0]
     assert g[1] == pytest.approx(g[2], abs=1e-9)
     assert g[0] == pytest.approx(g[3], abs=1e-9)
 
@@ -129,8 +128,8 @@ def test_soft_evidence_rows_normalized():
     rng = make_rng(2)
     y = rng.standard_normal(500)
     ev = soft_evidence(y, rho=0.7, sigma=1.3, quantizer=Q4)
-    np.testing.assert_allclose(ev.posteriors.sum(axis=1), 1.0, atol=1e-9)
-    assert np.all(ev.posteriors >= 0)
+    np.testing.assert_allclose(ev.sum(axis=1), 1.0, atol=1e-9)
+    assert np.all(ev >= 0)
 
 
 def test_soft_evidence_vector_rho_sigma():
@@ -138,7 +137,7 @@ def test_soft_evidence_vector_rho_sigma():
     ev = soft_evidence(y, rho=np.array([0.1, 0.95]), sigma=np.array([1.0, 1.0]),
                        quantizer=Q2)
     # stronger correlation concentrates the posterior
-    assert ev.posteriors[1, 1] > ev.posteriors[0, 1]
+    assert ev[1, 1] > ev[0, 1]
 
 
 def test_soft_evidence_rejects_bad_params():
@@ -193,7 +192,7 @@ def test_soft_evidence_matches_cell_edge_matrix(data, quantizer, size,
     y = y_scale * values(st.floats(-10.0, 10.0), False)
     rho = values(SIGNED_RHOS, scalar_rho)
     sigma = values(st.floats(1e-3, 1e3), scalar_sigma)
-    got = soft_evidence(y, rho, sigma, quantizer).posteriors
+    got = soft_evidence(y, rho, sigma, quantizer)
     want = _soft_evidence_edge_matrix(y, rho, sigma, quantizer)
     assert got.shape == want.shape == (size, quantizer.levels)
     assert got.tobytes() == want.tobytes()
@@ -218,7 +217,7 @@ def test_soft_evidence_rejects_non_finite_observation(bad):
 
 def test_hard_evidence_independent_uniform():
     ev = hard_evidence(np.array([0, 1, 2, 3]), rho=0.0, quantizer=Q4)
-    np.testing.assert_allclose(ev.posteriors, 0.25, atol=1e-7)
+    np.testing.assert_allclose(ev, 0.25, atol=1e-7)
 
 
 def test_binary_crossover_identity():
@@ -333,10 +332,10 @@ def test_hard_evidence_rows_normalized_and_cached():
     rng = make_rng(4)
     symbols = rng.integers(0, 4, size=300)
     ev = hard_evidence(symbols, rho=0.9, quantizer=Q4)
-    np.testing.assert_allclose(ev.posteriors.sum(axis=1), 1.0, atol=1e-9)
+    np.testing.assert_allclose(ev.sum(axis=1), 1.0, atol=1e-9)
     # repeated call hits the cache and agrees exactly
     ev2 = hard_evidence(symbols, rho=0.9, quantizer=Q4)
-    np.testing.assert_array_equal(ev.posteriors, ev2.posteriors)
+    np.testing.assert_array_equal(ev, ev2)
 
 
 def _hard_evidence_per_rho(y_symbols, rho, quantizer):
@@ -367,7 +366,7 @@ def test_hard_evidence_matches_per_rho_loop(data, quantizer, size, distinct,
                               max_size=distinct))
     rho = pool[0] if scalar else np.array(data.draw(
         st.lists(st.sampled_from(pool), min_size=size, max_size=size)))
-    got = hard_evidence(symbols, rho, quantizer).posteriors
+    got = hard_evidence(symbols, rho, quantizer)
     assert np.array_equal(got, _hard_evidence_per_rho(symbols, rho,
                                                       quantizer))
 
@@ -376,12 +375,21 @@ def test_hard_evidence_matches_per_rho_loop(data, quantizer, size, distinct,
 def test_hard_evidence_empty_input(rho):
     for quantizer in (Q2, Q4):
         ev = hard_evidence(np.array([], dtype=np.uint8), rho, quantizer)
-        assert ev.posteriors.shape == (0, quantizer.levels)
+        assert ev.shape == (0, quantizer.levels)
 
 
 def test_hard_evidence_rejects_out_of_range():
     with pytest.raises(ValueError):
         hard_evidence(np.array([2]), rho=0.5, quantizer=Q2)
+
+
+def test_hard_evidence_rejects_zero_probability_level():
+    # ndtr(40) is 1.0, so Bob's upper cell has probability 0 and its
+    # posterior row is 0/0
+    quantizer = Quantizer(2, (40.0,))
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError,
+                                                      match="finite"):
+        hard_evidence(np.array([0, 1]), rho=0.5, quantizer=quantizer)
 
 
 # ---------------------------------------------------------------------------
@@ -416,17 +424,3 @@ def test_soft_input_carries_more_information_than_quantized():
     i_soft = _discrete_mi_bits(xa, ybins, 4, 64)
     i_hard = _discrete_mi_bits(xa, yq, 4, 4)
     assert i_soft >= i_hard
-
-
-def test_evidence_validation():
-    with pytest.raises(ValueError):
-        Evidence(posteriors=np.array([[0.5, 0.6]]))
-    with pytest.raises(ValueError):
-        Evidence(posteriors=np.array([[-0.5, 1.5]]))
-
-
-@pytest.mark.parametrize("row", [[np.nan, np.nan], [np.nan, 1.0],
-                                 [np.inf, -np.inf]])
-def test_evidence_rejects_non_finite_posteriors(row):
-    with pytest.raises(ValueError, match="finite"):
-        Evidence(posteriors=np.array([[0.5, 0.5], row]))
