@@ -50,7 +50,6 @@ class CapacityReport:
 
     capacity_per_dim: float
     m_tones: int
-    model_tag: str
     coherence_time_s: float | None = None
 
     @property
@@ -92,7 +91,7 @@ def csi_capacity(profile: SnrProfile, m_tones: int) -> CapacityReport:
     """Capacity from full coefficient knowledge, per-bin SNRs from profile."""
     rho = profile.rho_time
     c = -np.log2(1.0 - rho * rho).sum() / (2.0 * m_tones)
-    return CapacityReport(float(c), m_tones, "csi")
+    return CapacityReport(float(c), m_tones)
 
 
 def csi_capacity_ideal(snr_tau: float, num_bins: int, m_tones: int) -> CapacityReport:
@@ -103,7 +102,7 @@ def csi_capacity_ideal(snr_tau: float, num_bins: int, m_tones: int) -> CapacityR
         raise ValueError("need 1 <= L <= M")
     rho = snr_tau / (1.0 + snr_tau)
     c = -num_bins * math.log2(1.0 - rho * rho) / (2.0 * m_tones)
-    return CapacityReport(c, m_tones, "csi_ideal")
+    return CapacityReport(c, m_tones)
 
 
 def rssi_capacity_gaussian(rho_tau: float, m_tones: int) -> CapacityReport:
@@ -115,7 +114,7 @@ def rssi_capacity_gaussian(rho_tau: float, m_tones: int) -> CapacityReport:
     if not 0.0 <= rho_tau < 1.0:
         raise ValueError("rho_tau must lie in [0, 1)")
     c = math.log2(1.0 / (1.0 - rho_tau**4)) / (4.0 * m_tones)
-    return CapacityReport(c, m_tones, "rssi_gaussian")
+    return CapacityReport(c, m_tones)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +308,7 @@ def rssi_capacity_numeric(profile: SnrProfile, m_tones: int, samples: int,
         raise ValueError("need at least 1e4 samples")
     ra, rb = simulate_rssi_pairs(profile, samples, seed)
     est = mi_estimate(ra, rb)
-    report = CapacityReport(est.value / (2.0 * m_tones), m_tones, "rssi_numeric")
+    report = CapacityReport(est.value / (2.0 * m_tones), m_tones)
     return report, est
 
 

@@ -132,12 +132,11 @@ class SnrProfile:
         return self.per_bin_snr.size
 
 
-def flat_profile(snr_tau: float, num_bins: int, m_tones: int,
-                 noise_var: float = 1.0) -> SnrProfile:
-    """Equal-variance profile with the given per-bin SNR (analysis helper)."""
+def flat_profile(snr_tau: float, num_bins: int, m_tones: int) -> SnrProfile:
+    """Equal-variance, unit-noise profile of per-bin SNR ``snr_tau`` (analysis)."""
     per_bin = np.full(num_bins, float(snr_tau))
     return SnrProfile(
-        noise_var=noise_var,
+        noise_var=1.0,
         per_bin_snr=per_bin,
         per_tone_snr=per_bin.sum() / m_tones,
     )

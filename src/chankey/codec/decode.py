@@ -21,13 +21,13 @@ Messages on the plane codes live in the log-likelihood-ratio domain
 (positive favors bit 0, clamped to +/-LLR_CLAMP); factor-node and rotation
 messages live in the normalized probability domain.
 
-The sum-product kernel (``_Graph``, ``_BinarySP``) lays the edges out by
-degree class.  The checks of one degree form one contiguous block, stored
-edge slot by edge slot, so a per-check log-sum, sign parity or syndrome
-bit is a reduction over the block's d rows, done as whole-vector
+The sum-product kernel (``_BinarySP``) runs on the degree-class edge
+layout of ``codec.matrix.graph_for``.  The checks of one degree form one
+contiguous block, stored edge slot by edge slot, so a per-check log-sum or
+sign parity is a reduction over the block's d rows, done as whole-vector
 operations; the variables of one degree gather their messages into a block
-the same way.  The stop test is the parity of the
-hard decision over those blocks, against the syndrome in block order.
+the same way.  The stop test is the layout's ``parity`` of the hard
+decision (as in ``syndrome``) against the syndrome in block order.
 
 Exact-rounding contract: the kernel's outputs are bit-identical to a
 per-segment ``np.add.reduceat`` formulation of the same step.  Every float
@@ -47,7 +47,7 @@ import numpy as np
 
 from ..quantize import Quantizer, bit_planes, soft_evidence
 from ..sounding import interleave
-from .matrix import SparseParityCheck
+from .matrix import SparseParityCheck, graph_for
 
 LLR_CLAMP = 30.0
 MESSAGE_TOL = 1e-6
@@ -103,72 +103,6 @@ def _segment_sum(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     _pairwise_sum(rows[1:], out)
     out += rows[0]
     return out
-
-
-class _Graph:
-    """Degree-class edge layout of a parity-check matrix (cached per matrix).
-
-    Checks are grouped by degree, ascending, in their original order within
-    a degree (``check_order``).  ``check_blocks`` holds one ``(edges,
-    checks, d)`` entry per check degree: the class's edges are the slice
-    ``edges`` of the layout, read as a C-ordered ``(d, count)`` block whose
-    column j holds the edges of check ``check_order[checks][j]`` in their
-    original row order, so a per-check reduction runs over the block's
-    rows.  ``edge_var`` is the variable of each edge in the layout.
-
-    Variables are grouped by degree the same way: ``var_blocks`` holds one
-    ``(variables, edges, d)`` entry per variable degree, and
-    ``var_edges[edges]``, read as a ``(d, count)`` block, gives in column j
-    the layout positions of the edges of ``variables[j]`` in their original
-    order (ascending check index).  ``variables`` is a full slice when one
-    degree covers every variable.
-    """
-
-    def __init__(self, pcm: SparseParityCheck):
-        deg = pcm.row_degrees()
-        row_start = np.concatenate([[0], np.cumsum(deg)])[:-1]
-        self.check_order = np.argsort(deg, kind="stable")
-        self.check_blocks = []
-        source = []  # row-order edge index of each layout position
-        first_edge = first_check = 0
-        for d, count in zip(*np.unique(deg, return_counts=True)):
-            checks = slice(first_check, first_check + count)
-            rows = self.check_order[checks]
-            source.append((row_start[rows] + np.arange(d)[:, None]).ravel())
-            self.check_blocks.append(
-                (slice(first_edge, first_edge + count * d), checks, int(d)))
-            first_check += count
-            first_edge += count * d
-        source = np.concatenate(source)
-        edge_var = np.concatenate(pcm.rows).astype(np.int64)
-        self.edge_var = edge_var[source]
-
-        position = np.empty_like(source)
-        position[source] = np.arange(source.size)
-        by_var = position[np.argsort(edge_var, kind="stable")]
-        var_deg = np.bincount(edge_var, minlength=pcm.n)
-        var_start = np.concatenate([[0], np.cumsum(var_deg)])[:-1]
-        degrees = np.unique(var_deg)
-        self.var_blocks = []
-        var_edges = []
-        first_edge = 0
-        for d in degrees:
-            variables = np.flatnonzero(var_deg == d)
-            var_edges.append(
-                by_var[var_start[variables] + np.arange(d)[:, None]].ravel())
-            size = variables.size * int(d)
-            self.var_blocks.append(
-                (variables if degrees.size > 1 else slice(None),
-                 slice(first_edge, first_edge + size), int(d)))
-            first_edge += size
-        self.var_edges = np.concatenate(var_edges)
-
-
-def graph_for(pcm: SparseParityCheck) -> _Graph:
-    cache = pcm._cache
-    if "graph" not in cache:
-        cache["graph"] = _Graph(pcm)
-    return cache["graph"]
 
 
 def _flood(steps, satisfies, max_iter: int) -> DecodeResult:
@@ -263,12 +197,7 @@ class _BinarySP:
 
     def satisfied(self, hard: np.ndarray) -> bool:
         """Whether the 0/1 decisions ``hard`` meet the target syndrome."""
-        bits = hard[self.g.edge_var]
-        for edges, checks, d in self.g.check_blocks:
-            parity = np.bitwise_xor.reduce(bits[edges].reshape(d, -1), axis=0)
-            if not np.array_equal(parity, self.syndrome[checks]):
-                return False
-        return True
+        return np.array_equal(self.g.parity(hard), self.syndrome)
 
 
 def decode_binary(pcm: SparseParityCheck, syndrome_bits: np.ndarray,

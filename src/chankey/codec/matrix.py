@@ -10,13 +10,16 @@ The key of an observation is its index within the coset selected by the
 syndrome: after a one-time column classification into pivot and free columns
 (GF(2) row reduction), the free-column values index the coset bijectively.
 
+``syndrome`` and the decoders' stop test share one parity over H: ``parity``
+of the degree-class edge layout (``_Graph``) that ``graph_for`` caches.
+
 Construction and row reduction never form a dense m x n matrix (only
 ``dense()`` does).  Row overlaps for the 4-cycle repair are the upper
 triangle of the sparse product H Hᵀ, and the row reduction runs on rows
 bit-packed into uint64 words straight from the row lists, so memory grows
 with the edge count and with m * n / 64 words.
 
-``scipy.sparse`` serves only code construction and syndromes: it loads on use.
+``scipy.sparse`` serves only that 4-cycle repair: it loads on use.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from bisect import bisect_left, insort
 import numpy as np
 
 from ..rng import make_rng
-# scipy.sparse is imported by its users: with scipy.special it costs a fresh
+# scipy.sparse is imported by its user: with scipy.special it costs a fresh
 # process ~0.3 s and ~20 MB that the numpy-only capacity commands skip
 
 # Budget multipliers for the random-swap repairs in construct_regular.
@@ -90,15 +93,6 @@ class SparseParityCheck:
 
     # -- derived structures (cached) ----------------------------------------
 
-    def _csr(self):
-        if "csr" not in self._cache:
-            from scipy import sparse
-            data = np.ones(self._indices.size, dtype=np.uint8)
-            self._cache["csr"] = sparse.csr_matrix(
-                (data, self._indices, self._indptr), shape=(self.m, self.n)
-            )
-        return self._cache["csr"]
-
     def _packed_rows(self) -> np.ndarray:
         """Rows as bit-packed uint64 words; column c is bit c % 64 of word c // 64."""
         words = (self.n + 63) // 64
@@ -109,13 +103,14 @@ class SparseParityCheck:
         return packed.reshape(self.m, words)
 
     def syndrome(self, x: np.ndarray) -> np.ndarray:
-        """Row parities of x (GF(2) product)."""
+        """Row parities of integer x, ``(H @ x) & 1``, as uint8 in row order."""
         x = np.asarray(x)
         if x.size != self.n:
             raise ValueError(f"vector length {x.size} != {self.n} columns")
-        return np.asarray(
-            (self._csr() @ x.astype(np.int64)) & 1, dtype=np.uint8
-        )
+        g = graph_for(self)
+        out = np.empty(self.m, dtype=np.uint8)
+        out[g.check_order] = g.parity(x)
+        return out
 
     def systemization(self):
         """(pivot_cols, free_cols, rank) from GF(2) row reduction.
@@ -136,6 +131,82 @@ class SparseParityCheck:
     @property
     def rank(self) -> int:
         return self.systemization()[2]
+
+
+# ---------------------------------------------------------------------------
+# degree-class edge layout
+
+
+class _Graph:
+    """Degree-class edge layout of a parity-check matrix (cached per matrix).
+
+    Checks are grouped by degree, ascending, in their original order within
+    a degree (``check_order``).  ``check_blocks`` holds one ``(edges,
+    checks, d)`` entry per check degree: the class's edges are the slice
+    ``edges`` of the layout, read as a C-ordered ``(d, count)`` block whose
+    column j holds the edges of check ``check_order[checks][j]`` in their
+    original row order, so a per-check reduction runs over the block's
+    rows.  ``edge_var`` is the variable of each edge in the layout.
+
+    Variables are grouped by degree the same way: ``var_blocks`` holds one
+    ``(variables, edges, d)`` entry per variable degree, and
+    ``var_edges[edges]``, read as a ``(d, count)`` block, gives in column j
+    the layout positions of the edges of ``variables[j]`` in their original
+    order (ascending check index).  ``variables`` is a full slice when one
+    degree covers every variable.
+    """
+
+    def __init__(self, pcm: SparseParityCheck):
+        deg = pcm.row_degrees()
+        row_start = pcm._indptr[:-1]
+        self.check_order = np.argsort(deg, kind="stable")
+        self.check_blocks = []
+        source = []  # row-order edge index of each layout position
+        first_edge = first_check = 0
+        for d, count in zip(*np.unique(deg, return_counts=True)):
+            checks = slice(first_check, first_check + count)
+            rows = self.check_order[checks]
+            source.append((row_start[rows] + np.arange(d)[:, None]).ravel())
+            self.check_blocks.append(
+                (slice(first_edge, first_edge + count * d), checks, int(d)))
+            first_check += count
+            first_edge += count * d
+        source = np.concatenate(source)
+        edge_var = pcm._indices.astype(np.int64)
+        self.edge_var = edge_var[source]
+
+        position = np.empty_like(source)
+        position[source] = np.arange(source.size)
+        by_var = position[np.argsort(edge_var, kind="stable")]
+        var_deg = np.bincount(edge_var, minlength=pcm.n)
+        var_start = np.concatenate([[0], np.cumsum(var_deg)])[:-1]
+        degrees = np.unique(var_deg)
+        self.var_blocks = []
+        var_edges = []
+        first_edge = 0
+        for d in degrees:
+            variables = np.flatnonzero(var_deg == d)
+            var_edges.append(
+                by_var[var_start[variables] + np.arange(d)[:, None]].ravel())
+            size = variables.size * int(d)
+            self.var_blocks.append(
+                (variables if degrees.size > 1 else slice(None),
+                 slice(first_edge, first_edge + size), int(d)))
+            first_edge += size
+        self.var_edges = np.concatenate(var_edges)
+
+    def parity(self, bits: np.ndarray) -> np.ndarray:
+        """Parity of ``bits & 1`` over each check, in ``check_order``."""
+        on = np.take(np.bitwise_and(bits, 1), self.edge_var)
+        return np.concatenate([
+            np.bitwise_xor.reduce(on[edges].reshape(d, -1), axis=0)
+            for edges, _, d in self.check_blocks])
+
+
+def graph_for(pcm: SparseParityCheck) -> _Graph:
+    if "graph" not in pcm._cache:
+        pcm._cache["graph"] = _Graph(pcm)
+    return pcm._cache["graph"]
 
 
 # ---------------------------------------------------------------------------

@@ -103,8 +103,8 @@ class KeySessionResult:
     public_message_length: int
     iterations_used: int
     syndrome_satisfied: bool
+    public_message: np.ndarray
     theta_error: float | None = None
-    public_message: np.ndarray | None = None
 
     @property
     def key_a_hex(self) -> str:
@@ -116,8 +116,6 @@ class KeySessionResult:
 
     @property
     def public_message_hex(self) -> str:
-        if self.public_message is None:
-            return ""
         return _bits_to_hex(self.public_message)
 
 
@@ -298,8 +296,8 @@ def run_session(config: SessionConfig,
         public_message_length=q.levels // 2 * pcm.m,
         iterations_used=result.iterations_used,
         syndrome_satisfied=result.syndrome_satisfied,
-        theta_error=theta_error,
         public_message=np.concatenate(syndromes),
+        theta_error=theta_error,
     )
 
 

@@ -1,13 +1,13 @@
 """Deterministic random-stream management.
 
-Every stochastic routine in this package takes a ``seed`` that may be an
-integer, a ``numpy.random.SeedSequence``, or an already-built
-``numpy.random.Generator``.  Integers are expanded through a counter-based
-Philox generator so that independent streams can be split off a single
-experiment seed and results stay bit-reproducible.
+Every stochastic routine in this package takes a ``seed``: an integer, a
+tuple of them (``derive_seed``), or, where ``make_rng`` reads it, an
+already-built ``numpy.random.Generator``.  Seeds are expanded through a
+counter-based Philox generator so that independent streams can be split
+off a single experiment seed and results stay bit-reproducible.
 
-``split_streams`` keys each stream exactly as ``SeedSequence.spawn`` would,
-but derives the keys itself: ``_child_keys`` starts from the parent's
+``split_streams`` keys each stream exactly as ``SeedSequence(seed).spawn``
+would, but derives the keys itself: ``_child_keys`` starts from the parent's
 ``SeedSequence.pool`` and runs numpy's SeedSequence hash
 (numpy/random/bit_generator.pyx) over an array of child indices.  It follows
 the hash as numpy has had it since 1.19, which began zero-padding the
@@ -28,11 +28,9 @@ MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 def make_rng(seed=None) -> np.random.Generator:
-    """Return a Philox-backed Generator for any accepted seed form."""
+    """Philox Generator for an int or tuple seed; a Generator passes through."""
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.Philox(seed))
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
@@ -48,8 +46,6 @@ def derive_seed(seed, *tags) -> tuple:
         if isinstance(x, (tuple, list)):
             for item in x:
                 flatten(item)
-        elif x is None:
-            parts.append(0)
         else:
             parts.append(int(x) & 0xFFFFFFFFFFFFFFFF)
 
@@ -65,12 +61,9 @@ def split_streams(seed, n: int) -> list[np.random.Generator]:
     Used to give each coherence block / trial its own stream, so blocks can
     be generated in any order (or in parallel) without changing the result.
 
-    Stream i is ``Generator(Philox(children[i]))`` for ``children =
-    parent.spawn(n)``, draw for draw.  The parent is ``SeedSequence(seed)``
-    for an integer or tuple seed, and ``SeedSequence`` of 4 words drawn by
-    ``seed.integers(0, 2**63 - 1, size=4)`` for a Generator.  A SeedSequence
-    seed is the parent itself: its children count on from
-    ``n_children_spawned``, which advances by n.  The n Philox keys come
+    ``seed`` is an integer or a tuple of them (``derive_seed``).  Stream i
+    is ``Generator(Philox(children[i]))`` for ``children =
+    SeedSequence(seed).spawn(n)``, draw for draw.  The n Philox keys come
     from one vectorised pass (``_child_keys``), not from n SeedSequence
     objects, so a stream's ``bit_generator.seed_seq`` holds only its key and
     cannot spawn.
@@ -89,16 +82,7 @@ def split_streams(seed, n: int) -> list[np.random.Generator]:
     (``pipeline.draw_session``) and every measurement of it: sounding one
     draw at several SNRs gives each the result of a fresh draw.
     """
-    parent = seed
-    if isinstance(seed, np.random.Generator):
-        parent = np.random.SeedSequence(seed.integers(0, 2**63 - 1, size=4).tolist())
-    elif not isinstance(seed, np.random.SeedSequence):
-        parent = np.random.SeedSequence(seed)
-    keys = _child_keys(parent, parent.n_children_spawned, n)
-    if parent is seed:
-        # n_children_spawned is read-only and spawn is the one way to advance
-        # it, so that the caller's next spawn does not repeat these children
-        seed.spawn(n)
+    keys = _child_keys(np.random.SeedSequence(seed), n)
     return [np.random.Generator(np.random.Philox(_Keyed(key)))
             for key in keys.tolist()]
 
@@ -143,21 +127,20 @@ def _mix(x, y):
     return value ^ value >> u(16)
 
 
-def _child_keys(parent: np.random.SeedSequence, start, n) -> np.ndarray:
-    """Philox keys, ``(n, 2)`` uint64, of ``parent``'s children start..start+n-1.
+def _child_keys(parent: np.random.SeedSequence, n) -> np.ndarray:
+    """Philox keys, ``(n, 2)`` uint64, of the first n children of ``parent``.
 
-    A child's entropy words are the parent's entropy zero-padded to the
-    pool size, the parent's spawn key, then the child index.  Only that last
-    word differs between children, and it is mixed in last, so every child
-    starts from ``parent.pool``, numpy's mix of the words before it, with
-    the hash constant advanced once per step of that mix, and the index is
-    mixed in for all children at once.
+    A child's entropy words are the root ``parent``'s entropy zero-padded to
+    the pool size, then the child index.  Only that last word differs between
+    children, and it is mixed in last, so every child starts from
+    ``parent.pool``, numpy's mix of the words before it, with the hash
+    constant advanced once per step of that mix, and the index is mixed in
+    for all children at once.
     """
-    if start + n > MASK32 + 1:
+    if n > MASK32 + 1:
         raise ValueError("child indices must fit in one uint32 word")
     size = parent.pool_size
-    words = (max(len(_words(parent.entropy)), size)
-             + len(_words(parent.spawn_key)))
+    words = max(len(_words(parent.entropy)), size)
     # the mix hashes each pool word (zero past a short unpadded entropy,
     # as the padding would), then every ordered pair of distinct pool
     # words, then each word past the pool into every pool word
@@ -167,7 +150,7 @@ def _child_keys(parent: np.random.SeedSequence, start, n) -> np.ndarray:
     # reads only the first four (the pool has at least four)
     u = np.uint64
     pool = parent.pool.astype(u)
-    index = np.arange(start, start + n, dtype=u)
+    index = np.arange(n, dtype=u)
     keys = np.empty((2, n), dtype=u)
     const_b = INIT_B
     for dst in range(4):

@@ -414,7 +414,7 @@ def test_phase_offset_loss_scales_slower_than_csi_gain():
 
 
 def test_capacity_report_units():
-    rep = CapacityReport(0.5, 52, "csi")
+    rep = CapacityReport(0.5, 52)
     assert rep.bits_per_coherence == 52.0
     assert rep.bits_per_second is None
     timed = rep.with_coherence(0.1)

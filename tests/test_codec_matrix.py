@@ -146,6 +146,35 @@ def test_syndrome_linearity():
         np.testing.assert_array_equal(lhs, rhs)
 
 
+def _mixed_rows(rng, n, m):
+    """Rows of degree 1 up to 8 built by hand, plus a degree-1 row for each
+    column the random rows missed and one more at random."""
+    rows = [rng.choice(n, size=int(rng.integers(1, min(8, n) + 1)),
+                       replace=False) for _ in range(m)]
+    covered = np.zeros(n, dtype=bool)
+    for r in rows:
+        covered[r] = True
+    rows += [[c] for c in np.flatnonzero(~covered)]
+    rows.insert(int(rng.integers(0, len(rows) + 1)), [int(rng.integers(0, n))])
+    return SparseParityCheck(rows, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(16, 80),
+       irregular=st.booleans(), dtype=st.sampled_from([np.uint8, np.int64]))
+def test_syndrome_matches_dense_product(seed, n, irregular, dtype):
+    # symbols 0..3: a parity of x itself rather than of x & 1 fails here
+    rng = make_rng(seed)
+    m = int(rng.integers(8, n // 2 + 1))
+    pcm = (construct_irregular(n, m, {2: 0.5, 3: 0.3, 8: 0.2}, seed=rng)
+           if irregular else _mixed_rows(rng, n, m))
+    x = rng.integers(0, 4, size=n).astype(dtype)
+    got = pcm.syndrome(x)
+    assert got.dtype == np.uint8
+    np.testing.assert_array_equal(
+        got, (pcm.dense().astype(np.int64) @ x.astype(np.int64)) & 1)
+
+
 def test_syndrome_rejects_length_mismatch():
     pcm = construct_regular(16, 8, 2, seed=11)
     with pytest.raises(ValueError):
