@@ -35,6 +35,7 @@ from .channel import (
     time_coefficients,
 )
 from .pipeline import (
+    MIN_SWEEP_RATE,
     SessionConfig,
     make_plane_code,
     run_session,
@@ -223,6 +224,28 @@ def _finite_snr(s: dict, allow_silence: bool = False):
     return snr
 
 
+def _quantizer(levels: int, thresholds: list) -> Quantizer:
+    """Equiprobable cells, or the ``quantizer.thresholds`` given.
+
+    Given thresholds must make a ``Quantizer`` and leave every cell a
+    nonzero unit-Gaussian probability in double precision: an empty cell
+    would make a key without entropy report success.
+    """
+    if not thresholds:
+        return Quantizer.equiprobable(levels)
+    from scipy.special import ndtr
+    name = "--set quantizer.thresholds"
+    try:
+        quantizer = Quantizer(levels=levels, thresholds=tuple(thresholds))
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}, got {thresholds}") from None
+    cells = np.diff(ndtr([-math.inf, *thresholds, math.inf]))
+    if not np.all(cells > 0):
+        raise ConfigError(f"{name}: cell {int(np.argmin(cells))} of "
+                          f"{thresholds} has unit-Gaussian probability 0")
+    return quantizer
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -406,6 +429,10 @@ def cmd_ldpc_waterfall(args) -> int:
     if not s["snr_step"] > 0:
         raise ConfigError(f"--set snr_step: must be positive, "
                           f"got {s['snr_step']}")
+    kept = [rate for rate in rates if rate >= MIN_SWEEP_RATE]
+    if not kept:
+        raise ConfigError(f"--set rates: the sweep skips rates below "
+                          f"{MIN_SWEEP_RATE}, got {rates}")
     trials = args.trials or (400 if args.full else 100)
     run = Run("ldpc_waterfall", args, s, channel=_config_dict(cfg),
               trials=trials)
@@ -418,7 +445,7 @@ def cmd_ldpc_waterfall(args) -> int:
         quantizer = Quantizer.equiprobable(vconf["levels"])
         template = SessionConfig(
             channel=cfg, snr_f_db=0.0, blocks=blocks, quantizer=quantizer,
-            code=make_plane_code(n_data, rates[0], vconf["family"],
+            code=make_plane_code(n_data, kept[0], vconf["family"],
                                  derive_seed(args.seed, 0xC0DE)),
             decoding_mode=vconf["mode"], seed=derive_seed(args.seed))
         snr_grid = s["snr_db"] or list(np.arange(
@@ -488,14 +515,12 @@ def cmd_keygen(args) -> int:
                          "mode": "soft", "blocks": 120, "snr_db": snr_db})
     rate, mode, blocks = s["rate"], s["mode"], s["blocks"]
     snr_db = _finite_snr(s)
+    quantizer = _quantizer(s["levels"], s["quantizer.thresholds"])
     sessions = args.trials or 10
     run = Run("keygen", args, s, channel=_config_dict(cfg), sessions=sessions)
     n_data = 2 * blocks * cfg.num_delay_bins
     code = make_plane_code(n_data, rate, "regular",
                            derive_seed(args.seed, 0xC0DE))
-    thresholds = tuple(s["quantizer.thresholds"])
-    quantizer = (Quantizer(levels=s["levels"], thresholds=thresholds)
-                 if thresholds else Quantizer.equiprobable(s["levels"]))
     agreed = 0
     lines = []
     for t in range(sessions):

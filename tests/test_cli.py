@@ -203,6 +203,23 @@ def test_waterfall_builds_each_code_once(tmp_path, monkeypatch):
                              ("regular", 0.5), ("regular", 0.75)]
 
 
+def test_waterfall_template_at_first_kept_rate(tmp_path, monkeypatch):
+    # the sweep skips rate 0.1, so the template must not be built there
+    built = []
+
+    def counting(n, rate, family, seed):
+        built.append((family, rate))
+        return make_plane_code(n, rate, family, seed)
+
+    monkeypatch.setattr("chankey.cli.make_plane_code", counting)
+    monkeypatch.setattr("chankey.pipeline.make_plane_code", counting)
+    assert run_cli("ldpc-waterfall", "--out", tmp_path / "wf", "--trials", 1,
+                   "--set", "rates=0.1,0.5", "--set", "blocks=10",
+                   "--set", "variants=binary_regular_soft",
+                   "--set", "snr_db=10") == 0
+    assert built == [("regular", 0.5)]
+
+
 def test_waterfall_one_sided_threshold_ok(tmp_path):
     # soft achieving a rate that hard never reaches respects the ordering
     # and must not trip the self-check
@@ -291,7 +308,7 @@ BOUNDARY_RUNS = {
 @pytest.mark.parametrize("subcommand, setting", [
     ("phase-demo", "grid=0"), ("phase-demo", "grid=-3"),
     ("ldpc-waterfall", "snr_step=0"), ("ldpc-waterfall", "snr_step=-1"),
-    ("ldpc-waterfall", "rates="),
+    ("ldpc-waterfall", "rates="), ("ldpc-waterfall", "rates=0.1,0.2"),
     ("corr-matrix", "realizations=0"), ("corr-matrix", "realizations=-5"),
     ("keygen", "blocks=0"), ("keygen", "blocks=ten"),
     ("rssi-compare", "bins=2,0"),
@@ -312,6 +329,24 @@ def test_bad_setting_exits_2_naming_key(tmp_path, capsys, subcommand,
     assert run_cli(subcommand, "--out", tmp_path / "x",
                    *BOUNDARY_RUNS[subcommand], "--set", setting) == 2
     assert f"--set {key}:" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mode", ["soft", "hard"])
+@pytest.mark.parametrize("settings", [
+    ("quantizer.thresholds=40",),  # Phi(40) is 1.0: the top cell is empty
+    ("quantizer.thresholds=-40",),
+    ("levels=4", "quantizer.thresholds=-1,0,39"),
+    ("quantizer.thresholds=0,1",),  # wrong count
+    ("levels=4", "quantizer.thresholds=1,0,-1"),  # not ascending
+    ("levels=4", "quantizer.thresholds=0,0,1"),
+])
+def test_keygen_bad_thresholds_exit_2(tmp_path, capsys, mode, settings):
+    sets = [arg for pair in settings for arg in ("--set", pair)]
+    assert run_cli("keygen", "--out", tmp_path / "x", "--trials", 1,
+                   "--set", "blocks=10", "--set", f"mode={mode}", *sets) == 2
+    assert "--set quantizer.thresholds:" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 
