@@ -82,6 +82,8 @@ def split_streams(seed, n: int) -> list[np.random.Generator]:
     (``pipeline.draw_session``) and every measurement of it: sounding one
     draw at several SNRs gives each the result of a fresh draw.
     """
+    if seed is None:  # SeedSequence(None) would draw fresh OS entropy
+        raise TypeError("split_streams needs an integer or tuple seed")
     keys = _child_keys(np.random.SeedSequence(seed), n)
     return [np.random.Generator(np.random.Philox(_Keyed(key)))
             for key in keys.tolist()]

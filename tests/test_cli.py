@@ -183,8 +183,9 @@ def test_waterfall_small(tmp_path):
         float(values["binary_regular_hard"])
 
 
-def test_waterfall_builds_each_code_once(tmp_path, monkeypatch):
-    # the template's code is the sweep's code at the first rate
+@pytest.fixture
+def built_codes(monkeypatch):
+    """(family, rate) of each code the CLI and the sweep build, in order."""
     built = []
 
     def counting(n, rate, family, seed):
@@ -193,31 +194,28 @@ def test_waterfall_builds_each_code_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr("chankey.cli.make_plane_code", counting)
     monkeypatch.setattr("chankey.pipeline.make_plane_code", counting)
+    return built
+
+
+def test_waterfall_builds_each_code_once(tmp_path, built_codes):
+    # the template's code is the sweep's code at the first rate
     code = run_cli("ldpc-waterfall", "--seed", 4, "--out", tmp_path / "wf",
                    "--trials", 1, "--set", "blocks=10",
                    "--set", "rates=0.5,0.75", "--set", "snr_db=25",
                    "--set", "variants=binary_regular_soft,"
                             "binary_irregular_soft")
     assert code == 0
-    assert sorted(built) == [("irregular", 0.5), ("irregular", 0.75),
-                             ("regular", 0.5), ("regular", 0.75)]
+    assert sorted(built_codes) == [("irregular", 0.5), ("irregular", 0.75),
+                                   ("regular", 0.5), ("regular", 0.75)]
 
 
-def test_waterfall_template_at_first_kept_rate(tmp_path, monkeypatch):
+def test_waterfall_template_at_first_kept_rate(tmp_path, built_codes):
     # the sweep skips rate 0.1, so the template must not be built there
-    built = []
-
-    def counting(n, rate, family, seed):
-        built.append((family, rate))
-        return make_plane_code(n, rate, family, seed)
-
-    monkeypatch.setattr("chankey.cli.make_plane_code", counting)
-    monkeypatch.setattr("chankey.pipeline.make_plane_code", counting)
     assert run_cli("ldpc-waterfall", "--out", tmp_path / "wf", "--trials", 1,
                    "--set", "rates=0.1,0.5", "--set", "blocks=10",
                    "--set", "variants=binary_regular_soft",
                    "--set", "snr_db=10") == 0
-    assert built == [("regular", 0.5)]
+    assert built_codes == [("regular", 0.5)]
 
 
 def test_waterfall_one_sided_threshold_ok(tmp_path):

@@ -53,10 +53,11 @@ def test_child_index_past_one_word_is_rejected():
 
 
 def test_rejects_seeds_seed_sequence_rejects():
-    # a Generator or SeedSequence is no seed form of split_streams, and
-    # derive_seed has no stand-in for None (it used to read as seed 0)
+    # a Generator or SeedSequence is no seed form of split_streams, None
+    # would give unreproducible streams, and derive_seed has no stand-in
+    # for None (it used to read as seed 0)
     for bad in (-1, 1.5, (2, -3), np.random.Generator(np.random.Philox(1)),
-                np.random.SeedSequence(1)):
+                np.random.SeedSequence(1), None):
         with pytest.raises((TypeError, ValueError)):
             split_streams(bad, 2)
     for bad in (None, (3, None)):
