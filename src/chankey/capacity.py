@@ -292,7 +292,7 @@ def _simulate_pairs(per_bin_sigma2: np.ndarray, noise_var: float,
     return [np.concatenate(column) for column in zip(*parts)]
 
 
-def simulate_rssi_pairs(profile: SnrProfile, samples: int, seed=None):
+def simulate_rssi_pairs(profile: SnrProfile, samples: int, seed):
     """Monte-Carlo draw of both parties' received-strength readings."""
     sigma2 = profile.per_bin_snr * profile.noise_var
     return tuple(_simulate_pairs(
@@ -302,7 +302,7 @@ def simulate_rssi_pairs(profile: SnrProfile, samples: int, seed=None):
 
 
 def rssi_capacity_numeric(profile: SnrProfile, m_tones: int, samples: int,
-                          seed=None):
+                          seed):
     """Simulated signal-strength capacity: (CapacityReport, MiEstimate)."""
     if samples < 10_000:
         raise ValueError("need at least 1e4 samples")
@@ -342,7 +342,7 @@ class MagPhaseReport:
 
 
 def magphase_decomposition(snr: float, samples: int,
-                           seed=None) -> MagPhaseReport:
+                           seed) -> MagPhaseReport:
     """Compare real/imaginary and magnitude/phase information splits.
 
     Simulates one coefficient observed by both parties at the given SNR
@@ -380,7 +380,7 @@ def magphase_decomposition(snr: float, samples: int,
 
 
 def phase_offset_loss(num_bins: int, snr: float, grid_size: int, samples: int,
-                      seed=None) -> MiEstimate:
+                      seed) -> MiEstimate:
     """Information the combined observations reveal about the rotation.
 
     The rotation hypothesis is uniform over ``grid_size`` equispaced angles.

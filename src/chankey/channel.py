@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import make_rng
-
 PROFILE_MODES = ("exponential", "flat")
 
 
@@ -172,20 +170,17 @@ def bin_power_fractions(config: ChannelConfig) -> np.ndarray:
     return mass / mass.sum()
 
 
-def sample_paths(config: ChannelConfig, seed=None) -> PathSet:
-    """Draw path delays and complex Gaussian gains for one or more blocks.
+def sample_paths(config: ChannelConfig, streams) -> PathSet:
+    """Draw path delays and complex Gaussian gains, one realization per stream.
 
     Delays are i.i.d. uniform on [0, tau_max].  Gain variances follow the
     configured power-delay profile and are normalized per realization so the
     total path power equals sigma_h2.
 
-    ``seed`` is any form ``make_rng`` accepts, giving one realization with
-    ``(n_paths,)`` delays and gains.  A list of Generators (one per coherence
-    block, e.g. from ``split_streams``) gives a batch with ``(blocks,
-    n_paths)`` delays and gains, whose row i is exactly what a single call
-    on stream i would return.  Key sessions call it on consecutive chunks of
-    their block streams (see ``pipeline.draw_session``); any split of the
-    streams gives the same rows.
+    ``streams`` is a list of Generators, e.g. one per coherence block from
+    ``split_streams``, and row i of the ``(len(streams), n_paths)`` delays
+    and gains is drawn from stream i, so any split of the list gives the
+    same rows, and a stream listed k times gives its next k realizations.
 
     Reproducibility contract: each stream draws, in this order, the P
     uniform delays (one ``random(P)`` call scaled by tau_max, which gives
@@ -193,17 +188,10 @@ def sample_paths(config: ChannelConfig, seed=None) -> PathSet:
     (one ``standard_normal(2P)`` call: P real parts, then P imaginary
     parts), where P = n_paths.
     """
-    if config.n_paths < 1:
-        raise ValueError("need at least one path")
-    if config.tau_max_s < 0:
-        raise ValueError("tau_max_s must be nonnegative")
-    batched = (isinstance(seed, list) and len(seed) > 0
-               and isinstance(seed[0], np.random.Generator))
-    rngs = seed if batched else [make_rng(seed)]
     P = config.n_paths
-    delays = np.empty((len(rngs), P))
-    normals = np.empty((len(rngs), 2 * P))
-    for i, rng in enumerate(rngs):
+    delays = np.empty((len(streams), P))
+    normals = np.empty((len(streams), 2 * P))
+    for i, rng in enumerate(streams):
         rng.random(out=delays[i])
         rng.standard_normal(out=normals[i])
     delays *= config.tau_max_s
@@ -220,11 +208,9 @@ def sample_paths(config: ChannelConfig, seed=None) -> PathSet:
     scale /= total
     scale /= 2.0
     np.sqrt(scale, out=scale)
-    gains = np.empty((len(rngs), P), dtype=complex)
+    gains = np.empty((len(streams), P), dtype=complex)
     np.multiply(scale, normals[:, :P], out=gains.real)
     np.multiply(scale, normals[:, P:], out=gains.imag)
-    if not batched:
-        delays, gains = delays[0], gains[0]
     return PathSet(delays=delays, gains=gains)
 
 

@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__, capacity
 from .channel import (
     ChannelConfig,
+    PathSet,
     build_snr_profile,
     flat_profile,
     freq_coefficients,
@@ -37,6 +38,7 @@ from .channel import (
 from .pipeline import (
     MIN_SWEEP_RATE,
     SessionConfig,
+    _chunk_blocks,
     make_plane_code,
     run_session,
     sweep_rate_vs_snr,
@@ -156,9 +158,15 @@ def _channel_from_args(args) -> tuple[ChannelConfig, float]:
     coherence = DEFAULT_COHERENCE_S
     if args.config:
         cfg = load_config(args.config)
-        extras = read_keyvalue_file(args.config)
-        if "coherence_s" in extras:
-            coherence = float(extras["coherence_s"])
+        text = read_keyvalue_file(args.config).get("coherence_s")
+        if text is not None:
+            try:
+                coherence = float(text)
+            except ValueError:
+                coherence = math.nan
+            if not 0.0 < coherence < math.inf:  # also false for nan
+                raise ConfigError(f"config {args.config}: coherence_s must be "
+                                  f"finite and positive, got {text!r}")
     else:
         cfg = ChannelConfig(**TABLE1_DEFAULTS)
     return cfg, coherence
@@ -224,12 +232,12 @@ def _finite_snr(s: dict, allow_silence: bool = False):
     return snr
 
 
-def _quantizer(levels: int, thresholds: list) -> Quantizer:
+def _quantizer(levels: int, thresholds: list, symbols: int) -> Quantizer:
     """Equiprobable cells, or the ``quantizer.thresholds`` given.
 
-    Given thresholds must make a ``Quantizer`` and leave every cell a
-    nonzero unit-Gaussian probability in double precision: an empty cell
-    would make a key without entropy report success.
+    Given thresholds must make a ``Quantizer`` in which every cell expects
+    at least one of the session's ``symbols`` values: a cell that is almost
+    never filled would make a key without entropy report success.
     """
     if not thresholds:
         return Quantizer.equiprobable(levels)
@@ -240,9 +248,11 @@ def _quantizer(levels: int, thresholds: list) -> Quantizer:
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}, got {thresholds}") from None
     cells = np.diff(ndtr([-math.inf, *thresholds, math.inf]))
-    if not np.all(cells > 0):
-        raise ConfigError(f"{name}: cell {int(np.argmin(cells))} of "
-                          f"{thresholds} has unit-Gaussian probability 0")
+    cell = int(np.argmin(cells))
+    if cells[cell] * symbols < 1:
+        raise ConfigError(f"{name}: cell {cell} of {thresholds} expects "
+                          f"{cells[cell] * symbols:.3g} of the session's "
+                          f"{symbols} values, fewer than 1")
     return quantizer
 
 
@@ -369,22 +379,21 @@ def cmd_corr_matrix(args) -> int:
     m, L = cfg.m_tones, cfg.num_delay_bins
     sum_f = np.zeros((m, m), dtype=complex)
     sum_t = np.zeros((L, L), dtype=complex)
-    chunk = 2000
-    done = 0
+    # one stream per chunk, listed once per row of a draw of `step` rows
+    chunk, step = 2000, _chunk_blocks(cfg)
     streams = split_streams(args.seed, math.ceil(realizations / chunk))
-    for rng in streams:
-        count = min(chunk, realizations - done)
+    for c, rng in enumerate(streams):
+        count = min(chunk, realizations - c * chunk)
         freqs = np.empty((count, m), dtype=complex)
         times = np.empty((count, L), dtype=complex)
-        for i in range(count):
-            paths = sample_paths(cfg, rng)
-            freqs[i] = freq_coefficients(paths, cfg)
-            times[i] = time_coefficients(paths, cfg)
+        for lo in range(0, count, step):
+            paths = sample_paths(cfg, [rng] * min(step, count - lo))
+            times[lo:lo + step] = time_coefficients(paths, cfg)
+            freqs[lo:lo + step] = [freq_coefficients(PathSet(*row), cfg)
+                                   for row in zip(paths.delays, paths.gains)]
+        del paths  # the sums below then peak as with one-row draws
         sum_f += freqs.conj().T @ freqs
         sum_t += times.conj().T @ times
-        done += count
-        if done >= realizations:
-            break
     var_f = np.real(np.diag(sum_f))
     var_t = np.real(np.diag(sum_t))
     corr_f = np.abs(sum_f) / np.sqrt(np.outer(var_f, var_f))
@@ -515,10 +524,10 @@ def cmd_keygen(args) -> int:
                          "mode": "soft", "blocks": 120, "snr_db": snr_db})
     rate, mode, blocks = s["rate"], s["mode"], s["blocks"]
     snr_db = _finite_snr(s)
-    quantizer = _quantizer(s["levels"], s["quantizer.thresholds"])
+    n_data = 2 * blocks * cfg.num_delay_bins
+    quantizer = _quantizer(s["levels"], s["quantizer.thresholds"], n_data)
     sessions = args.trials or 10
     run = Run("keygen", args, s, channel=_config_dict(cfg), sessions=sessions)
-    n_data = 2 * blocks * cfg.num_delay_bins
     code = make_plane_code(n_data, rate, "regular",
                            derive_seed(args.seed, 0xC0DE))
     agreed = 0

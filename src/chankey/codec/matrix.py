@@ -266,7 +266,7 @@ def coset_index(pcm: SparseParityCheck, x: np.ndarray) -> np.ndarray:
 # constructions
 
 
-def construct_regular(n: int, m: int, col_weight: int, seed=None) -> SparseParityCheck:
+def construct_regular(n: int, m: int, col_weight: int, seed) -> SparseParityCheck:
     """Random regular ensemble: every column weight ``col_weight``, every row
     weight ``col_weight * n / m`` (which must divide evenly).
 
@@ -389,8 +389,8 @@ def _realized_counts(dist: dict, total: int) -> np.ndarray:
 
 
 def construct_irregular(n: int, m: int, var_degree_distribution: dict,
-                        check_degree_distribution: dict | None = None,
-                        seed=None) -> SparseParityCheck:
+                        check_degree_distribution: dict | None = None, *,
+                        seed) -> SparseParityCheck:
     """Progressive-edge-growth placement honoring node-degree distributions.
 
     Distributions map degree -> fraction of nodes.  ``None`` for the check

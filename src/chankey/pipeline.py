@@ -318,7 +318,7 @@ def make_plane_code(n: int, rate: float, family: str, seed) -> SparseParityCheck
     if family == "regular":
         code = construct_regular(n, m, 3, seed)
     elif family == "irregular":
-        code = construct_irregular(n, m, IRREGULAR_VAR_PROFILE, None, seed)
+        code = construct_irregular(n, m, IRREGULAR_VAR_PROFILE, seed=seed)
     else:
         raise ValueError("family must be 'regular' or 'irregular'")
     code._cache["plane_code"] = (n, rate, family, seed)

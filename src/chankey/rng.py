@@ -2,9 +2,11 @@
 
 Every stochastic routine in this package takes a ``seed``: an integer, a
 tuple of them (``derive_seed``), or, where ``make_rng`` reads it, an
-already-built ``numpy.random.Generator``.  Seeds are expanded through a
-counter-based Philox generator so that independent streams can be split
-off a single experiment seed and results stay bit-reproducible.
+already-built ``numpy.random.Generator``; never ``None``, which would mean
+fresh OS entropy.  Seeds are expanded through a counter-based Philox
+generator so that independent streams can be split off a single experiment
+seed and results stay bit-reproducible.  ``sample_paths`` and ``draw_noise``
+draw once per listed stream, so a stream listed k times gives k draws in turn.
 
 ``split_streams`` keys each stream exactly as ``SeedSequence(seed).spawn``
 would, but derives the keys itself: ``_child_keys`` starts from the parent's
@@ -27,10 +29,12 @@ INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
 MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
-def make_rng(seed=None) -> np.random.Generator:
+def make_rng(seed) -> np.random.Generator:
     """Philox Generator for an int or tuple seed; a Generator passes through."""
     if isinstance(seed, np.random.Generator):
         return seed
+    if seed is None:  # SeedSequence(None) would draw fresh OS entropy
+        raise TypeError("make_rng needs an integer or tuple seed")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 

@@ -68,7 +68,7 @@ def sound_blocks(h: np.ndarray, noise: np.ndarray, noise_var: float):
 
 
 def two_way_sound(h: np.ndarray, profile: SnrProfile,
-                  seed=None) -> MeasurementPair:
+                  seed) -> MeasurementPair:
     """Two-way sounding of one block's ``(L,)`` coefficients ``h``:
     ``draw_noise`` then ``sound_blocks``.
 

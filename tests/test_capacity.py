@@ -198,6 +198,7 @@ def _reference_quantile_bins(x, bins):
     return np.searchsorted(edges, x, side="right")
 
 
+@pytest.mark.golden
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1000, 3000),
        bins=st.integers(2, 200), decimals=st.sampled_from([None, 0, 1, 2]),
@@ -251,6 +252,7 @@ def _reference_bootstrap_se(ix, iy, kx, ky):
     return float(np.std(reps, ddof=1))
 
 
+@pytest.mark.golden
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1000, 2501),
        shape=st.sampled_from([(8, 64), (64, 8), (16, 16), (3, 5)]),
@@ -321,6 +323,7 @@ def _reference_chunks(per_bin_sigma2, noise_var, samples, rng, chunk):
         done += m
 
 
+@pytest.mark.golden
 def test_chunked_draws_match_reference(monkeypatch):
     # small chunks, the last one partial, so chunk boundaries are crossed
     monkeypatch.setattr(capacity, "_CHUNK", 1000)

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +10,16 @@ import numpy as np
 import pytest
 
 import chankey
+from chankey.channel import (
+    PathSet,
+    freq_coefficients,
+    load_config,
+    sample_paths,
+    time_coefficients,
+)
 from chankey.cli import main
-from chankey.pipeline import make_plane_code
+from chankey.pipeline import _chunk_blocks, make_plane_code
+from chankey.rng import split_streams
 
 TABLE1_CFG = Path(__file__).resolve().parents[1] / "configs" / "80211a.cfg"
 
@@ -150,6 +160,63 @@ def test_corr_matrix_table1_small(tmp_path):
     assert np.all(freq.diagonal() == 1.0)
     assert (time - np.eye(13)).max() < 0.05
     assert (freq - np.eye(52)).max() > 0.3
+
+
+def _corr_reference(cfg, seed, realizations, chunk=2000):
+    """corr-matrix's (tone, delay-bin) correlations, one draw per call."""
+    m, L = cfg.m_tones, cfg.num_delay_bins
+    sum_f = np.zeros((m, m), dtype=complex)
+    sum_t = np.zeros((L, L), dtype=complex)
+    streams = split_streams(seed, math.ceil(realizations / chunk))
+    for c, rng in enumerate(streams):
+        count = min(chunk, realizations - c * chunk)
+        freqs = np.empty((count, m), dtype=complex)
+        times = np.empty((count, L), dtype=complex)
+        for i in range(count):
+            paths = sample_paths(cfg, [rng])
+            one = PathSet(delays=paths.delays[0], gains=paths.gains[0])
+            freqs[i] = freq_coefficients(one, cfg)
+            times[i] = time_coefficients(one, cfg)
+        sum_f += freqs.conj().T @ freqs
+        sum_t += times.conj().T @ times
+    out = []
+    for total in (sum_f, sum_t):
+        var = np.real(np.diag(total))
+        out.append(np.abs(total) / np.sqrt(np.outer(var, var)))
+    return out
+
+
+@pytest.mark.golden
+def test_corr_matrix_matches_per_realization_draws(tmp_path):
+    # 2,037 realizations take a second stream after 2,000, and the first
+    # stream's rows come in sub-chunks whose last one is partial
+    path = tmp_path / "small.cfg"
+    path.write_text("m_tones = 8\nbandwidth_hz = 2.5e6\nduration_s = 3.2e-6\n"
+                    "n_paths = 12\ntau_max_s = 1.6e-6\n")
+    cfg = load_config(path)
+    assert 2000 % _chunk_blocks(cfg) != 0
+    out = tmp_path / "cm"
+    code = run_cli("corr-matrix", "--config", path, "--seed", 12,
+                   "--out", out, "--set", "realizations=2037")
+    assert code == 0
+    ref_f, ref_t = _corr_reference(cfg, 12, 2037)
+    for name, ref in (("freq_corr.csv", ref_f), ("time_corr.csv", ref_t)):
+        # repr() round-trips, so the parsed values are the written bits
+        got = np.loadtxt(out / name, delimiter=",", skiprows=2)
+        assert np.array_equal(got, ref), name
+
+
+@pytest.mark.parametrize("value", ["0", "-0.1", "nan", "inf", "abc"])
+def test_bad_coherence_time_exit_2(tmp_path, capsys, value):
+    path = tmp_path / "link.cfg"
+    path.write_text(re.sub(r"(?m)^coherence_s .*$", f"coherence_s = {value}",
+                           TABLE1_CFG.read_text()))
+    assert f"coherence_s = {value}\n" in path.read_text()
+    out = tmp_path / "x"
+    assert run_cli("capacity-sweep", "--config", path, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "coherence_s" in err and str(path) in err
+    assert not out.exists()
 
 
 def test_rssi_compare_small(tmp_path):
@@ -339,6 +406,9 @@ def test_bad_setting_exits_2_naming_key(tmp_path, capsys, subcommand,
     ("quantizer.thresholds=0,1",),  # wrong count
     ("levels=4", "quantizer.thresholds=1,0,-1"),  # not ascending
     ("levels=4", "quantizer.thresholds=0,0,1"),
+    # the top cell expects 1.7e-13 and 0.0082 of the session's 260 values
+    ("quantizer.thresholds=8",),
+    ("quantizer.thresholds=4",),
 ])
 def test_keygen_bad_thresholds_exit_2(tmp_path, capsys, mode, settings):
     sets = [arg for pair in settings for arg in ("--set", pair)]

@@ -232,6 +232,7 @@ def _stacked_symbol_decision(g, ext_m, ext_l):
     return to_sym, np.argmax(g * to_sym, axis=1).astype(np.uint8)
 
 
+@pytest.mark.golden
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
        scale=st.sampled_from([0.1, 5.0, 60.0]), ties=st.booleans())
@@ -283,6 +284,7 @@ def test_phase_single_point_grid_equals_plain_decoder():
     assert res_phase.theta_hat == 0.0
 
 
+@pytest.mark.golden
 @pytest.mark.parametrize("grid", [[0.0], [0.0, 0.0]])
 def test_phase_repeated_hypothesis_with_per_symbol_channel(grid):
     # every copy of the zero rotation must see each symbol's own rho and
@@ -490,6 +492,7 @@ def _bits(a):
     return np.asarray(a, dtype=np.float64).view(np.uint64)
 
 
+@pytest.mark.golden
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64),
        m=st.integers(1, 40))
@@ -519,6 +522,7 @@ def test_kernel_step_bitwise_equals_reduceat_step(seed, n, m):
         assert _bits(kernel.last_delta) == _bits(reference.last_delta)
 
 
+@pytest.mark.golden
 @pytest.mark.parametrize("count", [1, 2, 64])
 def test_segment_sum_rounds_as_reduceat(count):
     # numpy reduces a one-column block with its pairwise loop and a wider

@@ -17,6 +17,8 @@ import pytest
 
 from chankey.cli import main
 
+pytestmark = pytest.mark.golden
+
 TABLE1_CFG = Path(__file__).resolve().parents[1] / "configs" / "80211a.cfg"
 
 # (tag, argv without --out)

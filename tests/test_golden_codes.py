@@ -10,8 +10,11 @@ claims to keep codes unchanged must keep this digest.
 import hashlib
 
 import numpy as np
+import pytest
 
 from chankey.pipeline import make_plane_code
+
+pytestmark = pytest.mark.golden
 
 # block length, design rate, code family
 CASES = (

@@ -10,6 +10,8 @@ change that means to alter fixed-seed outputs has to say so and update it.
 
 import hashlib
 
+import pytest
+
 from chankey.channel import ChannelConfig
 from chankey.pipeline import (
     SessionConfig,
@@ -18,6 +20,8 @@ from chankey.pipeline import (
     sweep_rate_vs_snr,
 )
 from chankey.quantize import Quantizer
+
+pytestmark = pytest.mark.golden
 
 FLAT100 = ChannelConfig(m_tones=52, bandwidth_hz=16.25e6, duration_s=3.2e-6,
                         n_paths=100, tau_max_s=800e-9, profile="flat")

@@ -190,7 +190,8 @@ def _reference_session_vectors(config):
     a_parts, b_parts = [], []
     for i in range(config.blocks):
         rng = streams[i]
-        h = time_coefficients(sample_paths(config.channel, rng), config.channel)
+        h = time_coefficients(sample_paths(config.channel, [rng]),
+                              config.channel)[0]
         noise = rng.standard_normal((2, L)) + 1j * rng.standard_normal((2, L))
         a_parts.append(interleave(h + noise_scale * noise[0]))
         b_parts.append(interleave(
@@ -238,6 +239,7 @@ def _unchunked_draw(cfg):
     return h, draw_noise(streams, h.shape[1])
 
 
+@pytest.mark.golden
 @pytest.mark.parametrize("channel", [TABLE1, SMALL, FLAT_1BIN, EXP_1PATH],
                          ids=["exponential", "flat", "tau0", "one_path"])
 def test_chunked_draw_matches_unchunked_at_chunk_boundaries(channel):
@@ -277,10 +279,10 @@ def test_session_vectors_match_two_way_sound(channel):
                         seed=(8, 2))
     x_raw, b_obs, _, _, _ = _session_vectors(cfg)
     profile = build_snr_profile(channel, cfg.snr_f_db)
-    pairs = [two_way_sound(
-                 time_coefficients(sample_paths(channel, rng), channel),
-                 profile, rng)
-             for rng in split_streams(cfg.seed, blocks + 1)[:-1]]
+    streams = split_streams(cfg.seed, blocks + 1)[:-1]
+    h = time_coefficients(sample_paths(channel, streams), channel)
+    pairs = [two_way_sound(row, profile, rng)
+             for row, rng in zip(h, streams)]
     assert np.array_equal(x_raw, interleave(np.array([p.obs_a for p in pairs])))
     assert np.array_equal(b_obs, np.array([p.obs_b for p in pairs]))
 

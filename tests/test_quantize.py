@@ -174,6 +174,7 @@ SIGNED_RHOS = st.one_of(st.floats(-0.999999, 0.999999),
                                          -(1.0 - 1e-9), 0.0]))
 
 
+@pytest.mark.golden
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(),
        quantizer=st.sampled_from([Q2, Q4, Quantizer(2, (0.4,)),
@@ -351,6 +352,7 @@ def _hard_evidence_per_rho(y_symbols, rho, quantizer):
     return post
 
 
+@pytest.mark.golden
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(),
        quantizer=st.sampled_from([Q2, Q4, Quantizer(2, (0.4,)),
@@ -371,6 +373,7 @@ def test_hard_evidence_matches_per_rho_loop(data, quantizer, size, distinct,
                                                       quantizer))
 
 
+@pytest.mark.golden
 @pytest.mark.parametrize("rho", [0.5, np.array([])])
 def test_hard_evidence_empty_input(rho):
     for quantizer in (Q2, Q4):

@@ -1,11 +1,16 @@
-"""split_streams must key every stream exactly as SeedSequence.spawn would."""
+"""split_streams must key every stream exactly as SeedSequence.spawn would,
+and no seeded routine may fall back to an unseeded stream."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chankey.rng import derive_seed, split_streams
+from chankey import capacity
+from chankey.channel import flat_profile
+from chankey.codec import construct_irregular, construct_regular
+from chankey.rng import derive_seed, make_rng, split_streams
+from chankey.sounding import two_way_sound
 
 COUNTS = st.sampled_from([0, 1, 2, 121])
 INTS = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]),
@@ -33,6 +38,7 @@ def _assert_same_streams(streams, reference):
         assert np.array_equal(stream.standard_normal(3), ref.standard_normal(3))
 
 
+@pytest.mark.golden
 @settings(max_examples=60, deadline=None)
 @given(seed=INTS | TUPLES | DERIVED, n=COUNTS)
 @example(seed=0, n=121)
@@ -47,11 +53,13 @@ def test_streams_match_seed_sequence_spawn(seed, n):
                          _reference(np.random.SeedSequence(seed), n))
 
 
+@pytest.mark.golden
 def test_child_index_past_one_word_is_rejected():
     with pytest.raises(ValueError, match="uint32"):
         split_streams(1, 2**32 + 1)
 
 
+@pytest.mark.golden
 def test_rejects_seeds_seed_sequence_rejects():
     # a Generator or SeedSequence is no seed form of split_streams, None
     # would give unreproducible streams, and derive_seed has no stand-in
@@ -63,3 +71,29 @@ def test_rejects_seeds_seed_sequence_rejects():
     for bad in (None, (3, None)):
         with pytest.raises(TypeError):
             derive_seed(bad)
+
+
+PROFILE = flat_profile(1.0, 2, 10)
+# routine and its arguments but the seed, all valid
+SEEDED = {
+    "make_rng": (make_rng, ()),
+    "construct_regular": (construct_regular, (8, 4, 2)),
+    "construct_irregular": (construct_irregular, (60, 30, {3: 1.0})),
+    "simulate_rssi_pairs": (capacity.simulate_rssi_pairs, (PROFILE, 100)),
+    "rssi_capacity_numeric": (capacity.rssi_capacity_numeric,
+                              (PROFILE, 10, 10_000)),
+    "magphase_decomposition": (capacity.magphase_decomposition,
+                               (1.0, 100_000)),
+    "phase_offset_loss": (capacity.phase_offset_loss, (2, 1.0, 4, 100)),
+    "two_way_sound": (two_way_sound, (np.zeros(2, dtype=complex), PROFILE)),
+}
+
+
+@pytest.mark.parametrize("name", SEEDED)
+def test_seeded_routines_need_a_seed(name):
+    # None would seed from fresh OS entropy, so it is no seed
+    func, args = SEEDED[name]
+    with pytest.raises(TypeError, match="seed"):
+        func(*args)
+    with pytest.raises(TypeError, match="seed"):
+        func(*args, seed=None)

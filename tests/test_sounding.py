@@ -28,15 +28,16 @@ def _pair(obs_a, obs_b, noise_var=1.0):
                            noise_var=noise_var)
 
 
-def _coefficients(seed):
-    return time_coefficients(sample_paths(FLAT, seed), FLAT)
+def _coefficients(streams):
+    """``(len(streams), L)`` coefficients, one realization per stream."""
+    return time_coefficients(sample_paths(FLAT, streams), FLAT)
 
 
 def test_noiseless_reciprocity():
     prof = build_snr_profile(FLAT, 20.0)
     noiseless = type(prof)(noise_var=0.0, per_bin_snr=prof.per_bin_snr,
                            per_tone_snr=prof.per_tone_snr)
-    h = _coefficients(1)
+    h = _coefficients([make_rng(1)])[0]
     pair = two_way_sound(h, noiseless, seed=2)
     np.testing.assert_array_equal(pair.obs_a, h)
     np.testing.assert_array_equal(pair.obs_b, h)
@@ -50,8 +51,9 @@ def sounded_blocks():
     L = FLAT.num_delay_bins
     a = np.empty((R, L), dtype=complex)
     b = np.empty((R, L), dtype=complex)
-    for i, rng in enumerate(split_streams(404, R)):
-        pair = two_way_sound(_coefficients(rng), prof, rng)
+    streams = split_streams(404, R)
+    for i, (h, rng) in enumerate(zip(_coefficients(streams), streams)):
+        pair = two_way_sound(h, prof, rng)
         a[i] = pair.obs_a
         b[i] = pair.obs_b
     return prof, a, b
@@ -110,8 +112,9 @@ def test_rotation_invariance_of_distribution():
 
     def batch(seed, theta):
         out = np.empty(n, dtype=complex)
-        for i, rng in enumerate(split_streams(seed, n)):
-            pair = two_way_sound(_coefficients(rng), prof, rng)
+        streams = split_streams(seed, n)
+        for i, (h, rng) in enumerate(zip(_coefficients(streams), streams)):
+            pair = two_way_sound(h, prof, rng)
             if theta:
                 pair = apply_phase_offset(pair, theta)
             out[i] = pair.obs_b[0]
