@@ -14,12 +14,10 @@ syndrome: after a one-time column classification into pivot and free columns
 of the degree-class edge layout (``_Graph``) that ``graph_for`` caches.
 
 Construction and row reduction never form a dense m x n matrix (only
-``dense()`` does).  Row overlaps for the 4-cycle repair are the upper
-triangle of the sparse product H Hᵀ, and the row reduction runs on rows
+``dense()`` does).  Row pairs for the 4-cycle repair are read off the
+column incidence of the edges, and the row reduction runs on rows
 bit-packed into uint64 words straight from the row lists, so memory grows
 with the edge count and with m * n / 64 words.
-
-``scipy.sparse`` serves only that 4-cycle repair: it loads on use.
 """
 
 from __future__ import annotations
@@ -30,8 +28,6 @@ from bisect import bisect_left, insort
 import numpy as np
 
 from ..rng import make_rng
-# scipy.sparse is imported by its user: with scipy.special it costs a fresh
-# process ~0.3 s and ~20 MB that the numpy-only capacity commands skip
 
 # Budget multipliers for the random-swap repairs in construct_regular.
 _REPAIR_TRIES = 200
@@ -333,21 +329,23 @@ def _repair_duplicates(entries: np.ndarray, rng) -> bool:
 def _overlapping_pairs(entries: np.ndarray) -> np.ndarray:
     """Row pairs (i, j), i < j, sharing two or more columns, row-major order.
 
-    The overlap counts are the upper triangle of H Hᵀ, formed as a sparse
-    product of the duplicate-free rows, so memory grows with the number of
-    edges rather than with m x n.
+    A stable sort of the duplicate-free rows by column lists each column's
+    rows in ascending order, and same-column entries d apart name a row
+    pair; a pair named twice or more shares two columns.  Memory grows with
+    the number of edges rather than with m x n.
     """
-    from scipy import sparse
     m, k = entries.shape
-    n = int(entries.max()) + 1
-    h = sparse.csr_matrix(
-        (np.ones(m * k, dtype=np.int32), entries.ravel(),
-         np.arange(0, m * k + 1, k)), shape=(m, n))
-    overlap = sparse.triu(h @ h.T, k=1, format="coo")
-    keep = overlap.data >= 2
-    i, j = overlap.row[keep], overlap.col[keep]
-    order = np.lexsort((j, i))
-    return np.stack([i[order], j[order]], axis=1)
+    order = np.argsort(entries, axis=None, kind="stable")
+    cols, rows = entries.ravel()[order], order // k
+    keys = [np.empty(0, dtype=np.int64)]
+    for d in range(1, cols.size):
+        same = cols[d:] == cols[:-d]
+        if not same.any():
+            break
+        keys.append(rows[:-d][same] * m + rows[d:][same])
+    pairs, counts = np.unique(np.concatenate(keys), return_counts=True)
+    pairs = pairs[counts >= 2]
+    return np.stack([pairs // m, pairs % m], axis=1)
 
 
 def _break_four_cycles(entries: np.ndarray, rng) -> None:

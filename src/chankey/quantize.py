@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-# scipy.special is imported by its users: with scipy.sparse it costs a fresh
-# process ~0.3 s and ~20 MB that the numpy-only capacity commands skip
+# scipy.special is imported by its users: it costs a fresh process ~0.3 s and
+# ~26 MB that the numpy-only capacity commands and code construction skip
 
 
 @dataclass(frozen=True)

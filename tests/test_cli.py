@@ -506,8 +506,9 @@ print(loaded())
 
 
 def test_capacity_paths_import_no_scipy_submodule():
-    # scipy.special and scipy.sparse cost ~0.3 s and ~20 MB to import, and
-    # scipy.stats more; the capacity commands need none of them.  A fresh
+    # scipy.special costs ~0.3 s and ~26 MB to import, and scipy.sparse and
+    # scipy.stats more; the capacity commands need none of them, and code
+    # construction needs only numpy.  A fresh
     # interpreter, because pytest's IntegrationWarning filter imports
     # scipy.integrate, and with it scipy.special, into this process.
     src = str(Path(chankey.__file__).resolve().parents[1])
@@ -518,4 +519,4 @@ def test_capacity_paths_import_no_scipy_submodule():
     lines = out.stdout.splitlines()
     assert lines[:1] == ["[]"], out.stdout + out.stderr
     assert out.returncode == 0, out.stderr
-    assert lines[1] == "['scipy.special', 'scipy.sparse']"
+    assert lines[1] == "['scipy.special']"
