@@ -36,6 +36,7 @@ from .channel import (
     time_coefficients,
 )
 from .pipeline import (
+    DECODING_MODES,
     MIN_SWEEP_RATE,
     SessionConfig,
     _chunk_blocks,
@@ -296,8 +297,14 @@ def cmd_rssi_compare(args) -> int:
                          "snr_db": [0.0, 5.0, 10.0, 15.0, 20.0, 25.0],
                          "samples": 1_000_000 if args.full else 200_000})
     grid = _finite_snr(s)
-    run = Run("rssi_compare", args, s)
     m_tones, bins_list = s["m_tones"], s["bins"]
+    if max(bins_list) > m_tones:
+        raise ConfigError(f"--set bins: each L must be at most M = m_tones = "
+                          f"{m_tones}, got {bins_list}")
+    if s["samples"] < 10_000:
+        raise ConfigError(f"--set samples: need at least 10000, "
+                          f"got {s['samples']}")
+    run = Run("rssi_compare", args, s)
     rows = []
     numeric = {}
     for snr_db in grid:
@@ -341,6 +348,9 @@ def cmd_magphase(args) -> int:
     s = _settings(args, {"snr_db": [0.0, 5.0, 10.0, 15.0, 20.0],
                          "samples": 1_000_000 if args.full else 200_000})
     grid = _finite_snr(s)
+    if s["samples"] < 100_000:
+        raise ConfigError(f"--set samples: need at least 100000, "
+                          f"got {s['samples']}")
     run = Run("magphase", args, s)
     rows = []
     for snr_db in grid:
@@ -524,6 +534,11 @@ def cmd_keygen(args) -> int:
                          "mode": "soft", "blocks": 120, "snr_db": snr_db})
     rate, mode, blocks = s["rate"], s["mode"], s["blocks"]
     snr_db = _finite_snr(s)
+    if s["levels"] not in (2, 4):
+        raise ConfigError(f"--set levels: must be 2 or 4, got {s['levels']}")
+    if mode not in DECODING_MODES:
+        raise ConfigError(f"--set mode: must be one of {DECODING_MODES}, "
+                          f"got '{mode}'")
     n_data = 2 * blocks * cfg.num_delay_bins
     quantizer = _quantizer(s["levels"], s["quantizer.thresholds"], n_data)
     sessions = args.trials or 10
@@ -565,7 +580,8 @@ def cmd_phase_demo(args) -> int:
     code = make_plane_code(n_data, 0.25, "irregular",
                            derive_seed(args.seed, 0xC0DE))
     template = SessionConfig(channel=cfg, snr_f_db=snr_db, blocks=blocks,
-                             quantizer=Quantizer.equiprobable(2), code=code)
+                             quantizer=Quantizer.equiprobable(2), code=code,
+                             seed=derive_seed(args.seed))
     grid = rotation_grid(grid_size)
     half = math.pi / grid_size
     thetas = sorted(set(list(grid) + [g + half for g in grid]))

@@ -21,7 +21,7 @@ waterfall threshold per rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -70,7 +70,7 @@ class SessionConfig:
     theta_grid_size: int = 16
     theta: float | None = None
     max_iter: int = 50
-    seed: int | tuple = 0
+    seed: int | tuple = field(kw_only=True)
 
     def __post_init__(self):
         if not math.isfinite(self.snr_f_db):

@@ -376,7 +376,12 @@ BOUNDARY_RUNS = {
     ("ldpc-waterfall", "rates="), ("ldpc-waterfall", "rates=0.1,0.2"),
     ("corr-matrix", "realizations=0"), ("corr-matrix", "realizations=-5"),
     ("keygen", "blocks=0"), ("keygen", "blocks=ten"),
-    ("rssi-compare", "bins=2,0"),
+    ("rssi-compare", "bins=2,0"), ("rssi-compare", "bins=2,20"),
+    ("keygen", "levels=3"), ("keygen", "mode=fuzzy"),
+    # the estimators need 1e4 (rssi) and 1e5 (magphase) samples; magphase
+    # checks snr_db first, so the snr_db cases below keep BOUNDARY_RUNS'
+    # small sample count
+    ("rssi-compare", "samples=9999"), ("magphase", "samples=99999"),
     # each point's seed derives from int(snr_db * 10): the SNR must be
     # finite there, and NaN is no value for any float setting
     ("magphase", "snr_db=inf"), ("magphase", "snr_db=-inf"),

@@ -64,14 +64,14 @@ def test_config_validation():
     code = make_plane_code(N_SMALL, 0.5, "regular", 7)
     with pytest.raises(ValueError):
         SessionConfig(channel=SMALL, snr_f_db=10, blocks=15, quantizer=Q2,
-                      code=code)  # 2nL != N
+                      code=code, seed=0)  # 2nL != N
     with pytest.raises(ValueError):
         SessionConfig(channel=SMALL, snr_f_db=10, blocks=16, quantizer=Q2,
-                      code=code, decoding_mode="fuzzy")
+                      code=code, decoding_mode="fuzzy", seed=0)
     with pytest.raises(ValueError):
         SessionConfig(channel=SMALL, snr_f_db=10, blocks=16, quantizer=Q2,
                       code=code, phase_mode="constant_theta",
-                      decoding_mode="hard")
+                      decoding_mode="hard", seed=0)
 
 
 def test_config_rejects_per_block_theta():
@@ -79,7 +79,7 @@ def test_config_rejects_per_block_theta():
     code = make_plane_code(N_SMALL, 0.5, "regular", 7)
     with pytest.raises(ValueError, match="phase_mode"):
         SessionConfig(channel=SMALL, snr_f_db=10, blocks=16, quantizer=Q2,
-                      code=code, phase_mode="per_block_theta")
+                      code=code, phase_mode="per_block_theta", seed=0)
 
 
 @pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf])
@@ -87,7 +87,15 @@ def test_config_rejects_non_finite_snr(snr_db):
     code = make_plane_code(N_SMALL, 0.5, "regular", 7)
     with pytest.raises(ValueError, match="snr_f_db"):
         SessionConfig(channel=SMALL, snr_f_db=snr_db, blocks=16,
-                      quantizer=Q2, code=code)
+                      quantizer=Q2, code=code, seed=0)
+
+
+def test_config_requires_seed():
+    # a session without a seed would silently share seed 0's streams
+    code = make_plane_code(N_SMALL, 0.5, "regular", 7)
+    with pytest.raises(TypeError, match="seed"):
+        SessionConfig(channel=SMALL, snr_f_db=10, blocks=16, quantizer=Q2,
+                      code=code)
 
 
 def test_noiseless_session_agrees():
