@@ -511,11 +511,11 @@ print(loaded())
 
 
 def test_capacity_paths_import_no_scipy_submodule():
-    # scipy.special costs ~0.3 s and ~26 MB to import, and scipy.sparse and
-    # scipy.stats more; the capacity commands need none of them, and code
-    # construction needs only numpy.  A fresh
-    # interpreter, because pytest's IntegrationWarning filter imports
-    # scipy.integrate, and with it scipy.special, into this process.
+    # scipy.special costs ~0.3 s and ~26 MB to import, and scipy.stats more;
+    # the capacity commands need none of them, and code construction needs
+    # no scipy at all.  A fresh interpreter, because pytest's
+    # IntegrationWarning filter imports scipy.integrate, and with it
+    # scipy.special, into this process.
     src = str(Path(chankey.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
