@@ -327,14 +327,16 @@ def _reference_chunks(per_bin_sigma2, noise_var, samples, rng, chunk):
 def test_chunked_draws_match_reference(monkeypatch):
     # small chunks, the last one partial, so chunk boundaries are crossed
     monkeypatch.setattr(capacity, "_CHUNK", 1000)
-    prof = flat_profile(3.0, 4, 10)
-    ra, rb = simulate_rssi_pairs(prof, 2501, seed=5)
-    pairs = list(_reference_chunks(prof.per_bin_snr * prof.noise_var,
-                                   prof.noise_var, 2501, make_rng(5), 1000))
-    assert np.array_equal(ra, np.concatenate(
-        [(np.abs(oa) ** 2).sum(axis=1) for oa, _ in pairs]))
-    assert np.array_equal(rb, np.concatenate(
-        [(np.abs(ob) ** 2).sum(axis=1) for _, ob in pairs]))
+    for num_bins in (4, 10):
+        prof = flat_profile(3.0, num_bins, 10)
+        ra, rb = simulate_rssi_pairs(prof, 2501, seed=5)
+        pairs = list(_reference_chunks(prof.per_bin_snr * prof.noise_var,
+                                       prof.noise_var, 2501, make_rng(5),
+                                       1000))
+        assert np.array_equal(ra, np.concatenate(
+            [(np.abs(oa) ** 2).sum(axis=1) for oa, _ in pairs]))
+        assert np.array_equal(rb, np.concatenate(
+            [(np.abs(ob) ** 2).sum(axis=1) for _, ob in pairs]))
 
     # phase_offset_loss draws each chunk's rotations after its observations
     rng = make_rng(6)
@@ -350,6 +352,22 @@ def test_chunked_draws_match_reference(monkeypatch):
         capacity._sector_bins(np.concatenate(psi), PHASE_SECTORS), 8,
         PHASE_SECTORS, "histogram")
     assert phase_offset_loss(3, 2.0, 8, 2501, seed=6) == reference
+
+    # magphase_decomposition keeps every chunk's one column: a reduce that
+    # returned views of reused buffers would repeat the last chunk's rows
+    pairs = list(_reference_chunks(np.array([10.0]), 1.0, 100_500,
+                                   make_rng(7), 1000))
+    a = np.concatenate([oa[:, 0] for oa, _ in pairs])
+    b = np.concatenate([ob[:, 0] for _, ob in pairs])
+    rep = magphase_decomposition(10.0, 100_500, seed=7)
+    assert rep.i_re == gaussian_mi_estimate(a.real, b.real)
+    assert rep.i_im == gaussian_mi_estimate(a.imag, b.imag)
+    assert rep.i_mag == mi_estimate(np.abs(a), np.abs(b),
+                                    capacity.auto_bins(100_500))
+    assert rep.i_phase == capacity._mi_from_bins(
+        capacity._sector_bins(np.angle(a), PHASE_SECTORS),
+        capacity._sector_bins(np.angle(b), PHASE_SECTORS), PHASE_SECTORS,
+        PHASE_SECTORS, "histogram")
 
 
 def test_phase_offset_loss_bounded_memory():
