@@ -10,6 +10,16 @@ errors).  The bootstrap counts the joint bins of each contiguous sample
 block once; a replicate resamples whole blocks and sums their per-block
 joint counts, which equals binning the concatenated blocks.
 
+The Monte-Carlo estimators share one simulator, ``_simulate_pairs``.  It
+draws the observation rows in chunks of ``_CHUNK`` rows, and per chunk the
+shared coefficients' real and imaginary parts, then Alice's noise and
+Bob's noise, each real then imaginary; every observation part is rounded
+as ``fl(fl(scale * z) + h)``.  Each side's chunk lives in one buffer that
+every chunk reuses, so one call holds 2 x ``_CHUNK`` x L complex values at
+most.  A reduce callback turns each chunk into new arrays (never views of
+those buffers), working through row pieces so that its temporaries stay
+small.
+
 Capacities are reported in bits per real dimension of the stacked
 observation vector (the 1/(2M) normalization), with bits-per-coherence and
 bits-per-second as derived fields.
@@ -255,41 +265,83 @@ def gaussian_mi_estimate(xs: np.ndarray, ys: np.ndarray) -> MiEstimate:
 
 _CHUNK = 100_000
 
+# Bytes of the largest per-piece temporary of the Monte-Carlo simulator and
+# its reduce callbacks: below glibc's default 128 KiB mmap threshold (as
+# ``pipeline.CHUNK_BYTES``), so each piece's buffers come from the heap
+# instead of being mapped and faulted in afresh.
+_PIECE_BYTES = 120 * 1024
 
-def _add_noise(out, shared, scale, buf, rng):
-    """``out = shared + scale * z`` for a fresh standard normal draw z."""
-    rng.standard_normal(out=buf)
-    np.multiply(buf, scale, out=out)
-    out += shared
+
+def _piece_rows(num_bins: int) -> int:
+    """Rows of ``num_bins`` complex values that fit in ``_PIECE_BYTES``."""
+    return max(1, _PIECE_BYTES // (16 * num_bins))
+
+
+def _pieces(rows: int, num_bins: int):
+    """Slices splitting ``rows`` rows into pieces of ``_piece_rows``."""
+    step = _piece_rows(num_bins)
+    return (slice(lo, min(lo + step, rows)) for lo in range(0, rows, step))
+
+
+def _draw_part(out, scale, shared, z, rng):
+    """``out = scale * z + shared`` (``scale * z`` when ``shared`` is None)
+    for fresh standard normals z, drawn in row pieces through ``z``."""
+    for rows in _pieces(*out.shape):
+        piece = z[:rows.stop - rows.start]
+        rng.standard_normal(out=piece)
+        piece *= scale
+        if shared is None:
+            out[rows] = piece
+        else:
+            np.add(piece, shared[rows], out=out[rows])
 
 
 def _simulate_pairs(per_bin_sigma2: np.ndarray, noise_var: float,
                     samples: int, rng, reduce) -> list:
     """``reduce(obs_a, obs_b)`` of each chunk of simulated observation rows
-    (it may draw from ``rng`` after them), concatenated over the chunks."""
+    (it may draw from ``rng`` after them), concatenated over the chunks.
+
+    Draw order per chunk of up to ``_CHUNK`` rows: the shared coefficients'
+    real and imaginary parts, then Alice's noise, then Bob's, each real
+    then imaginary.  The shared parts go first into Bob's buffer, Alice's
+    parts are written as ``scale_n * z + shared``, and Bob's are then
+    updated in place, so every part is rounded as h + n would round it.
+    Both sides' ``(m, L)`` buffers are allocated once and reused by every
+    chunk (a partial last chunk uses their first rows), so ``reduce`` must
+    return new arrays, not views of its arguments.
+    """
     if samples < 1:
         raise ValueError("need at least one sample")
     L = per_bin_sigma2.size
+    if L < 1:
+        raise ValueError(f"need at least one delay bin, got L = {L}")
     scale_h = np.sqrt(per_bin_sigma2 / 2.0)
     scale_n = math.sqrt(noise_var / 2.0)
+    rows = min(_CHUNK, samples)
+    obs_a = np.empty((rows, L), dtype=complex)
+    obs_b = np.empty((rows, L), dtype=complex)
+    z = np.empty((min(rows, _piece_rows(L)), L))
     parts = []
     for done in range(0, samples, _CHUNK):
         m = min(_CHUNK, samples - done)
-        # Draw order per chunk: the shared coefficients' real and imaginary
-        # parts, then each side's noise, real then imaginary.  Each part of
-        # an observation is summed straight into ``obs``, as h + n would sum
-        # it, and every buffer is released before the next chunk is drawn.
-        hr = scale_h * rng.standard_normal((m, L))
-        hi = scale_h * rng.standard_normal((m, L))
-        obs = np.empty((2, m, L), dtype=complex)
-        noise = np.empty((m, L))
-        for side in range(2):
-            _add_noise(obs[side].real, hr, scale_n, noise, rng)
-            _add_noise(obs[side].imag, hi, scale_n, noise, rng)
-        del hr, hi, noise
-        parts.append(reduce(obs[0], obs[1]))
-        del obs
+        oa, ob = obs_a[:m], obs_b[:m]
+        _draw_part(ob.real, scale_h, None, z, rng)
+        _draw_part(ob.imag, scale_h, None, z, rng)
+        _draw_part(oa.real, scale_n, ob.real, z, rng)
+        _draw_part(oa.imag, scale_n, ob.imag, z, rng)
+        _draw_part(ob.real, scale_n, ob.real, z, rng)
+        _draw_part(ob.imag, scale_n, ob.imag, z, rng)
+        parts.append(reduce(oa, ob))
+    del obs_a, obs_b, oa, ob  # release the buffers before concatenating
     return [np.concatenate(column) for column in zip(*parts)]
+
+
+def _row_power(obs: np.ndarray) -> np.ndarray:
+    """Received strength ``sum_l |obs_l|^2`` of each row, by row pieces."""
+    power = np.empty(obs.shape[0])
+    for rows in _pieces(*obs.shape):
+        power[rows] = (np.abs(obs[rows]) ** 2).sum(axis=1)
+    return power
 
 
 def simulate_rssi_pairs(profile: SnrProfile, samples: int, seed):
@@ -297,8 +349,7 @@ def simulate_rssi_pairs(profile: SnrProfile, samples: int, seed):
     sigma2 = profile.per_bin_snr * profile.noise_var
     return tuple(_simulate_pairs(
         sigma2, profile.noise_var, samples, make_rng(seed),
-        lambda oa, ob: ((np.abs(oa) ** 2).sum(axis=1),
-                        (np.abs(ob) ** 2).sum(axis=1))))
+        lambda oa, ob: (_row_power(oa), _row_power(ob))))
 
 
 def rssi_capacity_numeric(profile: SnrProfile, m_tones: int, samples: int,
@@ -355,11 +406,11 @@ def magphase_decomposition(snr: float, samples: int,
     """
     if samples < 100_000:
         raise ValueError("need at least 1e5 samples")
-    if snr < 0:
-        raise ValueError("snr must be nonnegative")
+    if not (math.isfinite(snr) and snr >= 0):
+        raise ValueError(f"snr must be finite and nonnegative, got {snr!r}")
     rho = snr / (1.0 + snr)
     a, b = _simulate_pairs(np.array([snr]), 1.0, samples, make_rng(seed),
-                           lambda oa, ob: (oa[:, 0], ob[:, 0]))
+                           lambda oa, ob: (oa[:, 0].copy(), ob[:, 0].copy()))
     i_re = gaussian_mi_estimate(a.real, b.real)
     i_im = gaussian_mi_estimate(a.imag, b.imag)
     i_mag = mi_estimate(np.abs(a), np.abs(b), auto_bins(samples))
@@ -386,17 +437,25 @@ def phase_offset_loss(num_bins: int, snr: float, grid_size: int, samples: int,
     The rotation hypothesis is uniform over ``grid_size`` equispaced angles.
     The estimator reduces each observation pair to the angle of the aligned
     inner product sum_l conj(a_l) * b_l and measures its MI with the drawn
-    grid index (circular histogram on the angle side).
+    grid index (circular histogram on the angle side).  Raises ValueError
+    for ``num_bins`` < 1 or a non-finite or negative ``snr``.
     """
     if grid_size < 1:
         raise ValueError("grid must be nonempty")
+    if num_bins < 1:
+        raise ValueError(f"num_bins must be >= 1, got {num_bins}")
+    if not (math.isfinite(snr) and snr >= 0):
+        raise ValueError(f"snr must be finite and nonnegative, got {snr!r}")
     rng = make_rng(seed)
     thetas = rotation_grid(grid_size)
 
     def reduce(oa, ob):
         t = rng.integers(0, grid_size, size=oa.shape[0])
-        rotated = ob * np.exp(1j * thetas[t])[:, None]
-        return t, np.angle((oa.conj() * rotated).sum(axis=1))
+        psi = np.empty(oa.shape[0])
+        for rows in _pieces(*oa.shape):
+            rotated = ob[rows] * np.exp(1j * thetas[t[rows]])[:, None]
+            psi[rows] = np.angle((oa[rows].conj() * rotated).sum(axis=1))
+        return t, psi
 
     t_idx, psi = _simulate_pairs(np.full(num_bins, snr), 1.0, samples, rng,
                                  reduce)

@@ -325,8 +325,11 @@ def _reference_chunks(per_bin_sigma2, noise_var, samples, rng, chunk):
 
 @pytest.mark.golden
 def test_chunked_draws_match_reference(monkeypatch):
-    # small chunks, the last one partial, so chunk boundaries are crossed
+    # small chunks, the last one partial, so chunk boundaries are crossed;
+    # row pieces of 333 // L rows split every chunk unevenly at L = 1, 3, 4
+    # and 10
     monkeypatch.setattr(capacity, "_CHUNK", 1000)
+    monkeypatch.setattr(capacity, "_PIECE_BYTES", 16 * 333)
     for num_bins in (4, 10):
         prof = flat_profile(3.0, num_bins, 10)
         ra, rb = simulate_rssi_pairs(prof, 2501, seed=5)
@@ -370,15 +373,56 @@ def test_chunked_draws_match_reference(monkeypatch):
         PHASE_SECTORS, "histogram")
 
 
-def test_phase_offset_loss_bounded_memory():
+def _traced_peak(call):
     tracemalloc.start()
     try:
-        phase_offset_loss(13, 1.0, 8, 200_000, seed=19)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _chunk_buffer_bound(num_bins):
+    """Both sides' reused chunk buffers of ``num_bins`` complex values per
+    row, plus a few MiB for the per-chunk outputs and row pieces."""
+    return 2 * capacity._CHUNK * num_bins * 16 + 5 * 2**20
+
+
+def test_phase_offset_loss_bounded_memory():
     # one 100k-row chunk of L = 13 observations is 41.6 MB for both sides
-    assert peak < 100 * 2**20
+    peak = _traced_peak(lambda: phase_offset_loss(13, 1.0, 8, 200_000,
+                                                  seed=19))
+    assert peak < _chunk_buffer_bound(13)
+
+
+def test_simulate_rssi_pairs_bounded_memory():
+    peak = _traced_peak(lambda: simulate_rssi_pairs(
+        flat_profile(10.0, 10, 10), 200_000, seed=19))
+    assert peak < _chunk_buffer_bound(10)
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: phase_offset_loss(0, 1.0, 8, 20_000, seed=1),
+                 "num_bins", id="phase-bins-0"),
+    pytest.param(lambda: phase_offset_loss(-1, 1.0, 8, 20_000, seed=1),
+                 "num_bins", id="phase-bins-negative"),
+    pytest.param(lambda: phase_offset_loss(4, math.nan, 8, 20_000, seed=1),
+                 "snr", id="phase-snr-nan"),
+    pytest.param(lambda: phase_offset_loss(4, math.inf, 8, 20_000, seed=1),
+                 "snr", id="phase-snr-inf"),
+    pytest.param(lambda: phase_offset_loss(4, -1.0, 8, 20_000, seed=1),
+                 "snr", id="phase-snr-negative"),
+    pytest.param(lambda: rssi_capacity_numeric(flat_profile(1.0, 0, 10), 10,
+                                               20_000, seed=1),
+                 "L = 0", id="rssi-bins-0"),
+    pytest.param(lambda: magphase_decomposition(math.nan, 100_000, seed=1),
+                 "snr", id="magphase-snr-nan"),
+    pytest.param(lambda: magphase_decomposition(math.inf, 100_000, seed=1),
+                 "snr", id="magphase-snr-inf"),
+])
+def test_monte_carlo_rejects_bad_input_by_name(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_rssi_numeric_rejects_small_samples():
