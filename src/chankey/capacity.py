@@ -78,12 +78,10 @@ class CapacityReport:
 
 @dataclass(frozen=True)
 class MiEstimate:
-    """A mutual-information value with its provenance."""
+    """A mutual-information value with its standard error."""
 
     value: float
     std_error: float
-    estimator: str
-    sample_count: int
 
     def __post_init__(self):
         if self.std_error < 0:
@@ -230,14 +228,14 @@ def mi_estimate(xs: np.ndarray, ys: np.ndarray, bins: int = DEFAULT_BINS) -> MiE
         raise ValueError(f"bins must be an integer >= 1, got {bins!r}")
     xs, ys = _sample_pair(xs, ys)
     return _mi_from_bins(_quantile_bins(xs, bins), _quantile_bins(ys, bins),
-                         bins, bins, "histogram")
+                         bins, bins)
 
 
-def _mi_from_bins(ix, iy, kx, ky, estimator: str) -> MiEstimate:
+def _mi_from_bins(ix, iy, kx, ky) -> MiEstimate:
     counts, sizes = _block_counts(ix, iy, kx, ky)
     value = max(0.0, _counts_mi_bits(counts.sum(axis=0), ix.size, kx, ky))
     se = _bootstrap_se(counts, sizes, kx, ky)
-    return MiEstimate(value, se, estimator, ix.size)
+    return MiEstimate(value, se)
 
 
 def gaussian_mi_estimate(xs: np.ndarray, ys: np.ndarray) -> MiEstimate:
@@ -256,8 +254,7 @@ def gaussian_mi_estimate(xs: np.ndarray, ys: np.ndarray) -> MiEstimate:
     r = max(-1.0 + 1e-12, min(1.0 - 1e-12, r))
     se_r = (1.0 - r * r) / math.sqrt(xs.size)
     dmi_dr = abs(r) / ((1.0 - r * r) * _LN2)
-    return MiEstimate(mi_gaussian(r), dmi_dr * se_r, "gaussian_closed_form",
-                      xs.size)
+    return MiEstimate(mi_gaussian(r), dmi_dr * se_r)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +414,7 @@ def magphase_decomposition(snr: float, samples: int,
     i_phase = _mi_from_bins(
         _sector_bins(np.angle(a), PHASE_SECTORS),
         _sector_bins(np.angle(b), PHASE_SECTORS),
-        PHASE_SECTORS, PHASE_SECTORS, "histogram",
+        PHASE_SECTORS, PHASE_SECTORS,
     )
     return MagPhaseReport(
         snr=snr,
@@ -460,6 +457,4 @@ def phase_offset_loss(num_bins: int, snr: float, grid_size: int, samples: int,
     t_idx, psi = _simulate_pairs(np.full(num_bins, snr), 1.0, samples, rng,
                                  reduce)
     return _mi_from_bins(
-        t_idx, _sector_bins(psi, PHASE_SECTORS), grid_size, PHASE_SECTORS,
-        "histogram",
-    )
+        t_idx, _sector_bins(psi, PHASE_SECTORS), grid_size, PHASE_SECTORS)

@@ -108,10 +108,13 @@ class SnrProfile:
     per_bin_snr: np.ndarray
     per_tone_snr: float
     rho_time: np.ndarray = field(init=False)
-    rho_freq: float = field(init=False)
 
     def __post_init__(self):
         snr = np.asarray(self.per_bin_snr, dtype=float)
+        for name, value in (("per_bin_snr", snr),
+                            ("per_tone_snr", self.per_tone_snr)):
+            if np.isnan(value).any():
+                raise ValueError(f"{name} must not be NaN, got {value}")
         if np.any(snr < 0) or self.per_tone_snr < 0:
             raise ValueError("SNRs must be nonnegative")
         object.__setattr__(self, "per_bin_snr", snr)
@@ -120,10 +123,6 @@ class SnrProfile:
         top = np.nextafter(1.0, 0.0)
         object.__setattr__(self, "rho_time",
                            np.minimum(snr / (1.0 + snr), top))
-        object.__setattr__(
-            self, "rho_freq",
-            min(self.per_tone_snr / (1.0 + self.per_tone_snr), top),
-        )
 
     @property
     def num_delay_bins(self) -> int:

@@ -141,8 +141,6 @@ def test_mi_estimate_gaussian_within_5pct():
     x, y = _gaussian_pair(0.9, 1_000_000, seed=3)
     est = mi_estimate(x, y)
     assert est.value == pytest.approx(mi_gaussian(0.9), rel=0.05)
-    assert est.estimator == "histogram"
-    assert est.sample_count == 1_000_000
 
 
 def test_mi_estimate_symmetric_and_clamped():
@@ -264,16 +262,15 @@ def test_block_count_bootstrap_matches_concatenated_resamples(seed, n, shape,
     ix = rng.integers(0, kx, size=n)
     noisy = rng.random(n) >= coupling
     iy = np.where(noisy, rng.integers(0, ky, size=n), ix * ky // kx)
-    est = capacity._mi_from_bins(ix, iy, kx, ky, "histogram")
+    est = capacity._mi_from_bins(ix, iy, kx, ky)
     assert est == MiEstimate(
         max(0.0, _reference_binned_mi_bits(ix, iy, kx, ky)),
-        _reference_bootstrap_se(ix, iy, kx, ky), "histogram", n)
+        _reference_bootstrap_se(ix, iy, kx, ky))
 
 
 def test_gaussian_mi_estimate_unbiased_at_high_rho():
     x, y = _gaussian_pair(100 / 101, 200_000, seed=6)
     est = gaussian_mi_estimate(x, y)
-    assert est.estimator == "gaussian_closed_form"
     assert abs(est.value - mi_gaussian(100 / 101)) < 3 * est.std_error
 
 
@@ -353,7 +350,7 @@ def test_chunked_draws_match_reference(monkeypatch):
     reference = capacity._mi_from_bins(
         np.concatenate(t_idx),
         capacity._sector_bins(np.concatenate(psi), PHASE_SECTORS), 8,
-        PHASE_SECTORS, "histogram")
+        PHASE_SECTORS)
     assert phase_offset_loss(3, 2.0, 8, 2501, seed=6) == reference
 
     # magphase_decomposition keeps every chunk's one column: a reduce that
@@ -370,7 +367,7 @@ def test_chunked_draws_match_reference(monkeypatch):
     assert rep.i_phase == capacity._mi_from_bins(
         capacity._sector_bins(np.angle(a), PHASE_SECTORS),
         capacity._sector_bins(np.angle(b), PHASE_SECTORS), PHASE_SECTORS,
-        PHASE_SECTORS, "histogram")
+        PHASE_SECTORS)
 
 
 def _traced_peak(call):
@@ -488,4 +485,4 @@ def test_capacity_report_units():
 
 def test_mi_estimate_dataclass_validation():
     with pytest.raises(ValueError):
-        MiEstimate(1.0, -0.1, "histogram", 10)
+        MiEstimate(1.0, -0.1)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from chankey.channel import (
     ChannelConfig,
     PathSet,
+    SnrProfile,
     bin_power_fractions,
     build_snr_profile,
     flat_profile,
@@ -229,7 +230,7 @@ def test_build_snr_profile_flat_table1():
     prof = build_snr_profile(cfg, 20.0)
     np.testing.assert_allclose(prof.per_bin_snr, 400.0, rtol=1e-12)
     np.testing.assert_allclose(prof.rho_time, 400.0 / 401.0, rtol=1e-12)
-    assert prof.rho_freq == pytest.approx(100.0 / 101.0)
+    assert prof.per_tone_snr == pytest.approx(100.0)
 
 
 def test_build_snr_profile_zero_snr():
@@ -237,13 +238,26 @@ def test_build_snr_profile_zero_snr():
     prof = build_snr_profile(cfg, -math.inf)
     assert np.all(prof.per_bin_snr == 0)
     assert np.all(prof.rho_time == 0)
-    assert prof.rho_freq == 0
+    assert prof.per_tone_snr == 0
 
 
 def test_build_snr_profile_unit_snr_rho_half():
     cfg = ChannelConfig(**TABLE1)
     prof = build_snr_profile(cfg, 0.0)
-    assert prof.rho_freq == pytest.approx(0.5)
+    # per-tone SNR 1, so the per-tone correlation s / (1 + s) is 1/2
+    assert prof.per_tone_snr == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: SnrProfile(1.0, np.array([1.0, math.nan]), 0.2), "per_bin_snr"),
+    (lambda: SnrProfile(1.0, np.array([1.0, 2.0]), math.nan), "per_tone_snr"),
+    # a NaN profile used to reach the Monte-Carlo draws, which then failed
+    # with "samples must be finite"
+    (lambda: flat_profile(math.nan, 2, 10), "per_bin_snr"),
+], ids=["per_bin", "per_tone", "flat_profile"])
+def test_snr_profile_rejects_nan_by_name(make, name):
+    with pytest.raises(ValueError, match=f"{name} must not be NaN"):
+        make()
 
 
 @pytest.mark.parametrize("profile", ["flat", "exponential"])
