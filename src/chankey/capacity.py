@@ -17,8 +17,8 @@ Bob's noise, each real then imaginary; every observation part is rounded
 as ``fl(fl(scale * z) + h)``.  Each side's chunk lives in one buffer that
 every chunk reuses, so one call holds 2 x ``_CHUNK`` x L complex values at
 most.  A reduce callback turns each chunk into new arrays (never views of
-those buffers), working through row pieces so that its temporaries stay
-small.
+those buffers), working through row pieces (``rng.row_chunks``, at 16 L
+bytes a row) so that its temporaries stay small.
 
 Capacities are reported in bits per real dimension of the stacked
 observation vector (the 1/(2M) normalization), with bits-per-coherence and
@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import SnrProfile
-from .rng import make_rng
+from .rng import make_rng, row_chunks
 from .sounding import rotation_grid
 
 _LN2 = math.log(2.0)
@@ -262,28 +262,11 @@ def gaussian_mi_estimate(xs: np.ndarray, ys: np.ndarray) -> MiEstimate:
 
 _CHUNK = 100_000
 
-# Bytes of the largest per-piece temporary of the Monte-Carlo simulator and
-# its reduce callbacks: below glibc's default 128 KiB mmap threshold (as
-# ``pipeline.CHUNK_BYTES``), so each piece's buffers come from the heap
-# instead of being mapped and faulted in afresh.
-_PIECE_BYTES = 120 * 1024
-
-
-def _piece_rows(num_bins: int) -> int:
-    """Rows of ``num_bins`` complex values that fit in ``_PIECE_BYTES``."""
-    return max(1, _PIECE_BYTES // (16 * num_bins))
-
-
-def _pieces(rows: int, num_bins: int):
-    """Slices splitting ``rows`` rows into pieces of ``_piece_rows``."""
-    step = _piece_rows(num_bins)
-    return (slice(lo, min(lo + step, rows)) for lo in range(0, rows, step))
-
 
 def _draw_part(out, scale, shared, z, rng):
     """``out = scale * z + shared`` (``scale * z`` when ``shared`` is None)
     for fresh standard normals z, drawn in row pieces through ``z``."""
-    for rows in _pieces(*out.shape):
+    for rows in row_chunks(len(out), 16 * out.shape[1]):
         piece = z[:rows.stop - rows.start]
         rng.standard_normal(out=piece)
         piece *= scale
@@ -317,7 +300,7 @@ def _simulate_pairs(per_bin_sigma2: np.ndarray, noise_var: float,
     rows = min(_CHUNK, samples)
     obs_a = np.empty((rows, L), dtype=complex)
     obs_b = np.empty((rows, L), dtype=complex)
-    z = np.empty((min(rows, _piece_rows(L)), L))
+    z = np.empty((row_chunks(rows, 16 * L)[0].stop, L))
     parts = []
     for done in range(0, samples, _CHUNK):
         m = min(_CHUNK, samples - done)
@@ -336,7 +319,7 @@ def _simulate_pairs(per_bin_sigma2: np.ndarray, noise_var: float,
 def _row_power(obs: np.ndarray) -> np.ndarray:
     """Received strength ``sum_l |obs_l|^2`` of each row, by row pieces."""
     power = np.empty(obs.shape[0])
-    for rows in _pieces(*obs.shape):
+    for rows in row_chunks(len(obs), 16 * obs.shape[1]):
         power[rows] = (np.abs(obs[rows]) ** 2).sum(axis=1)
     return power
 
@@ -449,7 +432,7 @@ def phase_offset_loss(num_bins: int, snr: float, grid_size: int, samples: int,
     def reduce(oa, ob):
         t = rng.integers(0, grid_size, size=oa.shape[0])
         psi = np.empty(oa.shape[0])
-        for rows in _pieces(*oa.shape):
+        for rows in row_chunks(len(oa), 16 * oa.shape[1]):
             rotated = ob[rows] * np.exp(1j * thetas[t[rows]])[:, None]
             psi[rows] = np.angle((oa[rows].conj() * rotated).sum(axis=1))
         return t, psi

@@ -249,17 +249,6 @@ def time_coefficients(paths: PathSet, config: ChannelConfig) -> np.ndarray:
     return out
 
 
-def freq_from_time(time_coeffs: np.ndarray, m_tones: int) -> np.ndarray:
-    """Truncated inverse transform H_n = (1/sqrt(M)) sum_l h_l e^{-j2pi nl/M}."""
-    time_coeffs = np.asarray(time_coeffs)
-    if time_coeffs.size > m_tones:
-        raise ValueError("more delay bins than tones (L > M)")
-    n = np.arange(m_tones)
-    ell = np.arange(time_coeffs.size)
-    dft = np.exp(-2j * np.pi * np.outer(n, ell) / m_tones)
-    return (dft @ time_coeffs) / math.sqrt(m_tones)
-
-
 def build_snr_profile(config: ChannelConfig, snr_f_db: float) -> SnrProfile:
     """Derive noise variance and per-bin SNRs for a per-tone SNR in dB.
 

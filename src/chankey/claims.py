@@ -22,10 +22,9 @@ def verdict(problems: list[str], passed: str) -> Claim:
 
 def table1_capacity(report) -> Claim:
     """Criterion 1: 88-115 bits per coherence time at 20 dB (Table I)."""
-    lo, hi, t = 88.0, 115.0, report.coherence_time_s
-    per_coh, per_sec = report.bits_per_coherence, report.bits_per_second
-    ok = lo <= per_coh <= hi and lo / t <= per_sec <= hi / t
-    return ok, f"{per_coh:.1f} bits/coherence, {per_sec:.0f} bits/s"
+    per_coh = report.bits_per_coherence
+    return (88.0 <= per_coh <= 115.0, f"{per_coh:.1f} bits/coherence, "
+            f"{report.bits_per_second:.0f} bits/s")
 
 
 def strength_capacity(points) -> Claim:

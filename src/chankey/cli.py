@@ -39,14 +39,13 @@ from .pipeline import (
     DECODING_MODES,
     MIN_SWEEP_RATE,
     SessionConfig,
-    _chunk_blocks,
     make_plane_code,
     run_session,
     sweep_rate_vs_snr,
     waterfall_thresholds,
 )
 from .quantize import Quantizer
-from .rng import derive_seed, split_streams
+from .rng import derive_seed, row_chunks, split_streams
 from .sounding import rotation_grid
 
 TABLE1_DEFAULTS = dict(m_tones=52, bandwidth_hz=16.25e6, duration_s=3.2e-6,
@@ -262,6 +261,8 @@ def cmd_capacity_sweep(args) -> int:
     run = Run("capacity_sweep", args, s, channel=_config_dict(cfg),
               coherence_s=coherence)
     rows = []
+    # Table I's band holds for its channel only
+    table1 = cfg == ChannelConfig(**TABLE1_DEFAULTS)
     for snr_db in s["snr_db"]:
         prof = build_snr_profile(cfg, snr_db)
         for profile_tag, report in (
@@ -273,7 +274,7 @@ def cmd_capacity_sweep(args) -> int:
             timed = report.with_coherence(coherence)
             rows.append((snr_db, profile_tag, timed.capacity_per_dim,
                          timed.bits_per_coherence, timed.bits_per_second))
-            if snr_db == 20.0 and profile_tag == cfg.profile:
+            if table1 and snr_db == 20.0 and profile_tag == cfg.profile:
                 run.claim("1", claims.table1_capacity(timed))
     run.write_csv("capacity_sweep.csv",
                   ["snr_db", "profile", "C_bits_per_dim",
@@ -369,18 +370,19 @@ def cmd_corr_matrix(args) -> int:
     m, L = cfg.m_tones, cfg.num_delay_bins
     sum_f = np.zeros((m, m), dtype=complex)
     sum_t = np.zeros((L, L), dtype=complex)
-    # one stream per chunk, listed once per row of a draw of `step` rows
-    chunk, step = 2000, _chunk_blocks(cfg)
+    # one stream per chunk, listed once per row of each draw, whose rows
+    # are sized as draw_session's blocks
+    chunk, row_bytes = 2000, 16 * max(cfg.n_paths, 2 * L)
     streams = split_streams(args.seed, math.ceil(realizations / chunk))
     for c, rng in enumerate(streams):
         count = min(chunk, realizations - c * chunk)
         freqs = np.empty((count, m), dtype=complex)
         times = np.empty((count, L), dtype=complex)
-        for lo in range(0, count, step):
-            paths = sample_paths(cfg, [rng] * min(step, count - lo))
-            times[lo:lo + step] = time_coefficients(paths, cfg)
-            freqs[lo:lo + step] = [freq_coefficients(PathSet(*row), cfg)
-                                   for row in zip(paths.delays, paths.gains)]
+        for rows in row_chunks(count, row_bytes):
+            paths = sample_paths(cfg, [rng] * (rows.stop - rows.start))
+            times[rows] = time_coefficients(paths, cfg)
+            freqs[rows] = [freq_coefficients(PathSet(*row), cfg)
+                           for row in zip(paths.delays, paths.gains)]
         del paths  # the sums below then peak as with one-row draws
         sum_f += freqs.conj().T @ freqs
         sum_t += times.conj().T @ times
@@ -432,10 +434,12 @@ def cmd_ldpc_waterfall(args) -> int:
     if not kept:
         raise ConfigError(f"--set rates: the sweep skips rates below "
                           f"{MIN_SWEEP_RATE}, got {rates}")
+    n_data = 2 * blocks * cfg.num_delay_bins
+    if any(WATERFALL_VARIANTS[v]["family"] == "regular" for v in variants):
+        _regular_rates("rates", kept, n_data)
     trials = args.trials or (400 if args.full else 100)
     run = Run("ldpc_waterfall", args, s, channel=_config_dict(cfg),
               trials=trials)
-    n_data = 2 * blocks * cfg.num_delay_bins
     point_rows = []
     swept = {}
     for variant in variants:
@@ -475,6 +479,19 @@ def cmd_ldpc_waterfall(args) -> int:
     return run.finish()
 
 
+def _regular_rates(key: str, rates, n_data: int) -> None:
+    """ConfigError naming ``key`` unless every rate builds a regular code:
+    column weight 3 over m = round(N (1 - rate)) checks needs m >= 3 and
+    3N/m integral."""
+    for rate in rates:
+        m = round(n_data * (1.0 - rate)) if 0.0 < rate < 1.0 else 0
+        if m < 3 or (3 * n_data) % m:
+            raise ConfigError(
+                f"--set {key}: a regular code of length N = {n_data} needs "
+                f"a rate in (0, 1) whose m = round(N (1 - rate)) parity "
+                f"checks number at least 3 and divide 3N, got rate={rate}")
+
+
 def cmd_keygen(args) -> int:
     cfg, _ = _channel_from_args(args)
     snr_db = 10.0
@@ -494,6 +511,7 @@ def cmd_keygen(args) -> int:
         raise ConfigError(f"--set mode: must be one of {DECODING_MODES}, "
                           f"got '{mode}'")
     n_data = 2 * blocks * cfg.num_delay_bins
+    _regular_rates("rate", [rate], n_data)
     quantizer = _quantizer(s["levels"], s["quantizer.thresholds"], n_data)
     sessions = args.trials or 10
     run = Run("keygen", args, s, channel=_config_dict(cfg), sessions=sessions)

@@ -1,10 +1,11 @@
 """Sparse parity-check matrices: construction, syndromes, and coset keys.
 
-Matrices are binary and stored row-wise as sorted column-index arrays.  Two
-constructions are provided: a Gallager-style random regular ensemble (exact
-column weight, exact row weight, duplicate entries and 4-cycles repaired by
-bounded edge swaps) and a progressive-edge-growth placement for arbitrary
-degree distributions (girth >= 6 attempted, best effort).
+Matrices are binary and stored once, in CSR form: the rows' sorted column
+indices, concatenated, and the row offsets.  Two constructions are
+provided: a Gallager-style random regular ensemble (exact column weight,
+exact row weight, duplicate entries and 4-cycles repaired by bounded edge
+swaps) and a progressive-edge-growth placement for arbitrary degree
+distributions (girth >= 6 attempted, best effort).
 
 The key of an observation is its index within the coset selected by the
 syndrome: after a one-time column classification into pivot and free columns
@@ -16,7 +17,7 @@ of the degree-class edge layout (``_Graph``) that ``graph_for`` caches.
 Construction and row reduction never form a dense m x n matrix (only
 ``dense()`` does).  Row pairs for the 4-cycle repair are read off the
 column incidence of the edges, and the row reduction runs on rows
-bit-packed into uint64 words straight from the row lists, so memory grows
+bit-packed into uint64 words straight from the CSR arrays, so memory grows
 with the edge count and with m * n / 64 words.
 """
 
@@ -57,7 +58,6 @@ class SparseParityCheck:
             raise ValueError("every column must have degree >= 1")
         self._indices = flat.astype(np.int32)
         self._indptr = np.concatenate([[0], np.cumsum(sizes)])
-        self._rows = tuple(np.split(self._indices, self._indptr[1:-1]))
         self._n = int(n_cols)
         self._cache: dict = {}
 
@@ -65,7 +65,7 @@ class SparseParityCheck:
 
     @property
     def m(self) -> int:
-        return len(self._rows)
+        return self._indptr.size - 1
 
     @property
     def n(self) -> int:
@@ -73,7 +73,11 @@ class SparseParityCheck:
 
     @property
     def rows(self) -> tuple:
-        return self._rows
+        """Each row's sorted column indices, split from CSR on first read."""
+        if "rows" not in self._cache:
+            self._cache["rows"] = tuple(
+                np.split(self._indices, self._indptr[1:-1]))
+        return self._cache["rows"]
 
     def row_degrees(self) -> np.ndarray:
         return np.diff(self._indptr)
@@ -83,8 +87,7 @@ class SparseParityCheck:
 
     def dense(self) -> np.ndarray:
         out = np.zeros((self.m, self.n), dtype=np.uint8)
-        for i, r in enumerate(self._rows):
-            out[i, r] = 1
+        out[np.repeat(np.arange(self.m), self.row_degrees()), self._indices] = 1
         return out
 
     # -- derived structures (cached) ----------------------------------------

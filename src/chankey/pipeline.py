@@ -43,7 +43,7 @@ from .quantize import (
     quantize,
     soft_evidence,
 )
-from .rng import derive_seed, split_streams
+from .rng import derive_seed, row_chunks, split_streams
 from .sounding import draw_noise, interleave, rotation_grid, sound_blocks
 
 PHASE_MODES = ("none", "constant_theta")
@@ -158,31 +158,17 @@ class SessionDraw:
     source: tuple
 
 
-# Bytes of the largest per-chunk temporary of ``draw_session``: below
-# glibc's default 128 KiB mmap threshold, so each chunk's buffers come from
-# (and go back to) the heap instead of being mapped and faulted in afresh.
-CHUNK_BYTES = 120 * 1024
-
-
-def _chunk_blocks(channel: ChannelConfig) -> int:
-    """Blocks per ``draw_session`` chunk.
-
-    A block's largest temporaries hold ``2 n_paths`` floats (the gain
-    normals and the complex gains of ``sample_paths``) or ``4 L`` floats
-    (the noise normals and complex noise of ``draw_noise``).
-    """
-    floats = 2 * max(channel.n_paths, 2 * channel.num_delay_bins)
-    return max(1, CHUNK_BYTES // (8 * floats))
-
-
 def draw_session(config: SessionConfig) -> SessionDraw:
     """Draw the channel, sounding noise and rotation of one session.
 
-    The blocks are drawn in consecutive chunks of ``_chunk_blocks`` blocks,
-    each written into the preallocated ``h`` and ``noise``, so no
-    temporary grows with the block count.  Each block keeps its own stream
-    and per-stream draw order (see ``rng.split_streams``), so the draw is
-    bit-identical to simulating the blocks one at a time or all at once.
+    The blocks are drawn in consecutive ``rng.row_chunks``, each written
+    into the preallocated ``h`` and ``noise``, so no temporary grows with
+    the block count.  A block's largest temporaries hold ``2 n_paths``
+    floats (the gain normals and the complex gains of ``sample_paths``) or
+    ``4 L`` floats (the noise normals and complex noise of ``draw_noise``).
+    Each block keeps its own stream and per-stream draw order (see
+    ``rng.split_streams``), so the draw is bit-identical to simulating the
+    blocks one at a time or all at once.
     """
     streams = split_streams(config.seed, config.blocks + 1)
     block_streams, theta_rng = streams[:-1], streams[-1]
@@ -198,12 +184,10 @@ def draw_session(config: SessionConfig) -> SessionDraw:
     L = channel.num_delay_bins
     h = np.empty((config.blocks, L), dtype=complex)
     noise = np.empty((config.blocks, 2, L), dtype=complex)
-    step = _chunk_blocks(channel)
-    for lo in range(0, config.blocks, step):
-        chunk = block_streams[lo:lo + step]
-        h[lo:lo + step] = time_coefficients(sample_paths(channel, chunk),
-                                            channel)
-        noise[lo:lo + step] = draw_noise(chunk, L)
+    for rows in row_chunks(config.blocks, 16 * max(channel.n_paths, 2 * L)):
+        chunk = block_streams[rows]
+        h[rows] = time_coefficients(sample_paths(channel, chunk), channel)
+        noise[rows] = draw_noise(chunk, L)
     h.flags.writeable = noise.flags.writeable = False
     return SessionDraw(h=h, noise=noise, theta=theta,
                        source=_draw_source(config))

@@ -7,6 +7,8 @@ fresh OS entropy.  Seeds are expanded through a counter-based Philox
 generator so that independent streams can be split off a single experiment
 seed and results stay bit-reproducible.  ``sample_paths`` and ``draw_noise``
 draw once per listed stream, so a stream listed k times gives k draws in turn.
+Large draws run in row chunks (``row_chunks``) whose largest temporary fits
+in ``CHUNK_BYTES``.
 
 ``split_streams`` keys each stream exactly as ``SeedSequence(seed).spawn``
 would, but derives the keys itself: ``_child_keys`` starts from the parent's
@@ -36,6 +38,19 @@ def make_rng(seed) -> np.random.Generator:
     if seed is None:  # SeedSequence(None) would draw fresh OS entropy
         raise TypeError("make_rng needs an integer or tuple seed")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+# Bytes of the largest temporary of one chunk of a chunked draw: below
+# glibc's default 128 KiB mmap threshold, so each chunk's buffers come from
+# (and go back to) the heap instead of being mapped and faulted in afresh.
+CHUNK_BYTES = 120 * 1024
+
+
+def row_chunks(rows: int, row_bytes: int) -> list[slice]:
+    """Consecutive slices covering ``rows`` rows, each of as many rows as
+    fit in ``CHUNK_BYTES`` at ``row_bytes`` bytes a row (at least one)."""
+    step = max(1, CHUNK_BYTES // row_bytes)
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
 def derive_seed(seed, *tags) -> tuple:

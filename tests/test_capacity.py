@@ -326,7 +326,7 @@ def test_chunked_draws_match_reference(monkeypatch):
     # row pieces of 333 // L rows split every chunk unevenly at L = 1, 3, 4
     # and 10
     monkeypatch.setattr(capacity, "_CHUNK", 1000)
-    monkeypatch.setattr(capacity, "_PIECE_BYTES", 16 * 333)
+    monkeypatch.setattr("chankey.rng.CHUNK_BYTES", 16 * 333)
     for num_bins in (4, 10):
         prof = flat_profile(3.0, num_bins, 10)
         ra, rb = simulate_rssi_pairs(prof, 2501, seed=5)

@@ -13,7 +13,6 @@ from chankey.channel import (
     build_snr_profile,
     flat_profile,
     freq_coefficients,
-    freq_from_time,
     load_config,
     sample_paths,
     time_coefficients,
@@ -194,24 +193,6 @@ def test_time_coefficients_nearly_uncorrelated(small_mc):
     assert np.max(np.abs(off)) < 0.05
 
 
-def test_freq_from_time_impulse():
-    h = np.zeros(4, dtype=complex)
-    h[0] = math.sqrt(8)
-    np.testing.assert_allclose(freq_from_time(h, 8), np.ones(8), atol=1e-12)
-
-
-def test_freq_from_time_unit_shift():
-    h = np.zeros(8, dtype=complex)
-    h[1] = 1.0
-    expected = np.exp(-2j * np.pi * np.arange(8) / 8) / math.sqrt(8)
-    np.testing.assert_allclose(freq_from_time(h, 8), expected, atol=1e-12)
-
-
-def test_freq_from_time_rejects_long_input():
-    with pytest.raises(ValueError):
-        freq_from_time(np.zeros(9, dtype=complex), 8)
-
-
 def test_transform_consistency_at_bin_centers():
     cfg = ChannelConfig(m_tones=16, bandwidth_hz=5e6, duration_s=3.2e-6,
                         n_paths=6, tau_max_s=1.2e-6)
@@ -221,7 +202,8 @@ def test_transform_consistency_at_bin_centers():
     gains = rng.standard_normal(cfg.n_paths) + 1j * rng.standard_normal(cfg.n_paths)
     paths = PathSet(delays=delays, gains=gains)
     direct = freq_coefficients(paths, cfg)
-    via_time = freq_from_time(time_coefficients(paths, cfg), cfg.m_tones)
+    via_time = np.fft.fft(time_coefficients(paths, cfg), n=cfg.m_tones) \
+        / math.sqrt(cfg.m_tones)
     np.testing.assert_allclose(via_time, direct, rtol=1e-9, atol=1e-12)
 
 

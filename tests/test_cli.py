@@ -18,8 +18,8 @@ from chankey.channel import (
     time_coefficients,
 )
 from chankey.cli import main
-from chankey.pipeline import _chunk_blocks, make_plane_code
-from chankey.rng import split_streams
+from chankey.pipeline import make_plane_code
+from chankey.rng import row_chunks, split_streams
 
 TABLE1_CFG = Path(__file__).resolve().parents[1] / "configs" / "80211a.cfg"
 
@@ -42,6 +42,21 @@ def test_capacity_sweep_table1(tmp_path):
     assert 880.0 <= float(row20[4]) <= 1150.0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["self_check"] == "passed"
+
+
+def test_capacity_sweep_checks_table1_band_on_its_channel_only(
+        tmp_path, monkeypatch):
+    # 8 tones carry far fewer than Table I's 88-115 bits per coherence time
+    path = tmp_path / "tones8.cfg"
+    path.write_text("m_tones = 8\nbandwidth_hz = 2.5e6\nduration_s = 3.2e-6\n"
+                    "n_paths = 300\ntau_max_s = 800e-9\n")
+    assert run_cli("capacity-sweep", "--config", path,
+                   "--out", tmp_path / "t8") == 0
+    monkeypatch.setattr("chankey.claims.table1_capacity",
+                        lambda report: (False, "forced"))
+    for config in ((), ("--config", TABLE1_CFG)):
+        assert run_cli("capacity-sweep", *config,
+                       "--out", tmp_path / f"t{len(config)}") == 3
 
 
 def test_capacity_sweep_zero_snr_row(tmp_path):
@@ -194,7 +209,8 @@ def test_corr_matrix_matches_per_realization_draws(tmp_path):
     path.write_text("m_tones = 8\nbandwidth_hz = 2.5e6\nduration_s = 3.2e-6\n"
                     "n_paths = 12\ntau_max_s = 1.6e-6\n")
     cfg = load_config(path)
-    assert 2000 % _chunk_blocks(cfg) != 0
+    pieces = row_chunks(2000, 16 * max(cfg.n_paths, 2 * cfg.num_delay_bins))
+    assert pieces[-1].stop - pieces[-1].start < pieces[0].stop
     out = tmp_path / "cm"
     code = run_cli("corr-matrix", "--config", path, "--seed", 12,
                    "--out", out, "--set", "realizations=2037")
@@ -388,6 +404,9 @@ BOUNDARY_RUNS = {
     ("magphase", "snr_db=nan"), ("magphase", "snr_db=5,nan"),
     ("rssi-compare", "snr_db=inf"), ("rssi-compare", "snr_db=nan"),
     ("keygen", "snr_db=nan"), ("keygen", "rate=nan"),
+    # a regular code needs m >= 3 checks dividing 3N (N = 3,120 and 260 here)
+    ("keygen", "rate=0.3"), ("keygen", "rate=1.5"), ("keygen", "rate=inf"),
+    ("ldpc-waterfall", "rates=0.3"), ("ldpc-waterfall", "rates=0.5,0.625"),
     # a key session needs a finite SNR; capacity-sweep takes -inf (silence)
     ("keygen", "snr_db=inf"), ("keygen", "snr_db=-inf"),
     ("ldpc-waterfall", "snr_db=10,inf"), ("phase-demo", "snr_db=inf"),
@@ -400,6 +419,14 @@ def test_bad_setting_exits_2_naming_key(tmp_path, capsys, subcommand,
                    *BOUNDARY_RUNS[subcommand], "--set", setting) == 2
     assert f"--set {key}:" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+def test_waterfall_irregular_only_takes_any_rate(tmp_path):
+    # the rule binds regular codes only; 0.3 builds no regular code at N = 260
+    assert run_cli("ldpc-waterfall", "--out", tmp_path / "wf", "--trials", 1,
+                   "--set", "blocks=10", "--set", "rates=0.3",
+                   "--set", "variants=binary_irregular_soft",
+                   "--set", "snr_db=20") == 0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

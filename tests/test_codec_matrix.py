@@ -252,6 +252,9 @@ def test_matrix_validation():
 
 def test_rows_sorted_and_degrees_counted():
     pcm = SparseParityCheck([[3, 1], [2, 0, 1]], 4)
+    assert pcm.m == 2
+    # stored once, as CSR: the row tuple is split off on first read
+    assert "rows" not in pcm._cache
     np.testing.assert_array_equal(pcm.rows[0], [1, 3])
     np.testing.assert_array_equal(pcm.rows[1], [0, 1, 2])
     np.testing.assert_array_equal(pcm.row_degrees(), [2, 3])

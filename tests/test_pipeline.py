@@ -21,7 +21,6 @@ from chankey.pipeline import (
     PHASE_MODES,
     SessionConfig,
     SweepRow,
-    _chunk_blocks,
     _session_vectors,
     draw_session,
     make_plane_code,
@@ -31,7 +30,7 @@ from chankey.pipeline import (
     waterfall_thresholds,
 )
 from chankey.quantize import Quantizer
-from chankey.rng import derive_seed, split_streams
+from chankey.rng import CHUNK_BYTES, derive_seed, row_chunks, split_streams
 from chankey.sounding import (
     draw_noise,
     interleave,
@@ -251,7 +250,8 @@ def _unchunked_draw(cfg):
 @pytest.mark.parametrize("channel", [TABLE1, SMALL, FLAT_1BIN, EXP_1PATH],
                          ids=["exponential", "flat", "tau0", "one_path"])
 def test_chunked_draw_matches_unchunked_at_chunk_boundaries(channel):
-    chunk = _chunk_blocks(channel)
+    row_bytes = 16 * max(channel.n_paths, 2 * channel.num_delay_bins)
+    chunk = row_chunks(CHUNK_BYTES, row_bytes)[0].stop  # a full chunk
     for blocks in sorted({1, max(1, chunk - 1), chunk, chunk + 1,
                           2 * chunk + 3}):
         cfg = _draw_config(channel, blocks, (31, blocks))

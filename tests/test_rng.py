@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from chankey import capacity
 from chankey.channel import flat_profile
 from chankey.codec import construct_irregular, construct_regular
-from chankey.rng import derive_seed, make_rng, split_streams
+from chankey.rng import (
+    CHUNK_BYTES,
+    derive_seed,
+    make_rng,
+    row_chunks,
+    split_streams,
+)
 from chankey.sounding import two_way_sound
 
 COUNTS = st.sampled_from([0, 1, 2, 121])
@@ -97,3 +103,16 @@ def test_seeded_routines_need_a_seed(name):
         func(*args)
     with pytest.raises(TypeError, match="seed"):
         func(*args, seed=None)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 7, 100])
+@pytest.mark.parametrize("row_bytes", [1, 16 * 13, 16 * 300, CHUNK_BYTES + 1])
+def test_row_chunks_cover_rows_within_budget(rows, row_bytes):
+    chunks = row_chunks(rows, row_bytes)
+    assert [i for c in chunks for i in range(rows)[c]] == list(range(rows))
+    sizes = [c.stop - c.start for c in chunks]
+    # every chunk fits the budget, save a single row larger than it
+    assert all(s * row_bytes <= CHUNK_BYTES or s == 1 for s in sizes)
+    # only the last chunk is partial
+    assert all(s == sizes[0] for s in sizes[:-1])
+    assert all((s + 1) * row_bytes > CHUNK_BYTES for s in sizes[:-1])
