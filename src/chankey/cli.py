@@ -253,6 +253,15 @@ def _quantizer(levels: int, thresholds: list, symbols: int) -> Quantizer:
     return quantizer
 
 
+def _plane_code(key: str, n_data: int, rate: float, family: str, seed):
+    """The run's plane code at ``rate``, or ConfigError naming ``key``."""
+    try:
+        return make_plane_code(n_data, rate, family, derive_seed(seed, 0xC0DE))
+    except ValueError as exc:
+        raise ConfigError(f"--set {key}: rate={rate} builds no {family} code "
+                          f"of length N={n_data}: {exc}") from None
+
+
 # subcommands
 def cmd_capacity_sweep(args) -> int:
     cfg, coherence = _channel_from_args(args)
@@ -303,25 +312,24 @@ def cmd_rssi_compare(args) -> int:
     for snr_db in grid:
         snr_tau = 10.0 ** (snr_db / 10.0)
         rho = snr_tau / (1.0 + snr_tau)
-        csi_by_l, gauss_by_l, numeric = [], [], None
+        gauss = capacity.rssi_capacity_gaussian(rho, m_tones).capacity_per_dim
+        csi_by_l, numeric = [], None
         for num_bins in bins_list:
             prof = flat_profile(snr_tau, num_bins, m_tones)
             csi = capacity.csi_capacity_ideal(snr_tau, num_bins, m_tones)
-            gauss = capacity.rssi_capacity_gaussian(rho, m_tones)
             rep, est = capacity.rssi_capacity_numeric(
                 prof, m_tones, s["samples"],
                 seed=derive_seed(args.seed, int(snr_db * 10), num_bins))
             csi_by_l.append(csi.capacity_per_dim)
-            gauss_by_l.append(gauss.capacity_per_dim)
             if num_bins == 10 and snr_db >= 5:
                 numeric = (rep, est)
             rows.append((snr_db, num_bins, m_tones, "csi",
                          csi.capacity_per_dim, 0.0))
             rows.append((snr_db, num_bins, m_tones, "rssi_numeric",
                          rep.capacity_per_dim, est.std_error / (2 * m_tones)))
-            rows.append((snr_db, num_bins, m_tones, "rssi_gaussian",
-                         gauss.capacity_per_dim, 0.0))
-        points.append((snr_db, csi_by_l, gauss_by_l, numeric))
+            rows.append((snr_db, num_bins, m_tones, "rssi_gaussian", gauss,
+                         0.0))
+        points.append((snr_db, csi_by_l, gauss, numeric))
     run.write_csv("rssi_compare.csv",
                   ["snr_db", "L", "M", "model", "capacity_bits_per_dim",
                    "std_err"], rows)
@@ -435,8 +443,13 @@ def cmd_ldpc_waterfall(args) -> int:
         raise ConfigError(f"--set rates: the sweep skips rates below "
                           f"{MIN_SWEEP_RATE}, got {rates}")
     n_data = 2 * blocks * cfg.num_delay_bins
-    if any(WATERFALL_VARIANTS[v]["family"] == "regular" for v in variants):
-        _regular_rates("rates", kept, n_data)
+    # built before any output and held for the run, so every sweep gets
+    # its codes from make_plane_code without a rebuild
+    families = dict.fromkeys(WATERFALL_VARIANTS[v]["family"]
+                             for v in variants)
+    codes = {(family, rate): _plane_code("rates", n_data, rate, family,
+                                         args.seed)
+             for family in families for rate in kept}
     trials = args.trials or (400 if args.full else 100)
     run = Run("ldpc_waterfall", args, s, channel=_config_dict(cfg),
               trials=trials)
@@ -447,8 +460,7 @@ def cmd_ldpc_waterfall(args) -> int:
         quantizer = Quantizer.equiprobable(vconf["levels"])
         template = SessionConfig(
             channel=cfg, snr_f_db=0.0, blocks=blocks, quantizer=quantizer,
-            code=make_plane_code(n_data, kept[0], vconf["family"],
-                                 derive_seed(args.seed, 0xC0DE)),
+            code=codes[vconf["family"], kept[0]],
             decoding_mode=vconf["mode"], seed=derive_seed(args.seed))
         snr_grid = s["snr_db"] or list(np.arange(
             vconf["snr_lo"], vconf["snr_hi"] + 1e-9, s["snr_step"]))
@@ -479,19 +491,6 @@ def cmd_ldpc_waterfall(args) -> int:
     return run.finish()
 
 
-def _regular_rates(key: str, rates, n_data: int) -> None:
-    """ConfigError naming ``key`` unless every rate builds a regular code:
-    column weight 3 over m = round(N (1 - rate)) checks needs m >= 3 and
-    3N/m integral."""
-    for rate in rates:
-        m = round(n_data * (1.0 - rate)) if 0.0 < rate < 1.0 else 0
-        if m < 3 or (3 * n_data) % m:
-            raise ConfigError(
-                f"--set {key}: a regular code of length N = {n_data} needs "
-                f"a rate in (0, 1) whose m = round(N (1 - rate)) parity "
-                f"checks number at least 3 and divide 3N, got rate={rate}")
-
-
 def cmd_keygen(args) -> int:
     cfg, _ = _channel_from_args(args)
     snr_db = 10.0
@@ -511,12 +510,10 @@ def cmd_keygen(args) -> int:
         raise ConfigError(f"--set mode: must be one of {DECODING_MODES}, "
                           f"got '{mode}'")
     n_data = 2 * blocks * cfg.num_delay_bins
-    _regular_rates("rate", [rate], n_data)
     quantizer = _quantizer(s["levels"], s["quantizer.thresholds"], n_data)
+    code = _plane_code("rate", n_data, rate, "regular", args.seed)
     sessions = args.trials or 10
     run = Run("keygen", args, s, channel=_config_dict(cfg), sessions=sessions)
-    code = make_plane_code(n_data, rate, "regular",
-                           derive_seed(args.seed, 0xC0DE))
     agreed = 0
     lines = []
     for t in range(sessions):

@@ -278,11 +278,12 @@ def construct_regular(n: int, m: int, col_weight: int, seed) -> SparseParityChec
         raise ValueError(f"need at least one parity check, got m={m}")
     if col_weight < 2:
         raise ValueError("col_weight must be >= 2")
+    if col_weight >= m:
+        raise ValueError(f"need m > col_weight = {col_weight} parity checks "
+                         f"(else every row holds every column), got m={m}")
     if (col_weight * n) % m:
         raise ValueError("col_weight * n must be divisible by m")
     row_weight = col_weight * n // m
-    if row_weight > n or col_weight > m:
-        raise ValueError("infeasible degree constraints")
     rng = make_rng(seed)
     sockets = np.repeat(np.arange(n, dtype=np.int32), col_weight)
     entries = None

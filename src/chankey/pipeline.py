@@ -21,6 +21,7 @@ waterfall threshold per rate.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -289,33 +290,33 @@ def run_session(config: SessionConfig,
 # rate/SNR sweeps
 
 
+# one live plane code per (n, rate, family, seed), while a caller holds it
+_PLANE_CODES = weakref.WeakValueDictionary()
+
+
 def make_plane_code(n: int, rate: float, family: str, seed) -> SparseParityCheck:
-    """Build one plane code of the requested design rate.
+    """The plane code of design rate ``rate``: m = round(n (1 - rate)) checks.
 
-    The arguments are recorded on the code, so a sweep can tell that its
-    template already holds the code it would build.
+    ``rate`` must be finite and in (0, 1), and ``seed`` an int or a tuple
+    of them.  Equal arguments give the same object while any caller holds
+    it, so a code is built once however many sessions and sweeps share it.
+    A code the constructions cannot build raises ``ValueError``.
     """
-    m = round(n * (1.0 - rate))
-    if not 0.0 < rate < 1.0:
-        raise ValueError(f"code rate must be in (0, 1), got rate={rate} "
-                         f"(m={m} parity checks)")
-    if family == "regular":
-        code = construct_regular(n, m, 3, seed)
-    elif family == "irregular":
-        code = construct_irregular(n, m, IRREGULAR_VAR_PROFILE, seed=seed)
-    else:
+    if not isinstance(seed, (int, tuple)):
+        raise TypeError("make_plane_code needs an integer or tuple seed")
+    if not 0.0 < rate < 1.0:  # also false for nan
+        raise ValueError(f"code rate must be in (0, 1), got rate={rate}")
+    if family not in ("regular", "irregular"):
         raise ValueError("family must be 'regular' or 'irregular'")
-    code._cache["plane_code"] = (n, rate, family, seed)
+    key = (n, rate, family, seed)
+    code = _PLANE_CODES.get(key)
+    if code is None:
+        m = round(n * (1.0 - rate))
+        code = (construct_regular(n, m, 3, seed) if family == "regular"
+                else construct_irregular(n, m, IRREGULAR_VAR_PROFILE,
+                                         seed=seed))
+        _PLANE_CODES[key] = code
     return code
-
-
-def _sweep_code(template: SessionConfig, n: int, rate: float,
-                family: str) -> SparseParityCheck:
-    """The sweep's code at ``rate``: the template's if it is that code."""
-    seed = derive_seed(template.seed, 0xC0DE)
-    if template.code._cache.get("plane_code") == (n, rate, family, seed):
-        return template.code
-    return make_plane_code(n, rate, family, seed)
 
 
 @dataclass
@@ -340,9 +341,10 @@ def sweep_rate_vs_snr(template: SessionConfig, rates, snr_grid, trials: int,
     deterministically from the template seed, and are matched across rates
     and SNRs so variant comparisons see identical channels.
 
-    Each rate's code is built once (or taken from the template when it is
-    that code).  Trials run outermost: a trial's channel is drawn once and
-    measured at every (rate, SNR), so the sweep holds one draw plus one
+    Each rate's code is ``make_plane_code``'s at the seed
+    ``derive_seed(template.seed, 0xC0DE)``: the template's own when it
+    holds that code.  Trials run outermost: a trial's channel is drawn once
+    and measured at every (rate, SNR), so the sweep holds one draw plus one
     code per rate.  Each grid position sums its integer error, bit and
     agreement counts, so the rows are those of running every point's trials
     in turn, and a duplicated rate or SNR keeps its own row.
@@ -350,7 +352,8 @@ def sweep_rate_vs_snr(template: SessionConfig, rates, snr_grid, trials: int,
     if trials < 1:
         raise ValueError("need at least one trial")
     n_data = 2 * template.blocks * template.channel.num_delay_bins
-    codes = [(rate, _sweep_code(template, n_data, rate, family))
+    code_seed = derive_seed(template.seed, 0xC0DE)
+    codes = [(rate, make_plane_code(n_data, rate, family, code_seed))
              for rate in rates if rate >= MIN_SWEEP_RATE]
     snr_grid = list(snr_grid)
     if not (codes and snr_grid):

@@ -61,8 +61,7 @@ def test_criterion_2_rssi_vs_csi_structure():
         rho = snr_tau / (1.0 + snr_tau)
         csi = [capacity.csi_capacity_ideal(snr_tau, L, m_tones).capacity_per_dim
                for L in (2, 5, 10)]
-        gauss = [capacity.rssi_capacity_gaussian(rho, m_tones).capacity_per_dim
-                 for _ in (2, 5, 10)]
+        gauss = capacity.rssi_capacity_gaussian(rho, m_tones).capacity_per_dim
         numeric = capacity.rssi_capacity_numeric(
             flat_profile(snr_tau, 10, m_tones), m_tones, 1_000_000,
             seed=(2, int(snr_db)))

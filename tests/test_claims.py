@@ -55,12 +55,11 @@ def test_criterion_2_strength_structure():
     near = (CapacityReport(0.052, 10), MiEstimate(1.0, 0.001))
     far = (CapacityReport(0.2, 10), MiEstimate(4.0, 0.001))
     assert claims.strength_capacity(
-        [(10.0, [0.1, 0.2, 0.3], [0.05] * 3, near)]) == (True, "1 SNR points")
-    for csi, gauss, numeric, problem in (
-            ([0.1, 0.3, 0.2], [0.05] * 3, None, "CSI not increasing"),
-            ([0.1, 0.2, 0.3], [0.05, 0.06, 0.05], None, "varies with L"),
-            ([0.1, 0.2, 0.3], [0.05] * 3, far, "numeric 0.2000 vs gaussian")):
-        ok, detail = claims.strength_capacity([(10.0, csi, gauss, numeric)])
+        [(10.0, [0.1, 0.2, 0.3], 0.05, near)]) == (True, "1 SNR points")
+    for csi, numeric, problem in (
+            ([0.1, 0.3, 0.2], None, "CSI not increasing"),
+            ([0.1, 0.2, 0.3], far, "numeric 0.2000 vs gaussian")):
+        ok, detail = claims.strength_capacity([(10.0, csi, 0.05, numeric)])
         assert not ok and problem in detail
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import chankey
+from chankey import pipeline
 from chankey.channel import (
     PathSet,
     freq_coefficients,
@@ -18,7 +19,6 @@ from chankey.channel import (
     time_coefficients,
 )
 from chankey.cli import main
-from chankey.pipeline import make_plane_code
 from chankey.rng import row_chunks, split_streams
 
 TABLE1_CFG = Path(__file__).resolve().parents[1] / "configs" / "80211a.cfg"
@@ -268,15 +268,22 @@ def test_waterfall_small(tmp_path):
 
 @pytest.fixture
 def built_codes(monkeypatch):
-    """(family, rate) of each code the CLI and the sweep build, in order."""
+    """(family, rate) of each code the CLI and the sweep build, in order.
+
+    The constructions are wrapped as ``pipeline`` binds them, so a code that
+    ``make_plane_code`` hands out again is not counted again."""
     built = []
 
-    def counting(n, rate, family, seed):
-        built.append((family, rate))
-        return make_plane_code(n, rate, family, seed)
+    def counting(family, build):
+        def wrapper(n, m, *args, **kwargs):
+            built.append((family, 1.0 - m / n))
+            return build(n, m, *args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr("chankey.cli.make_plane_code", counting)
-    monkeypatch.setattr("chankey.pipeline.make_plane_code", counting)
+    for family in ("regular", "irregular"):
+        name = f"construct_{family}"
+        monkeypatch.setattr(pipeline, name,
+                            counting(family, getattr(pipeline, name)))
     return built
 
 
@@ -290,6 +297,16 @@ def test_waterfall_builds_each_code_once(tmp_path, built_codes):
     assert code == 0
     assert sorted(built_codes) == [("irregular", 0.5), ("irregular", 0.75),
                                    ("regular", 0.5), ("regular", 0.75)]
+
+
+def test_waterfall_variants_of_a_family_share_its_codes(tmp_path,
+                                                        built_codes):
+    assert run_cli("ldpc-waterfall", "--seed", 4, "--out", tmp_path / "wf",
+                   "--trials", 1, "--set", "blocks=10",
+                   "--set", "rates=0.5,0.75", "--set", "snr_db=25",
+                   "--set", "variants=binary_regular_soft,"
+                            "binary_regular_hard,quaternary_regular_soft") == 0
+    assert built_codes == [("regular", 0.5), ("regular", 0.75)]
 
 
 def test_waterfall_template_at_first_kept_rate(tmp_path, built_codes):
@@ -404,8 +421,10 @@ BOUNDARY_RUNS = {
     ("magphase", "snr_db=nan"), ("magphase", "snr_db=5,nan"),
     ("rssi-compare", "snr_db=inf"), ("rssi-compare", "snr_db=nan"),
     ("keygen", "snr_db=nan"), ("keygen", "rate=nan"),
-    # a regular code needs m >= 3 checks dividing 3N (N = 3,120 and 260 here)
+    # every kept rate must build its code (N = 3,120 and 260 here): a
+    # regular one needs m = round(N (1 - rate)) > 3 checks dividing 3N
     ("keygen", "rate=0.3"), ("keygen", "rate=1.5"), ("keygen", "rate=inf"),
+    ("keygen", "rate=0.999"),
     ("ldpc-waterfall", "rates=0.3"), ("ldpc-waterfall", "rates=0.5,0.625"),
     # a key session needs a finite SNR; capacity-sweep takes -inf (silence)
     ("keygen", "snr_db=inf"), ("keygen", "snr_db=-inf"),
@@ -418,6 +437,16 @@ def test_bad_setting_exits_2_naming_key(tmp_path, capsys, subcommand,
     assert run_cli(subcommand, "--out", tmp_path / "x",
                    *BOUNDARY_RUNS[subcommand], "--set", setting) == 2
     assert f"--set {key}:" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_waterfall_irregular_rate_must_build(tmp_path, capsys):
+    assert run_cli("ldpc-waterfall", "--out", tmp_path / "x", "--trials", 1,
+                   "--set", "blocks=10", "--set", "rates=0.5,inf",
+                   "--set", "variants=binary_irregular_soft",
+                   "--set", "snr_db=20") == 2
+    assert ("--set rates: rate=inf builds no irregular code"
+            in capsys.readouterr().err)
     assert not (tmp_path / "x").exists()
 
 

@@ -74,6 +74,9 @@ def test_regular_rejects_infeasible():
         construct_regular(8, 5, 2, seed=0)  # 16 sockets over 5 rows
     with pytest.raises(ValueError):
         construct_regular(8, 4, 1, seed=0)
+    # every row would hold every column: rejected before any repair
+    with pytest.raises(ValueError, match="m=3"):
+        construct_regular(3120, 3, 3, seed=0)
 
 
 def test_irregular_degenerate_is_regular():
@@ -369,7 +372,8 @@ def test_pivots_with_repeated_row():
 @given(m=st.integers(2, 60), row_weight=st.integers(2, 8),
        col_weight=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
 def test_regular_degrees_property(m, row_weight, col_weight, seed):
-    assume(col_weight <= m and (m * row_weight) % col_weight == 0)
+    # col_weight == m would put every column in every row: rejected
+    assume(col_weight < m and (m * row_weight) % col_weight == 0)
     n = m * row_weight // col_weight
     assume(row_weight <= n)
     pcm = construct_regular(n, m, col_weight, seed=seed)

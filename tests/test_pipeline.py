@@ -15,6 +15,7 @@ from chankey.channel import (
     sample_paths,
     time_coefficients,
 )
+from chankey import pipeline
 from chankey.codec import SparseParityCheck
 from chankey.pipeline import (
     MIN_SWEEP_RATE,
@@ -323,10 +324,54 @@ def test_high_snr_hard_session_agrees(quantizer, snr_db):
     assert res.agreed
 
 
+# the edges of the rate rule: non-finite, out of (0, 1), and m near 0 or N
+EDGE_RATES = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, 1.0, -0.5,
+                     1.5, 1e-300, 0.99, 0.999, 1.0 - 1e-12]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(0.9, 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.sampled_from([26, 52, 260]),
+       family=st.sampled_from(["regular", "irregular"]), rate=EDGE_RATES,
+       seed=st.integers(0, 2**32 - 1))
+def test_plane_code_has_its_checks_or_raises_value_error(n, family, rate,
+                                                         seed):
+    try:
+        code = make_plane_code(n, rate, family, seed)
+    except ValueError:
+        return
+    assert (code.m, code.n) == (round(n * (1.0 - rate)), n)
+
+
+def test_plane_code_built_once_while_held(monkeypatch):
+    builds = []
+    build = pipeline.construct_regular
+
+    def counting(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(pipeline, "construct_regular", counting)
+    code = make_plane_code(52, 0.5, "regular", (3, 1))
+    assert make_plane_code(52, 0.5, "regular", (3, 1)) is code
+    assert len(builds) == 1
+    del code  # nothing holds it now, so the next call builds it again
+    make_plane_code(52, 0.5, "regular", (3, 1))
+    assert len(builds) == 2
+
+
+@pytest.mark.parametrize("seed", [None, 1.0, np.random.default_rng(0)])
+def test_plane_code_needs_int_or_tuple_seed(seed):
+    with pytest.raises(TypeError, match="seed"):
+        make_plane_code(52, 0.5, "regular", seed)
+
+
 @pytest.mark.parametrize("family", ["regular", "irregular"])
 def test_rate_one_code_rejected(family):
-    # rate 1.0 leaves no parity checks (m = 0)
-    with pytest.raises(ValueError, match="m=0"):
+    # rate 1.0 leaves no parity checks (m = 0); the rate is checked first
+    with pytest.raises(ValueError, match=r"rate=1\.0"):
         make_plane_code(520, 1.0, family, 1)
 
 
