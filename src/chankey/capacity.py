@@ -347,8 +347,6 @@ def rssi_capacity_numeric(profile: SnrProfile, m_tones: int, samples: int,
 class MagPhaseReport:
     """Information split of one coefficient pair across representations."""
 
-    snr: float
-    rho: float
     i_full: float
     i_re: MiEstimate
     i_im: MiEstimate
@@ -388,7 +386,6 @@ def magphase_decomposition(snr: float, samples: int,
         raise ValueError("need at least 1e5 samples")
     if not (math.isfinite(snr) and snr >= 0):
         raise ValueError(f"snr must be finite and nonnegative, got {snr!r}")
-    rho = snr / (1.0 + snr)
     a, b = _simulate_pairs(np.array([snr]), 1.0, samples, make_rng(seed),
                            lambda oa, ob: (oa[:, 0].copy(), ob[:, 0].copy()))
     i_re = gaussian_mi_estimate(a.real, b.real)
@@ -400,9 +397,7 @@ def magphase_decomposition(snr: float, samples: int,
         PHASE_SECTORS, PHASE_SECTORS,
     )
     return MagPhaseReport(
-        snr=snr,
-        rho=rho,
-        i_full=2.0 * mi_gaussian(rho),
+        i_full=2.0 * mi_gaussian(snr / (1.0 + snr)),
         i_re=i_re,
         i_im=i_im,
         i_mag=i_mag,

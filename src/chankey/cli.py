@@ -156,11 +156,15 @@ def _clip_hex(hexstr: str, limit: int = 32) -> str:
 
 
 def _channel_from_args(args) -> tuple[ChannelConfig, float]:
-    """Channel config plus coherence time, from file or defaults."""
+    """Channel config plus coherence time, from file or defaults; a file
+    that cannot be read or holds a bad value raises ConfigError naming it."""
     coherence = DEFAULT_COHERENCE_S
     if args.config:
-        cfg = load_config(args.config)
-        text = read_keyvalue_file(args.config).get("coherence_s")
+        try:
+            cfg = load_config(args.config)
+            text = read_keyvalue_file(args.config).get("coherence_s")
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"config {args.config}: {exc}") from None
         if text is not None:
             try:
                 coherence = float(text)
@@ -639,7 +643,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -4,8 +4,8 @@ Matrices are binary and stored once, in CSR form: the rows' sorted column
 indices, concatenated, and the row offsets.  Two constructions are
 provided: a Gallager-style random regular ensemble (exact column weight,
 exact row weight, duplicate entries and 4-cycles repaired by bounded edge
-swaps) and a progressive-edge-growth placement for arbitrary degree
-distributions (girth >= 6 attempted, best effort).
+swaps) and a progressive-edge-growth placement for an arbitrary
+variable-degree distribution (girth >= 6 attempted, best effort).
 
 The key of an observation is its index within the coset selected by the
 syndrome: after a one-time column classification into pivot and free columns
@@ -14,8 +14,7 @@ syndrome: after a one-time column classification into pivot and free columns
 ``syndrome`` and the decoders' stop test share one parity over H: ``parity``
 of the degree-class edge layout (``_Graph``) that ``graph_for`` caches.
 
-Construction and row reduction never form a dense m x n matrix (only
-``dense()`` does).  Row pairs for the 4-cycle repair are read off the
+Construction and row reduction never form a dense m x n matrix.  Row pairs for the 4-cycle repair are read off the
 column incidence of the edges, and the row reduction runs on rows
 bit-packed into uint64 words straight from the CSR arrays, so memory grows
 with the edge count and with m * n / 64 words.
@@ -81,14 +80,6 @@ class SparseParityCheck:
 
     def row_degrees(self) -> np.ndarray:
         return np.diff(self._indptr)
-
-    def col_degrees(self) -> np.ndarray:
-        return np.bincount(self._indices, minlength=self.n)
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros((self.m, self.n), dtype=np.uint8)
-        out[np.repeat(np.arange(self.m), self.row_degrees()), self._indices] = 1
-        return out
 
     # -- derived structures (cached) ----------------------------------------
 
@@ -270,7 +261,8 @@ def construct_regular(n: int, m: int, col_weight: int, seed) -> SparseParityChec
     weight ``col_weight * n / m`` (which must divide evenly).
 
     Sockets are dealt by one random permutation, then duplicate entries and
-    row pairs sharing two or more columns are repaired by random swaps.  The
+    row pairs sharing two or more columns are repaired by random swaps; a
+    duplicate repair that runs out of swaps raises ``ValueError``.  The
     work is vectorized over rows except for the swaps themselves, and memory
     stays proportional to the ``n * col_weight`` edges.
     """
@@ -286,13 +278,8 @@ def construct_regular(n: int, m: int, col_weight: int, seed) -> SparseParityChec
     row_weight = col_weight * n // m
     rng = make_rng(seed)
     sockets = np.repeat(np.arange(n, dtype=np.int32), col_weight)
-    entries = None
-    for _ in range(_REPAIR_TRIES):
-        perm = rng.permutation(sockets).reshape(m, row_weight)
-        if _repair_duplicates(perm, rng):
-            entries = perm
-            break
-    if entries is None:
+    entries = rng.permutation(sockets).reshape(m, row_weight)
+    if not _repair_duplicates(entries, rng):
         raise ValueError("could not realize duplicate-free rows; "
                          "degree constraints too tight")
     _break_four_cycles(entries, rng)
@@ -390,14 +377,13 @@ def _realized_counts(dist: dict, total: int) -> np.ndarray:
     return out
 
 
-def construct_irregular(n: int, m: int, var_degree_distribution: dict,
-                        check_degree_distribution: dict | None = None, *,
+def construct_irregular(n: int, m: int, var_degree_distribution: dict, *,
                         seed) -> SparseParityCheck:
-    """Progressive-edge-growth placement honoring node-degree distributions.
+    """Progressive-edge-growth placement honoring a variable-degree
+    distribution.
 
-    Distributions map degree -> fraction of nodes.  ``None`` for the check
-    side spreads edges as evenly as possible.  Edge counts on both sides
-    must agree within rounding.  Adding each edge avoids checks within
+    The distribution maps degree -> fraction of variables; the checks'
+    target degrees spread the edges as evenly as possible.  Adding each edge avoids checks within
     distance 3 of the variable when possible, so 4-cycles appear only when
     forced (girth >= 6 best effort).
 
@@ -420,17 +406,9 @@ def construct_irregular(n: int, m: int, var_degree_distribution: dict,
     rng = make_rng(seed)
     var_deg = _realized_counts(var_degree_distribution, n)
     edges_total = int(var_deg.sum())
-    if check_degree_distribution is None:
-        base = edges_total // m
-        targets = np.full(m, base, dtype=int)
-        targets[: edges_total - base * m] += 1
-    else:
-        targets = _realized_counts(check_degree_distribution, m)
-        if abs(int(targets.sum()) - edges_total) > 1:
-            raise ValueError(
-                f"edge-count mismatch: variables want {edges_total}, "
-                f"checks provide {int(targets.sum())}"
-            )
+    base = edges_total // m
+    targets = np.full(m, base, dtype=int)
+    targets[: edges_total - base * m] += 1
     if np.any(var_deg > m):
         raise ValueError("a variable degree exceeds the check count")
 
@@ -487,6 +465,6 @@ def construct_irregular(n: int, m: int, var_degree_distribution: dict,
                 buckets.append([])
             insort(buckets[i + 1], c)
     if any(not r for r in check_rows):
-        raise ValueError("a check node received no edges; distributions "
-                         "leave some rows empty")
+        raise ValueError("a check node received no edges; the variable "
+                         "degrees leave some rows empty")
     return SparseParityCheck([np.array(r, dtype=np.int32) for r in check_rows], n)

@@ -41,7 +41,7 @@ def _rows(achieved_from_db, snrs=(8.0, 10.0, 12.0), rate=0.5, agreed=10,
 def _split(re=1.0, mag=0.3, phase=1.2):
     """A 10 dB split of 2 bits in total, every part with SE 0.01 bits."""
     re_, mag_, phase_ = (MiEstimate(v, 0.01) for v in (re, mag, phase))
-    return MagPhaseReport(10.0, 10 / 11, 2.0, re_, re_, mag_, phase_)
+    return MagPhaseReport(2.0, re_, re_, mag_, phase_)
 
 
 def test_criterion_1_bits_per_coherence():

@@ -422,9 +422,10 @@ BOUNDARY_RUNS = {
     ("rssi-compare", "snr_db=inf"), ("rssi-compare", "snr_db=nan"),
     ("keygen", "snr_db=nan"), ("keygen", "rate=nan"),
     # every kept rate must build its code (N = 3,120 and 260 here): a
-    # regular one needs m = round(N (1 - rate)) > 3 checks dividing 3N
+    # regular one needs m = round(N (1 - rate)) > 3 checks dividing 3N,
+    # and m = 4 (0.99872) passes that rule but realizes no code
     ("keygen", "rate=0.3"), ("keygen", "rate=1.5"), ("keygen", "rate=inf"),
-    ("keygen", "rate=0.999"),
+    ("keygen", "rate=0.999"), ("keygen", "rate=0.99872"),
     ("ldpc-waterfall", "rates=0.3"), ("ldpc-waterfall", "rates=0.5,0.625"),
     # a key session needs a finite SNR; capacity-sweep takes -inf (silence)
     ("keygen", "snr_db=inf"), ("keygen", "snr_db=-inf"),
@@ -537,6 +538,26 @@ def test_internal_key_error_is_not_a_config_error(tmp_path, monkeypatch):
     with pytest.raises(KeyError, match="internal"):
         run_cli("keygen", "--out", tmp_path / "x", "--trials", 1,
                 "--set", "blocks=10")
+
+
+def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):
+    # only ConfigError exits 2: a library ValueError is a fault, not a setting
+    def broken(*args, **kwargs):
+        raise ValueError("internal")
+
+    monkeypatch.setattr("chankey.cli.run_session", broken)
+    with pytest.raises(ValueError, match="internal"):
+        run_cli("keygen", "--out", tmp_path / "x", "--trials", 1,
+                "--set", "blocks=10")
+    assert not (tmp_path / "x").exists()
+
+
+def test_missing_config_exits_2_naming_file(tmp_path, capsys):
+    cfg = tmp_path / "absent.cfg"
+    assert run_cli("capacity-sweep", "--config", cfg,
+                   "--out", tmp_path / "x") == 2
+    assert f"config {cfg}:" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 SCIPY_PROBE = """

@@ -36,10 +36,18 @@ def _enumerate_bits(n):
     return ((grid[:, None] >> np.arange(n)) & 1).astype(np.uint8)
 
 
+def _dense(pcm):
+    """Reference: the m x n 0/1 matrix, from the stored rows."""
+    out = np.zeros((pcm.m, pcm.n), dtype=np.uint8)
+    for i, row in enumerate(pcm.rows):
+        out[i, row] = 1
+    return out
+
+
 def _map_decode(pcm, s, llr):
     """Exhaustive sequence-MAP over the coset (independent oracle)."""
     xs = _enumerate_bits(pcm.n)
-    syn = (xs @ pcm.dense().T) & 1
+    syn = (xs @ _dense(pcm).T) & 1
     coset = xs[np.all(syn == s, axis=1)]
     return coset[np.argmin(coset @ llr)]
 
@@ -171,7 +179,7 @@ def test_plane_coupling_symbol_marginal():
 
 
 def test_quaternary_deterministic_evidence():
-    pcm = construct_irregular(64, 16, {3: 1.0}, None, seed=6)
+    pcm = construct_irregular(64, 16, {3: 1.0}, seed=6)
     rng = make_rng(7)
     symbols = rng.integers(0, 4, 64).astype(np.uint8)
     g = np.full((64, 4), 1e-12)
@@ -185,7 +193,7 @@ def test_quaternary_deterministic_evidence():
 
 def test_quaternary_toy_operating_point():
     # rate-3/4 planes above the measured threshold for this construction
-    pcm = construct_irregular(512, 128, {3: 1.0}, None, seed=3)
+    pcm = construct_irregular(512, 128, {3: 1.0}, seed=3)
     rho = 0.996
     rng = make_rng(300)
     sym_err = 0
@@ -203,8 +211,8 @@ def test_quaternary_toy_operating_point():
 
 
 def test_quaternary_rejects_mismatched_planes():
-    a = construct_irregular(64, 16, {3: 1.0}, None, seed=8)
-    b = construct_irregular(32, 8, {3: 1.0}, None, seed=8)
+    a = construct_irregular(64, 16, {3: 1.0}, seed=8)
+    b = construct_irregular(32, 8, {3: 1.0}, seed=8)
     with pytest.raises(ValueError):
         decode_quaternary(a, b, np.zeros(16, np.uint8), np.zeros(8, np.uint8),
                           np.full((64, 4), 0.25))
@@ -212,7 +220,7 @@ def test_quaternary_rejects_mismatched_planes():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_quaternary_rejects_non_finite_evidence(bad):
-    pcm = construct_irregular(64, 16, {3: 1.0}, None, seed=8)
+    pcm = construct_irregular(64, 16, {3: 1.0}, seed=8)
     g = np.full((64, 4), 0.25)
     g[5, 2] = bad
     with pytest.raises(ValueError, match="finite"):
@@ -260,7 +268,7 @@ def test_symbol_decision_matches_stacked_argmax(seed, n, scale, ties):
 def _phase_code():
     # mixed row degrees make the all-ones vector a non-codeword, so a
     # rotation by pi cannot masquerade as a valid coset member
-    pcm = construct_irregular(256, 192, {2: 0.4, 3: 0.6}, None, seed=4)
+    pcm = construct_irregular(256, 192, {2: 0.4, 3: 0.6}, seed=4)
     assert pcm.syndrome(np.ones(256, dtype=np.uint8)).any()
     return pcm
 

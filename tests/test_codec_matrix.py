@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -37,6 +38,18 @@ def _enumerate_bits(n):
     return ((grid[:, None] >> np.arange(n)) & 1).astype(np.uint8)
 
 
+def _dense(pcm):
+    """Reference: the m x n 0/1 matrix, from the stored rows."""
+    out = np.zeros((pcm.m, pcm.n), dtype=np.uint8)
+    for i, row in enumerate(pcm.rows):
+        out[i, row] = 1
+    return out
+
+
+def _col_degrees(pcm):
+    return np.bincount(np.concatenate(pcm.rows), minlength=pcm.n)
+
+
 # ---------------------------------------------------------------------------
 # construction
 
@@ -44,13 +57,13 @@ def _enumerate_bits(n):
 def test_regular_degrees_exact():
     pcm = construct_regular(8, 4, 2, seed=0)
     assert pcm.n == 8 and pcm.m == 4
-    np.testing.assert_array_equal(pcm.col_degrees(), 2)
+    np.testing.assert_array_equal(_col_degrees(pcm), 2)
     np.testing.assert_array_equal(pcm.row_degrees(), 4)
 
 
 def test_regular_paper_scale_rate_half():
     pcm = construct_regular(3120, 1560, 3, seed=1)
-    np.testing.assert_array_equal(pcm.col_degrees(), 3)
+    np.testing.assert_array_equal(_col_degrees(pcm), 3)
     np.testing.assert_array_equal(pcm.row_degrees(), 6)
 
 
@@ -63,7 +76,7 @@ def test_regular_deterministic():
 
 def test_regular_no_four_cycles_small():
     pcm = construct_regular(96, 48, 3, seed=3)
-    dense = pcm.dense().astype(np.int32)
+    dense = _dense(pcm).astype(np.int32)
     overlap = dense @ dense.T
     np.fill_diagonal(overlap, 0)
     assert overlap.max() <= 1
@@ -79,9 +92,21 @@ def test_regular_rejects_infeasible():
         construct_regular(3120, 3, 3, seed=0)
 
 
+def test_regular_unrealizable_rows_fail_fast():
+    # these m pass the divisibility rule at N = 3,120, but the duplicate
+    # repair of the one dealt permutation runs out of swaps: each build
+    # raises in well under a second instead of redealing
+    start = time.perf_counter()
+    for m in (4, 5, 6, 8):
+        with pytest.raises(ValueError, match="duplicate-free"):
+            construct_regular(3120, m, 3, seed=1)
+    assert time.perf_counter() - start < 5.0
+
+
 def test_irregular_degenerate_is_regular():
-    pcm = construct_irregular(60, 30, {3: 1.0}, {6: 1.0}, seed=4)
-    np.testing.assert_array_equal(pcm.col_degrees(), 3)
+    # 180 edges spread evenly over 30 checks: every check has degree 6
+    pcm = construct_irregular(60, 30, {3: 1.0}, seed=4)
+    np.testing.assert_array_equal(_col_degrees(pcm), 3)
     np.testing.assert_array_equal(pcm.row_degrees(), 6)
 
 
@@ -89,17 +114,16 @@ def test_irregular_edge_count_consistency():
     n, m = 120, 60
     var_dist = {2: 0.5, 3: 0.5}
     edges_var = sum(d * f for d, f in var_dist.items()) * n
-    check_dist = {5: 1.0}
-    edges_chk = 5 * m
-    assert abs(edges_var - edges_chk) <= 1
-    pcm = construct_irregular(n, m, var_dist, check_dist, seed=5)
-    assert pcm.col_degrees().sum() == pcm.row_degrees().sum() == 300
+    assert edges_var == 5 * m
+    pcm = construct_irregular(n, m, var_dist, seed=5)
+    assert _col_degrees(pcm).sum() == pcm.row_degrees().sum() == 300
+    assert set(pcm.row_degrees()) == {5}
 
 
 def test_irregular_histogram_matches_profile():
     n = 1024
-    pcm = construct_irregular(n, 512, {2: 0.5, 3: 0.5}, None, seed=6)
-    deg = pcm.col_degrees()
+    pcm = construct_irregular(n, 512, {2: 0.5, 3: 0.5}, seed=6)
+    deg = _col_degrees(pcm)
     counts = np.bincount(deg, minlength=4)
     assert counts[2] == 512 and counts[3] == 512
     # check side spread evenly: 2560 edges over 512 checks -> all degree 5
@@ -108,14 +132,12 @@ def test_irregular_histogram_matches_profile():
 
 def test_irregular_rejects_inconsistent_distributions():
     with pytest.raises(ValueError):
-        construct_irregular(100, 50, {2: 1.0}, {10: 1.0}, seed=0)
-    with pytest.raises(ValueError):
-        construct_irregular(100, 50, {2: 0.7, 3: 0.7}, None, seed=0)
+        construct_irregular(100, 50, {2: 0.7, 3: 0.7}, seed=0)
 
 
 def test_irregular_mixed_profile_girth_attempt():
-    pcm = construct_irregular(256, 128, {2: 0.5, 3: 0.3, 6: 0.2}, None, seed=7)
-    dense = pcm.dense().astype(np.int32)
+    pcm = construct_irregular(256, 128, {2: 0.5, 3: 0.3, 6: 0.2}, seed=7)
+    dense = _dense(pcm).astype(np.int32)
     overlap = dense @ dense.T
     np.fill_diagonal(overlap, 0)
     # best effort: the overwhelming majority of row pairs share < 2 columns
@@ -175,7 +197,7 @@ def test_syndrome_matches_dense_product(seed, n, irregular, dtype):
     got = pcm.syndrome(x)
     assert got.dtype == np.uint8
     np.testing.assert_array_equal(
-        got, (pcm.dense().astype(np.int64) @ x.astype(np.int64)) & 1)
+        got, (_dense(pcm).astype(np.int64) @ x.astype(np.int64)) & 1)
 
 
 def test_syndrome_rejects_length_mismatch():
@@ -216,7 +238,7 @@ def test_coset_key_uniform_and_entropy():
     n, m = 10, 4
     pcm = _random_full_rank(n, m, rng)
     xs = _enumerate_bits(n)
-    syndromes = (xs @ pcm.dense().T) & 1
+    syndromes = (xs @ _dense(pcm).T) & 1
     keys = xs[:, pcm.systemization()[1]]
     syn_ids = syndromes @ (1 << np.arange(m))
     key_ids = keys @ (1 << np.arange(n - m))
@@ -261,7 +283,7 @@ def test_rows_sorted_and_degrees_counted():
     np.testing.assert_array_equal(pcm.rows[0], [1, 3])
     np.testing.assert_array_equal(pcm.rows[1], [0, 1, 2])
     np.testing.assert_array_equal(pcm.row_degrees(), [2, 3])
-    np.testing.assert_array_equal(pcm.col_degrees(), [1, 2, 1, 1])
+    np.testing.assert_array_equal(_col_degrees(pcm), [1, 2, 1, 1])
 
 
 def test_matrix_validation_empty():
@@ -377,7 +399,7 @@ def test_regular_degrees_property(m, row_weight, col_weight, seed):
     n = m * row_weight // col_weight
     assume(row_weight <= n)
     pcm = construct_regular(n, m, col_weight, seed=seed)
-    np.testing.assert_array_equal(pcm.col_degrees(), col_weight)
+    np.testing.assert_array_equal(_col_degrees(pcm), col_weight)
     np.testing.assert_array_equal(pcm.row_degrees(), row_weight)
     for r in pcm.rows:
         assert np.all(np.diff(r) > 0)
@@ -392,12 +414,12 @@ def test_regular_long_code_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
-    np.testing.assert_array_equal(pcm.col_degrees(), 3)
+    np.testing.assert_array_equal(_col_degrees(pcm), 3)
     np.testing.assert_array_equal(pcm.row_degrees(), 6)
     assert all(np.all(np.diff(r) > 0) for r in pcm.rows)
 
 
-def _mask_peg(n, m, var_dist, check_dist, seed, fallbacks):
+def _mask_peg(n, m, var_dist, seed, fallbacks):
     """Reference: progressive edge growth with a fresh O(m) mask per edge.
 
     The placement rule of ``construct_irregular`` written out directly.
@@ -409,14 +431,9 @@ def _mask_peg(n, m, var_dist, check_dist, seed, fallbacks):
     rng = make_rng(seed)
     var_deg = _realized_counts(var_dist, n)
     edges_total = int(var_deg.sum())
-    if check_dist is None:
-        base = edges_total // m
-        targets = np.full(m, base, dtype=int)
-        targets[: edges_total - base * m] += 1
-    else:
-        targets = _realized_counts(check_dist, m)
-        if abs(int(targets.sum()) - edges_total) > 1:
-            raise ValueError("edge-count mismatch")
+    base = edges_total // m
+    targets = np.full(m, base, dtype=int)
+    targets[: edges_total - base * m] += 1
     if np.any(var_deg > m):
         raise ValueError("a variable degree exceeds the check count")
     order = np.argsort(var_deg, kind="stable")
@@ -469,8 +486,11 @@ def _outcome(build):
 def test_irregular_matches_mask_reference():
     """Row for row the same code as the mask reference, from the same draws.
 
-    The explicit examples are small codes, most with degree-8 variables,
-    on which each fallback mask places an edge.
+    The explicit examples are small codes with degree-5 or degree-8
+    variables, on which the second and the last preference mask place an
+    edge.  The third (any check outside distance 3) fired only under the
+    uneven check targets the construction no longer takes: no random
+    even-spread code of this test's size was found to reach it.
     """
     fallbacks = set()
 
@@ -478,24 +498,15 @@ def test_irregular_matches_mask_reference():
     @given(n=st.integers(1, 60), m=st.integers(1, 24),
            weights=st.dictionaries(st.integers(1, 8), st.integers(1, 5),
                                    min_size=1, max_size=4),
-           check_side=st.sampled_from(["even", "split", "skewed"]),
            seed=st.integers(0, 2**32 - 1))
-    @example(n=12, m=8, weights={8: 1}, check_side="even", seed=3)
-    @example(n=40, m=10, weights={2: 1, 8: 1}, check_side="split", seed=5)
-    @example(n=6, m=9, weights={1: 1, 8: 1}, check_side="skewed", seed=1)
-    @example(n=5, m=6, weights={2: 2, 3: 4}, check_side="skewed", seed=65)
-    def check(n, m, weights, check_side, seed):
+    @example(n=12, m=8, weights={8: 1}, seed=3)
+    @example(n=11, m=5, weights={2: 1, 5: 1}, seed=2)
+    def check(n, m, weights, seed):
         total = sum(weights.values())
         var_dist = {d: w / total for d, w in weights.items()}
-        edges = int(_realized_counts(var_dist, n).sum()) if n else 0
-        d, r = divmod(edges, m)
-        check_dist = {"even": None,
-                      "split": {d: (m - r) / m, d + 1: r / m},
-                      "skewed": {max(d - 1, 1): 0.5, d + 1: 0.5}}[check_side]
-        ref = _outcome(lambda: _mask_peg(n, m, var_dist, check_dist, seed,
-                                         fallbacks))
+        ref = _outcome(lambda: _mask_peg(n, m, var_dist, seed, fallbacks))
         got = _outcome(lambda: list(construct_irregular(
-            n, m, var_dist, check_dist, seed=seed).rows))
+            n, m, var_dist, seed=seed).rows))
         if ref is ValueError:
             assert got is ValueError
         else:
@@ -504,11 +515,11 @@ def test_irregular_matches_mask_reference():
                 np.testing.assert_array_equal(a, b)
 
     check()
-    assert fallbacks == {1, 2, 3}
+    assert fallbacks >= {1, 3}
 
 
 def test_irregular_degree_above_check_count_rejected():
     # a variable of degree 8 over 7 checks could not avoid a repeat; the
     # degree guard rejects it before any edge is placed
     with pytest.raises(ValueError, match="exceeds the check count"):
-        construct_irregular(10, 7, {8: 1.0}, None, seed=0)
+        construct_irregular(10, 7, {8: 1.0}, seed=0)
