@@ -488,9 +488,9 @@ def test_irregular_matches_mask_reference():
 
     The explicit examples are small codes with degree-5 or degree-8
     variables, on which the second and the last preference mask place an
-    edge.  The third (any check outside distance 3) fired only under the
-    uneven check targets the construction no longer takes: no random
-    even-spread code of this test's size was found to reach it.
+    edge.  The third (any check outside distance 3) is not asserted: no
+    code of this test's size, with checks targeting the even spread, was
+    found that reaches it.
     """
     fallbacks = set()
 
