@@ -291,7 +291,7 @@ def load_config(path) -> ChannelConfig:
     missing = {"m_tones", "bandwidth_hz", "duration_s", "n_paths",
                "tau_max_s"} - kwargs.keys()
     if missing:
-        raise ValueError(f"config {path} missing keys: {sorted(missing)}")
+        raise ValueError(f"missing keys: {sorted(missing)}")
     return ChannelConfig(**kwargs)
 
 
