@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -435,8 +436,11 @@ BOUNDARY_RUNS = {
 def test_bad_setting_exits_2_naming_key(tmp_path, capsys, subcommand,
                                         setting):
     key = setting.partition("=")[0]
+    start = time.perf_counter()
     assert run_cli(subcommand, "--out", tmp_path / "x",
                    *BOUNDARY_RUNS[subcommand], "--set", setting) == 2
+    # rejected before any session or estimate runs, so well within 5 s
+    assert time.perf_counter() - start < 5.0
     assert f"--set {key}:" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
