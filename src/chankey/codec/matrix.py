@@ -14,10 +14,11 @@ syndrome: after a one-time column classification into pivot and free columns
 ``syndrome`` and the decoders' stop test share one parity over H: ``parity``
 of the degree-class edge layout (``_Graph``) that ``graph_for`` caches.
 
-Construction and row reduction never form a dense m x n matrix.  Row pairs for the 4-cycle repair are read off the
-column incidence of the edges, and the row reduction runs on rows
-bit-packed into uint64 words straight from the CSR arrays, so memory grows
-with the edge count and with m * n / 64 words.
+Construction and row reduction never form a dense m x n matrix.  Row
+pairs for the 4-cycle repair are read off the column incidence of the
+edges, and the row reduction runs on rows bit-packed into uint64 words
+straight from the CSR arrays, so memory grows with the edge count and with
+m * n / 64 words.
 """
 
 from __future__ import annotations
@@ -383,9 +384,9 @@ def construct_irregular(n: int, m: int, var_degree_distribution: dict, *,
     distribution.
 
     The distribution maps degree -> fraction of variables; the checks'
-    target degrees spread the edges as evenly as possible.  Adding each edge avoids checks within
-    distance 3 of the variable when possible, so 4-cycles appear only when
-    forced (girth >= 6 best effort).
+    target degrees spread the edges as evenly as possible.  Adding each
+    edge avoids checks within distance 3 of the variable when possible, so
+    4-cycles appear only when forced (girth >= 6 best effort).
 
     Each edge goes to a check of least load (degree minus target), chosen
     uniformly among the first non-empty of: under-target checks outside
