@@ -5,7 +5,7 @@ the public syndrome by coset decoding: check-node updates are sign-adjusted
 by the target syndrome bits, so belief propagation runs with respect to the
 coset rather than the zero codeword.
 
-* ``decode_binary`` -- standard log-domain sum-product on one code.
+* ``decode_binary`` -- standard sum-product on one code.
 * ``decode_quaternary`` -- two binary plane codes coupled through per-symbol
   factor nodes enforcing x = x_L + 2 x_M, with channel evidence entering as
   a probability vector over the four levels.
@@ -23,20 +23,19 @@ messages live in the normalized probability domain.
 
 The sum-product kernel (``_BinarySP``) runs on the degree-class edge
 layout of ``codec.matrix.graph_for``.  The checks of one degree form one
-contiguous block, stored edge slot by edge slot, so a per-check log-sum or
+contiguous block, stored edge slot by edge slot, so a per-check product or
 sign parity is a reduction over the block's d rows, done as whole-vector
 operations; the variables of one degree gather their messages into a block
 the same way.  The stop test is the layout's ``parity`` of the hard
 decision (as in ``syndrome``) against the syndrome in block order.
 
-Exact-rounding contract: the kernel's outputs are bit-identical to a
-per-segment ``np.add.reduceat`` formulation of the same step.  Every float
-sum over a check or a variable is rounded as numpy (2.x) rounds one
-reduceat segment -- the first term plus numpy's pairwise sum of the rest
-(``_segment_sum``): a left-to-right sum up to degree 8, eight interleaved
-accumulators from degree 9 on.  ``tests/test_codec_decode.py`` pins the
-step and the summation against ``np.add.reduceat``, so a numpy release
-that sums differently fails there by name.
+The check update is the tanh rule in product form (Kschischang, Frey
+and Loeliger, IEEE T-IT 2001): the product of a check's |tanh(v2c / 2)|
+factors, divided by each edge's own factor, is the product of the others,
+with no log or exp per edge.  The factors are floored at 1e-12, so no
+divisor is zero.  At a high check degree the product may underflow to 0;
+the message is then a zero carrying the others' sign parity, as exp of a
+very negative log-sum gives.
 """
 
 from __future__ import annotations
@@ -64,45 +63,6 @@ class DecodeResult:
     iterations_used: int
     syndrome_satisfied: bool
     theta_hat: float | None = None
-
-
-def _pairwise_sum(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Sum of the rows of ``rows``, each column rounded as numpy's pairwise
-    sum of that column.
-
-    This is the summation numpy's float add-reduction applies to a run of
-    terms: under 8 terms a left-to-right sum started from -0.0, up to 128
-    terms eight interleaved accumulators combined as a balanced tree, and
-    beyond that the two halves (split at a multiple of 8) summed apart.
-    """
-    n = len(rows)
-    if n < 8:
-        # row after row from -0.0; with one column numpy's reduction runs
-        # its pairwise loop, which under 8 terms is the same sum
-        return np.add.reduce(rows, axis=0, out=out, initial=-0.0)
-    if n <= 128:
-        acc = rows[:8].copy()
-        tail = n - n % 8
-        for base in range(8, tail, 8):
-            acc += rows[base:base + 8]
-        pairs = acc[0::2] + acc[1::2]
-        np.add(pairs[0] + pairs[1], pairs[2] + pairs[3], out=out)
-        for row in rows[tail:]:
-            out += row
-        return out
-    half = n // 2 - (n // 2) % 8
-    _pairwise_sum(rows[:half], out)
-    out += _pairwise_sum(rows[half:], np.empty_like(out))
-    return out
-
-
-def _segment_sum(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Sum of the rows of ``rows``, each column rounded bit for bit as
-    ``np.add.reduceat`` rounds one segment: the first term plus the pairwise
-    sum of the rest."""
-    _pairwise_sum(rows[1:], out)
-    out += rows[0]
-    return out
 
 
 def _flood(steps, satisfies, max_iter: int) -> DecodeResult:
@@ -151,7 +111,7 @@ class _BinarySP:
     def step(self, evidence_llr: np.ndarray) -> np.ndarray:
         g = self.g
         work, excl, neg, new = self._work, self._excl, self._neg, self._next
-        # variable-to-check messages, then log|tanh(v2c / 2)| and its sign;
+        # variable-to-check messages, then |tanh(v2c / 2)| and its sign;
         # take's "clip" mode (indices are in range) writes to out unbuffered
         np.take(evidence_llr + self.totals, g.edge_var, out=work, mode="clip")
         work -= self.c2v
@@ -161,22 +121,19 @@ class _BinarySP:
         np.less(work, 0.0, out=neg)
         np.abs(work, out=work)
         np.clip(work, 1e-12, 1.0, out=work)
-        np.log(work, out=work)
 
-        # per check: the log-product of the other edges, and whether the
-        # outgoing message is negated (odd parity of the others' signs and
-        # of the target syndrome bit)
+        # per check: the product of the other edges' factors, and whether
+        # the outgoing message is negated (odd parity of the others' signs
+        # and of the target syndrome bit)
         for edges, checks, d in g.check_blocks:
-            logt = work[edges].reshape(d, -1)
+            t = work[edges].reshape(d, -1)
             flip = neg[edges].reshape(d, -1)
-            logsum = _segment_sum(logt, np.empty(logt.shape[1]))
-            np.subtract(logsum, logt, out=excl[edges].reshape(d, -1))
+            np.divide(np.multiply.reduce(t, axis=0), t,
+                      out=excl[edges].reshape(d, -1))
             odd = np.bitwise_xor.reduce(flip, axis=0)
             flip ^= odd ^ self.syndrome[checks]
 
-        np.minimum(excl, 0.0, out=excl)
-        np.exp(excl, out=excl)
-        np.minimum(excl, 1.0 - 1e-15, out=excl)  # exp >= +0.0 already
+        np.minimum(excl, 1.0 - 1e-15, out=excl)  # quotients are >= +0.0
         np.arctanh(excl, out=excl)
         np.multiply(neg, -4.0, out=new)
         new += 2.0  # +/-2.0 by sign
@@ -190,8 +147,8 @@ class _BinarySP:
         np.take(new, g.var_edges, out=excl, mode="clip")
         totals = np.empty(self.totals.size)
         for variables, edges, d in g.var_blocks:
-            block = excl[edges].reshape(d, -1)
-            totals[variables] = _segment_sum(block, np.empty(block.shape[1]))
+            totals[variables] = np.add.reduce(excl[edges].reshape(d, -1),
+                                              axis=0)
         self.totals = totals
         return totals
 

@@ -20,7 +20,6 @@ from chankey.codec.decode import (
     _BinarySP,
     _llr_to_prob,
     _plane_evidence,
-    _segment_sum,
     _symbol_decision,
     _symbol_marginal,
 )
@@ -435,13 +434,13 @@ def test_decoders_reject_zero_iterations(decoder):
 
 
 # ---------------------------------------------------------------------------
-# sum-product kernel: bitwise equal to the per-segment reduceat step
+# sum-product kernel: one product-form step against the log-domain form
 
 
 class _ReduceatStep:
-    """The binary sum-product step as it was before the degree-class
-    layout: edges in row order, per-check and per-variable sums by
-    np.add.reduceat.  Frozen here as the rounding reference."""
+    """The binary sum-product step in its log/exp form: edges in row order,
+    per-check log-sums and per-variable sums by np.add.reduceat.  Kept as
+    the float reference for the kernel's product form."""
 
     def __init__(self, pcm, syndrome_bits):
         self.edge_var = np.concatenate(pcm.rows).astype(np.int64)
@@ -496,15 +495,13 @@ def _mixed_degree_code(rng, n, m, max_degree=20):
     return SparseParityCheck(rows, n)
 
 
-def _bits(a):
-    return np.asarray(a, dtype=np.float64).view(np.uint64)
+U = 2.0 ** -53  # unit roundoff of float64
 
 
-@pytest.mark.golden
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64),
        m=st.integers(1, 40))
-def test_kernel_step_bitwise_equals_reduceat_step(seed, n, m):
+def test_kernel_step_matches_log_domain_reference(seed, n, m):
     rng = np.random.default_rng(seed)
     # rows past degree 27 let the exclusive product underflow to zero, so
     # the sign of zero messages is exercised too
@@ -517,37 +514,46 @@ def test_kernel_step_bitwise_equals_reduceat_step(seed, n, m):
     source = np.concatenate([
         (reference.check_start[g.check_order[checks]]
          + np.arange(d)[:, None]).ravel() for _, checks, d in g.check_blocks])
+    degree = pcm.row_degrees()[reference.edge_check[source]]
+    by_var = np.argsort(g.edge_var, kind="stable")
+    starts = np.cumsum(np.bincount(g.edge_var, minlength=pcm.n))[:-1]
+    # The bound, from float64 rounding with 4 ulp taken as the accuracy of
+    # numpy's log, exp, tanh and arctanh.  Both sides form the leave-one-out
+    # product of the same |tanh| factors, each in [1e-12, 1], so |log| < 28.
+    # The kernel's d - 1 products and one quotient are off by at most d u
+    # (underflow adds at most d 2**-1074 / 1e-12, far below it).  The
+    # reference's log-sum is off by at most (d + 4) u (X + 28) in the
+    # exponent of exp(-X), so its product by at most 28 (d + 4) u + 4 u.
+    # Each side's arctanh and the test's tanh add at most 6 u, and clipping
+    # is non-expansive: (29 d + 128) u to first order, rounded up for the
+    # second.  Messages saturate where arctanh is ill-conditioned, so they
+    # are compared in the tanh domain, not as LLRs.
+    bound = (30 * degree + 130) * U
     special = np.array([LLR_CLAMP, -LLR_CLAMP, 0.0, -0.0, 1e3, -1e3])
     for _ in range(30):
         evidence = rng.standard_normal(pcm.n) * rng.choice([0.1, 2.0, 40.0])
         pick = rng.random(pcm.n) < rng.choice([0.3, 1.0])
         evidence[pick] = rng.choice(special, size=int(pick.sum()),
                                     p=[0.1, 0.1, 0.35, 0.35, 0.05, 0.05])
-        np.testing.assert_array_equal(_bits(kernel.step(evidence)),
-                                      _bits(reference.step(evidence)))
-        np.testing.assert_array_equal(_bits(kernel.c2v),
-                                      _bits(reference.c2v[source]))
-        assert _bits(kernel.last_delta) == _bits(reference.last_delta)
-
-
-@pytest.mark.golden
-@pytest.mark.parametrize("count", [1, 2, 64])
-def test_segment_sum_rounds_as_reduceat(count):
-    # numpy reduces a one-column block with its pairwise loop and a wider
-    # one row after row, so both shapes are pinned; the degrees past 129
-    # reach the split branch of _pairwise_sum (keygen at rate 0.98 has
-    # checks of degree 150)
-    rng = np.random.default_rng(2024 + count)
-    for d in (*range(1, 41), 64, 127, 128, 129, 136, 137, 255, 256, 257, 300):
-        terms = rng.standard_normal((count, d)) * 10.0 ** rng.integers(
-            -12, 12, (count, d))
-        terms[rng.random((count, d)) < 0.1] = 0.0
-        terms[rng.random((count, d)) < 0.1] = -0.0
-        terms[0] = -0.0
-        reference = np.add.reduceat(terms.ravel(), np.arange(count) * d)
-        got = _segment_sum(np.ascontiguousarray(terms.T), np.empty(count))
-        np.testing.assert_array_equal(_bits(got), _bits(reference),
-                                      err_msg=f"d={d}")
+        # both step from the same incoming messages
+        kernel.c2v = reference.c2v[source]
+        kernel.totals = reference.totals.copy()
+        incoming = kernel.c2v.copy()
+        totals = kernel.step(evidence)
+        reference.step(evidence)
+        expected = reference.c2v[source]
+        # the sign comes from the same tanh signs and syndrome bits on both
+        # sides, so it agrees on every message, zeros included
+        np.testing.assert_array_equal(np.signbit(kernel.c2v),
+                                      np.signbit(expected))
+        gap = np.abs(np.tanh(kernel.c2v / 2) - np.tanh(expected / 2))
+        assert np.all(gap <= bound), float(np.max(gap / bound))
+        assert kernel.last_delta == np.max(np.abs(kernel.c2v - incoming))
+        # each total is its variable's messages summed, off by at most
+        # (d - 1) u times their absolute sum (d u allows for fsum's rounding)
+        for total, msgs in zip(totals, np.split(kernel.c2v[by_var], starts)):
+            assert abs(total - math.fsum(msgs)) <= (
+                msgs.size * U * np.abs(msgs).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -46,9 +46,9 @@ RUNS = (
 )
 
 EXPECTED_SHA256 = (
-    "e01a52f83df838a987d47e4ab9949318655f6557fb2ef3fcca5a151894851ed6")
+    "09054eec81129645b424ed19e6abdaa4760f258d464bf218c425b2c74ba76ac2")
 EXPECTED_BODIES_SHA256 = (
-    "ec84e7a7a6ecde2f7a2dcd6e3584a503dfdf1fdbf61abf022badc818785edd6d")
+    "711c7a02906eb1f955d278beb7d6dbd0a61482f7acc041368a60c66c0eca44e7")
 
 
 @pytest.fixture(scope="module")
