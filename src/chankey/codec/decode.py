@@ -120,7 +120,7 @@ class _BinarySP:
         np.tanh(work, out=work)
         np.less(work, 0.0, out=neg)
         np.abs(work, out=work)
-        np.clip(work, 1e-12, 1.0, out=work)
+        np.maximum(work, 1e-12, out=work)  # |tanh| <= 1 already
 
         # per check: the product of the other edges' factors, and whether
         # the outgoing message is negated (odd parity of the others' signs
@@ -175,9 +175,11 @@ def decode_binary(pcm: SparseParityCheck, syndrome_bits: np.ndarray,
     def steps():
         while True:
             totals = sp.step(evidence_llr)
-            yield ((evidence_llr + totals) < 0).astype(np.uint8), sp.last_delta
+            yield np.less(evidence_llr + totals, 0.0), sp.last_delta
 
-    return _flood(steps(), sp.satisfied, max_iter)
+    result = _flood(steps(), sp.satisfied, max_iter)
+    result.estimate = result.estimate.view(np.uint8)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +380,7 @@ def decode_with_phase_offset(pcm: SparseParityCheck, syndrome_bits: np.ndarray,
             prev_llr = ev_llr
 
             totals = sp.step(ev_llr)
-            estimate = ((ev_llr + totals) < 0).astype(np.uint8)
+            estimate = np.less(ev_llr + totals, 0.0)
 
             # code -> evidence extrinsic, then evidence -> rotation
             p0, p1 = _llr_to_prob(totals)
@@ -388,5 +390,6 @@ def decode_with_phase_offset(pcm: SparseParityCheck, syndrome_bits: np.ndarray,
             yield estimate, max(sp.last_delta, ev_delta)
 
     result = _flood(steps(), sp.satisfied, max_iter)
+    result.estimate = result.estimate.view(np.uint8)
     result.theta_hat = float(theta_grid[np.argmax(log_to_theta.sum(axis=0))])
     return result

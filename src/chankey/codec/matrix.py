@@ -188,10 +188,12 @@ class _Graph:
 
     def parity(self, bits: np.ndarray) -> np.ndarray:
         """Parity of ``bits & 1`` over each check, in ``check_order``."""
-        on = np.take(np.bitwise_and(bits, 1), self.edge_var)
-        return np.concatenate([
-            np.bitwise_xor.reduce(on[edges].reshape(d, -1), axis=0)
-            for edges, _, d in self.check_blocks])
+        if bits.dtype != bool:
+            bits = np.bitwise_and(bits, 1)
+        on = np.take(bits, self.edge_var)
+        parts = [np.bitwise_xor.reduce(on[edges].reshape(d, -1), axis=0)
+                 for edges, _, d in self.check_blocks]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def graph_for(pcm: SparseParityCheck) -> _Graph:
