@@ -164,6 +164,20 @@ def test_self_check_failure_exits_3(tmp_path):
     assert manifest["violations"]
 
 
+def test_corr_matrix_one_tone_passes(tmp_path):
+    # M = T W = 1: no off-diagonal tone, so no tone-correlation claim
+    cfg = tmp_path / "one_tone.cfg"
+    cfg.write_text(TABLE1_CFG.read_text().replace(
+        "m_tones      = 52", "m_tones = 1").replace(
+        "bandwidth_hz = 16.25e6", "bandwidth_hz = 0.3125e6"))
+    out = tmp_path / "cm"
+    code = run_cli("corr-matrix", "--config", cfg, "--seed", 6,
+                   "--out", out, "--set", "realizations=2000")
+    assert code == 0
+    freq = np.loadtxt(out / "freq_corr.csv", delimiter=",", skiprows=2)
+    assert freq.shape == ()
+
+
 def test_corr_matrix_table1_small(tmp_path):
     out = tmp_path / "cm"
     code = run_cli("corr-matrix", "--config", TABLE1_CFG, "--seed", 6,
