@@ -34,6 +34,9 @@ from ..rng import make_rng
 _REPAIR_TRIES = 200
 _CYCLE_PASSES = 8
 
+# One more than the largest raw 32-bit word a bit generator hands out.
+_WORD = 1 << 32
+
 
 class SparseParityCheck:
     """Immutable m x n binary parity-check matrix."""
@@ -206,6 +209,10 @@ def graph_for(pcm: SparseParityCheck) -> _Graph:
 # GF(2) elimination on bit-packed rows
 
 
+# The 64 single-bit masks of a packed word, bit b of word w being column 64w + b.
+_BITS = tuple(np.uint64(1) << np.uint64(b) for b in range(64))
+
+
 def _gf2_pivots(packed: np.ndarray, n: int):
     """Pivot columns and rank of bit-packed binary rows (row echelon).
 
@@ -220,7 +227,7 @@ def _gf2_pivots(packed: np.ndarray, n: int):
     for col in range(n):
         w = col >> 6
         active = packed[r:]
-        hits = np.nonzero(active[:, w] & (np.uint64(1) << np.uint64(col & 63)))[0]
+        hits = (active[:, w] & _BITS[col & 63]).nonzero()[0]
         if hits.size == 0:
             continue
         first = hits[0]
@@ -380,6 +387,50 @@ def _realized_counts(dist: dict, total: int) -> np.ndarray:
     return out
 
 
+class _BoundedDraws:
+    """``Generator.integers(0, k)`` draws, 1 <= k < 2**32, from pooled words.
+
+    numpy bounds such a draw by Lemire's multiply-shift with rejection on
+    one raw 32-bit word per attempt, and draws nothing for k = 1 (Lemire,
+    ACM TOMACS 2019).  ``below`` applies the same rule to the words of
+    ``integers(0, 2**32, size=block, dtype=np.uint32)`` blocks, which are
+    the same words in the same order, so it returns the same values as one
+    ``integers(0, k)`` call per draw.  ``sync`` then restores the state the
+    generator had on entry and draws exactly the words used, leaving it
+    where those calls would have left it.
+    """
+
+    def __init__(self, rng: np.random.Generator, block: int):
+        self._rng = rng
+        self._entry = rng.bit_generator.state
+        self._block = max(int(block), 1)
+        self._words: list[int] = []
+        self._next = 0
+        self._spent = 0  # words of the blocks before the current one
+
+    def below(self, k: int) -> int:
+        if k == 1:
+            return 0
+        while True:
+            if self._next == len(self._words):
+                self._spent += len(self._words)
+                self._words = self._rng.integers(
+                    0, _WORD, size=self._block, dtype=np.uint32).tolist()
+                self._next = 0
+            x = self._words[self._next] * k
+            self._next += 1
+            leftover = x & (_WORD - 1)
+            if leftover >= k or leftover >= _WORD % k:
+                return x >> 32
+
+    def sync(self) -> None:
+        used = self._spent + self._next
+        self._rng.bit_generator.state = self._entry
+        if used:
+            self._rng.integers(0, _WORD, size=used, dtype=np.uint32)
+        self._words, self._next, self._spent = [], 0, used
+
+
 def construct_irregular(n: int, m: int, var_degree_distribution: dict, *,
                         seed) -> SparseParityCheck:
     """Progressive-edge-growth placement honoring a variable-degree
@@ -393,16 +444,20 @@ def construct_irregular(n: int, m: int, var_degree_distribution: dict, *,
     Each edge goes to a check of least load (degree minus target), chosen
     uniformly among the first non-empty of: under-target checks outside
     distance 3, under-target checks not yet adjacent, any check outside
-    distance 3, any check not yet adjacent.  The bookkeeping is incremental.
-    Variables are finished one at a time, so the distance-3 set of the
-    current variable is a running union: taking check c adds the checks of
-    every variable on c.  Checks sit in buckets by load, each sorted by
-    index; a pick walks the buckets from the lowest load and maps its draw
-    to the k-th entry of the first bucket not wholly blocked, stepping over
-    the blocked entries before it; the taken check then moves up one
-    bucket.  Per edge that is one pass over the blocked checks per bucket
-    visited, the union it adds and two sorted-list updates (C memmoves),
-    where a fresh mask per edge cost O(m) Python-level work.
+    distance 3, any check not yet adjacent.  The bookkeeping is incremental
+    and uses Python-int bitsets over the checks.  Variables are finished
+    one at a time, so the distance-3 set of the current variable is a
+    running union: taking check c ORs in the adjacency bitset of every
+    variable on c.  Checks sit in buckets by load, each kept both as a list
+    sorted by index and as a bitset; loads only grow, so the buckets below
+    the first non-empty one are never visited again.  A pick walks the
+    buckets from there, counts the blocked checks of each as one popcount
+    of the blocked set and the bucket's bitset, and maps its draw k to the
+    k-th unblocked entry of the first bucket not wholly blocked by a few
+    popcount jumps over the sorted list.  The taken check then moves up one
+    bucket.  Draws come from ``_BoundedDraws``, so the codes, and the state
+    a ``Generator`` passed as ``seed`` is left in, are those of one
+    ``integers(0, k)`` call per pick.
     """
     if m < 1:
         raise ValueError(f"need at least one parity check, got m={m}")
@@ -416,57 +471,80 @@ def construct_irregular(n: int, m: int, var_degree_distribution: dict, *,
         raise ValueError("a variable degree exceeds the check count")
 
     # place low-degree variables first; they are the most constrained ones
-    order = np.argsort(var_deg, kind="stable")
+    order = np.argsort(var_deg, kind="stable").tolist()
+    var_deg = var_deg.tolist()
     check_rows: list[list[int]] = [[] for _ in range(m)]
-    var_adj: list[list[int]] = [[] for _ in range(n)]
+    var_bits = [0] * n  # bitset of the checks on each variable
     load = (-targets).tolist()
     low = min(load)
-    # buckets[i] holds the checks at load low + i; loads below 0 are under
-    # target, the first -low buckets
+    # buckets[i] and members[i] hold the checks at load low + i; loads
+    # below 0 are under target, the first -low buckets
     buckets: list[list[int]] = [[] for _ in range(max(*load, 0) - low + 1)]
+    members = [0] * len(buckets)
     for c, l in enumerate(load):
         buckets[l - low].append(c)
+    for i, bucket in enumerate(buckets):
+        if bucket:  # the targets make each bucket a run of indices
+            members[i] = ((1 << (bucket[-1] + 1)) - 1) ^ ((1 << bucket[0]) - 1)
+    first = 0  # every bucket below it is empty for good
+    draws = _BoundedDraws(rng, edges_total)
+    below = draws.below
 
     def pick(blocked, under):
-        """Least-load check outside ``blocked``, drawn uniformly; under
-        target only if ``under``.  None (and no draw) if there is none."""
-        for i in range(-low if under else len(buckets)):
+        """Least-load check outside bitset ``blocked``, drawn uniformly;
+        under target only if ``under``.  None (and no draw) if there is
+        none."""
+        for i in range(first, -low if under else len(buckets)):
             bucket = buckets[i]
-            if not bucket:
+            skip = blocked & members[i]
+            if not skip:
+                if bucket:
+                    return bucket[below(len(bucket))]
                 continue
-            level = i + low
-            skip = sorted([c for c in blocked if load[c] == level])
-            if len(bucket) > len(skip):
-                k = int(rng.integers(0, len(bucket) - len(skip)))
-                for c in skip:
-                    if c > bucket[k]:
-                        break
-                    k += 1
-                return bucket[k]
+            free = len(bucket) - skip.bit_count()
+            if free:
+                # the k-th unskipped entry is bucket[p] for the least p
+                # with p = k + (skipped entries up to bucket[p])
+                k = below(free)
+                p = k
+                while True:
+                    q = k + (skip & ((2 << bucket[p]) - 1)).bit_count()
+                    if q == p:
+                        return bucket[p]
+                    p = q
         return None
 
     for v in order:
-        v = int(v)
-        adjacent = var_adj[v]
-        near: set[int] = set()  # checks within distance 3 of v
-        preferences = ((near, True), (adjacent, True), (near, False),
-                       (adjacent, False))
-        for _ in range(int(var_deg[v])):
+        near = 0  # checks within distance 3 of v
+        for _ in range(var_deg[v]):
             # prefer honoring the check-degree targets, then girth; a
             # variable never exceeds m edges, so the last pick always finds one
-            for blocked, under in preferences:
-                c = pick(blocked, under)
-                if c is not None:
-                    break
-            check_rows[c].append(v)
-            adjacent.append(c)
-            near.update(*[var_adj[u] for u in check_rows[c]])
+            adjacent = var_bits[v]
+            c = pick(near, True)
+            if c is None:
+                c = pick(adjacent, True)
+                if c is None:
+                    c = pick(near, False)
+                    if c is None:
+                        c = pick(adjacent, False)
+            bit = 1 << c
+            row = check_rows[c]
+            row.append(v)
+            var_bits[v] = adjacent | bit
+            for u in row:
+                near |= var_bits[u]
             i = load[c] - low
             del buckets[i][bisect_left(buckets[i], c)]
+            members[i] ^= bit
             load[c] += 1
             if i + 1 == len(buckets):
                 buckets.append([])
+                members.append(0)
             insort(buckets[i + 1], c)
+            members[i + 1] |= bit
+            while not buckets[first]:
+                first += 1
+    draws.sync()
     if any(not r for r in check_rows):
         raise ValueError("a check node received no edges; the variable "
                          "degrees leave some rows empty")

@@ -13,7 +13,11 @@ from chankey.codec import (
     construct_regular,
     coset_index,
 )
-from chankey.codec.matrix import _overlapping_pairs, _realized_counts
+from chankey.codec.matrix import (
+    _BoundedDraws,
+    _overlapping_pairs,
+    _realized_counts,
+)
 from chankey.rng import make_rng
 
 
@@ -483,6 +487,7 @@ def _outcome(build):
         return ValueError
 
 
+@pytest.mark.golden
 def test_irregular_matches_mask_reference():
     """Row for row the same code as the mask reference, from the same draws.
 
@@ -516,6 +521,57 @@ def test_irregular_matches_mask_reference():
 
     check()
     assert fallbacks >= {1, 3}
+
+
+def _generator(kind, seed):
+    return np.random.Generator(getattr(np.random, kind)(seed))
+
+
+# k = 1 draws nothing; 3 and 2**31 + 1 reject often (2**32 mod k is 1 and
+# 2**31 - 1); 2**32 - 1 is the largest bound the pooled rule takes
+SPECIAL_BOUNDS = (1, 2, 3, 2**31 - 1, 2**31 + 1, 2**32 - 1)
+
+
+@pytest.mark.golden
+@settings(max_examples=120, deadline=None)
+@given(bounds=st.lists(st.one_of(st.sampled_from(SPECIAL_BOUNDS),
+                                 st.integers(1, 2**32 - 1)), max_size=40),
+       block=st.integers(1, 8), lead=st.integers(0, 3),
+       kind=st.sampled_from(["PCG64", "Philox"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_pooled_draws_match_per_draw_integers(bounds, block, lead, kind,
+                                              seed):
+    # ``lead`` raw words drawn first leave the generator holding half of a
+    # 64-bit output or not; blocks of 1-8 words make ``below`` refill
+    pooled, direct = _generator(kind, seed), _generator(kind, seed)
+    for rng in (pooled, direct):
+        rng.integers(0, 2**32, size=lead, dtype=np.uint32)
+    draws = _BoundedDraws(pooled, block)
+    got = [draws.below(k) for k in bounds]
+    draws.sync()
+    assert got == [int(direct.integers(0, k)) for k in bounds]
+    np.testing.assert_equal(pooled.bit_generator.state,
+                            direct.bit_generator.state)
+
+
+@pytest.mark.golden
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 60), m=st.integers(1, 24),
+       weights=st.dictionaries(st.integers(1, 8), st.integers(1, 5),
+                               min_size=1, max_size=4),
+       kind=st.sampled_from(["PCG64", "Philox"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_irregular_leaves_generator_as_mask_reference(n, m, weights, kind,
+                                                      seed):
+    # a Generator passed as seed ends where one integers(0, k) call per
+    # pick leaves it, also when the build raises
+    total = sum(weights.values())
+    var_dist = {d: w / total for d, w in weights.items()}
+    ours, ref = _generator(kind, seed), _generator(kind, seed)
+    _outcome(lambda: construct_irregular(n, m, var_dist, seed=ours))
+    _outcome(lambda: _mask_peg(n, m, var_dist, ref, set()))
+    np.testing.assert_equal(ours.bit_generator.state,
+                            ref.bit_generator.state)
 
 
 def test_irregular_degree_above_check_count_rejected():
