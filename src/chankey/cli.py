@@ -233,6 +233,21 @@ def _finite_snr(s: dict, allow_silence: bool = False):
     return snr
 
 
+# 10 log10(2**53): below it 1 + s is exact in float64 and the correlation
+# s/(1+s) of SNR s rounds below 1; from it on s/(1+s) can round to 1.
+RHO_ONE_DB = 10.0 * math.log10(2.0**53)
+
+
+def _correlation_below_one(grid: list) -> None:
+    """Reject SNRs whose correlation s/(1+s) may round to 1: the estimators
+    take 1 - rho^2 and need |rho| < 1."""
+    bad = [v for v in grid if v >= RHO_ONE_DB]
+    if bad:
+        raise ConfigError(f"--set snr_db: must be below {RHO_ONE_DB:.2f} dB "
+                          f"here, where the correlation s/(1+s) stays below "
+                          f"1, got {bad[0]}")
+
+
 def _quantizer(levels: int, thresholds: list, symbols: int) -> Quantizer:
     """Equiprobable cells, or the ``quantizer.thresholds`` given.
 
@@ -303,6 +318,7 @@ def cmd_rssi_compare(args) -> int:
                          "snr_db": [0.0, 5.0, 10.0, 15.0, 20.0, 25.0],
                          "samples": 1_000_000 if args.full else 200_000})
     grid = _finite_snr(s)
+    _correlation_below_one(grid)
     m_tones, bins_list = s["m_tones"], s["bins"]
     if max(bins_list) > m_tones:
         raise ConfigError(f"--set bins: each L must be at most M = m_tones = "
@@ -345,6 +361,7 @@ def cmd_magphase(args) -> int:
     s = _settings(args, {"snr_db": [0.0, 5.0, 10.0, 15.0, 20.0],
                          "samples": 1_000_000 if args.full else 200_000})
     grid = _finite_snr(s)
+    _correlation_below_one(grid)
     if s["samples"] < 100_000:
         raise ConfigError(f"--set samples: need at least 100000, "
                           f"got {s['samples']}")

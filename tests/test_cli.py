@@ -19,7 +19,7 @@ from chankey.channel import (
     sample_paths,
     time_coefficients,
 )
-from chankey.cli import main
+from chankey.cli import RHO_ONE_DB, main
 from chankey.rng import row_chunks, split_streams
 
 TABLE1_CFG = Path(__file__).resolve().parents[1] / "configs" / "80211a.cfg"
@@ -446,6 +446,9 @@ BOUNDARY_RUNS = {
     ("keygen", "snr_db=inf"), ("keygen", "snr_db=-inf"),
     ("ldpc-waterfall", "snr_db=10,inf"), ("phase-demo", "snr_db=inf"),
     ("capacity-sweep", "snr_db=inf"), ("capacity-sweep", "snr_db=-inf,inf"),
+    # the estimators need the correlation s/(1+s) below 1
+    ("magphase", "snr_db=200"), ("magphase", "snr_db=5,1e4"),
+    ("rssi-compare", "snr_db=200"), ("rssi-compare", "snr_db=10,400"),
 ])
 def test_bad_setting_exits_2_naming_key(tmp_path, capsys, subcommand,
                                         setting):
@@ -457,6 +460,34 @@ def test_bad_setting_exits_2_naming_key(tmp_path, capsys, subcommand,
     assert time.perf_counter() - start < 5.0
     assert f"--set {key}:" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("subcommand, settings", [
+    ("magphase", ("snr_db=200",)),
+    ("rssi-compare", ("snr_db=200", "bins=2")),
+])
+def test_snr_where_correlation_rounds_to_one_exits_2(tmp_path, capsys,
+                                                      subcommand, settings):
+    overrides = [a for setting in settings for a in ("--set", setting)]
+    assert run_cli(subcommand, "--out", tmp_path / "x",
+                   *BOUNDARY_RUNS[subcommand], *overrides) == 2
+    err = capsys.readouterr().err
+    assert "--set snr_db:" in err and f"{RHO_ONE_DB:.2f} dB" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_snr_limit_covers_every_correlation_of_one():
+    # below the limit s/(1+s) < 1; just above it the correlation rounds to
+    # 1 at some SNRs (and at every SNR from 10 log10(2**54) on)
+    def corr(snr_db):
+        snr = 10.0 ** (snr_db / 10.0)
+        return snr / (1.0 + snr)
+
+    below = np.nextafter(RHO_ONE_DB, 0.0)
+    assert all(corr(v) < 1.0 for v in np.linspace(100.0, below, 20_001))
+    assert any(corr(v) == 1.0
+               for v in np.linspace(RHO_ONE_DB, RHO_ONE_DB + 0.01, 101))
+    assert corr(10.0 * math.log10(2.0**54)) == 1.0
 
 
 def test_waterfall_irregular_rate_must_build(tmp_path, capsys):
