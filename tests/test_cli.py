@@ -19,7 +19,7 @@ from chankey.channel import (
     sample_paths,
     time_coefficients,
 )
-from chankey.cli import RHO_ONE_DB, main
+from chankey.cli import RHO_ONE_DB, _independence_bound, main
 from chankey.rng import row_chunks, split_streams
 
 TABLE1_CFG = Path(__file__).resolve().parents[1] / "configs" / "80211a.cfg"
@@ -190,6 +190,32 @@ def test_corr_matrix_table1_small(tmp_path):
     assert np.all(freq.diagonal() == 1.0)
     assert (time - np.eye(13)).max() < 0.05
     assert (freq - np.eye(52)).max() > 0.3
+
+
+def _max_off_diagonal_corr(h):
+    """Largest off-diagonal |corr| of the columns of h, as corr-matrix forms
+    it from zero-mean sums."""
+    sums = h.conj().T @ h
+    var = np.real(np.diag(sums))
+    corr = np.abs(sums) / np.sqrt(np.outer(var, var))
+    return (corr - np.diag(np.diag(corr))).max()
+
+
+def test_independence_bound_holds_for_independent_bins_only():
+    # 500 draws of 13 independent bins over R = 1,000 realizations stay
+    # below the bound (expected false alarms 500 x 1e-6); two bins
+    # correlated at 0.3 exceed it
+    R, L = 1000, 13
+    bound = _independence_bound(R, L)
+    rng = np.random.default_rng(0)
+    for _ in range(500):
+        h = rng.standard_normal((R, L)) + 1j * rng.standard_normal((R, L))
+        assert _max_off_diagonal_corr(h) <= bound
+    h[:, 1] = 0.3 * h[:, 0] + math.sqrt(1 - 0.3**2) * h[:, 1]
+    assert _max_off_diagonal_corr(h) > bound
+    # the bound shrinks as 1/sqrt(R) and grows with the number of pairs
+    assert _independence_bound(4 * R, L) == pytest.approx(bound / 2)
+    assert _independence_bound(R, 2 * L) > bound
 
 
 def _corr_reference(cfg, seed, realizations, chunk=2000):

@@ -46,9 +46,9 @@ RUNS = (
 )
 
 EXPECTED_SHA256 = (
-    "09054eec81129645b424ed19e6abdaa4760f258d464bf218c425b2c74ba76ac2")
+    "1cb9b285d35cfb391f289883f6ca465a147c5df57d32609069ced30913902ed0")
 EXPECTED_BODIES_SHA256 = (
-    "711c7a02906eb1f955d278beb7d6dbd0a61482f7acc041368a60c66c0eca44e7")
+    "49913588bb888678a87aba6b7d23c339b5f7567355ae3c3d3ccb918051ec8c7d")
 
 
 @pytest.fixture(scope="module")
