@@ -447,8 +447,9 @@ def construct_irregular(n: int, m: int, var_degree_distribution: dict, *,
     distance 3, any check not yet adjacent.  The bookkeeping is incremental
     and uses Python-int bitsets over the checks.  Variables are finished
     one at a time, so the distance-3 set of the current variable is a
-    running union: taking check c ORs in the adjacency bitset of every
-    variable on c.  Checks sit in buckets by load, each kept both as a list
+    running union: taking check c ORs in the variable's own checks and the
+    reach of c, the checks of the finished variables on c, to which a
+    finished variable adds its checks on each of them.  Checks sit in buckets by load, each kept both as a list
     sorted by index and as a bitset; loads only grow, so the buckets below
     the first non-empty one are never visited again.  A pick walks the
     buckets from there, counts the blocked checks of each as one popcount
@@ -474,7 +475,8 @@ def construct_irregular(n: int, m: int, var_degree_distribution: dict, *,
     order = np.argsort(var_deg, kind="stable").tolist()
     var_deg = var_deg.tolist()
     check_rows: list[list[int]] = [[] for _ in range(m)]
-    var_bits = [0] * n  # bitset of the checks on each variable
+    # bitset of the checks of the finished variables on each check
+    reach = [0] * m
     load = (-targets).tolist()
     low = min(load)
     # buckets[i] and members[i] hold the checks at load low + i; loads
@@ -515,11 +517,11 @@ def construct_irregular(n: int, m: int, var_degree_distribution: dict, *,
         return None
 
     for v in order:
-        near = 0  # checks within distance 3 of v
+        near = adjacent = 0  # checks within distance 3 of v, and on v
+        checks = []
         for _ in range(var_deg[v]):
             # prefer honoring the check-degree targets, then girth; a
             # variable never exceeds m edges, so the last pick always finds one
-            adjacent = var_bits[v]
             c = pick(near, True)
             if c is None:
                 c = pick(adjacent, True)
@@ -528,11 +530,10 @@ def construct_irregular(n: int, m: int, var_degree_distribution: dict, *,
                     if c is None:
                         c = pick(adjacent, False)
             bit = 1 << c
-            row = check_rows[c]
-            row.append(v)
-            var_bits[v] = adjacent | bit
-            for u in row:
-                near |= var_bits[u]
+            check_rows[c].append(v)
+            checks.append(c)
+            adjacent |= bit
+            near |= reach[c] | adjacent
             i = load[c] - low
             del buckets[i][bisect_left(buckets[i], c)]
             members[i] ^= bit
@@ -544,6 +545,8 @@ def construct_irregular(n: int, m: int, var_degree_distribution: dict, *,
             members[i + 1] |= bit
             while not buckets[first]:
                 first += 1
+        for c in checks:
+            reach[c] |= adjacent
     draws.sync()
     if any(not r for r in check_rows):
         raise ValueError("a check node received no edges; the variable "
