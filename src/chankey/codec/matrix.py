@@ -5,7 +5,11 @@ indices, concatenated, and the row offsets.  Two constructions are
 provided: a Gallager-style random regular ensemble (exact column weight,
 exact row weight, duplicate entries and 4-cycles repaired by bounded edge
 swaps) and a progressive-edge-growth placement for an arbitrary
-variable-degree distribution (girth >= 6 attempted, best effort).
+variable-degree distribution (girth >= 6 attempted, best effort).  The
+placement keeps its sets of checks as Python-int bitsets and serves its
+uniform picks from pooled raw words by numpy's own bounded-integer rule,
+so its codes, and a passed ``Generator``'s final state, are those of one
+``Generator.integers`` call per pick.
 
 The key of an observation is its index within the coset selected by the
 syndrome: after a one-time column classification into pivot and free columns
@@ -16,9 +20,10 @@ of the degree-class edge layout (``_Graph``) that ``graph_for`` caches.
 
 Construction and row reduction never form a dense m x n matrix.  Row
 pairs for the 4-cycle repair are read off the column incidence of the
-edges, and the row reduction runs on rows bit-packed into uint64 words
-straight from the CSR arrays, so memory grows with the edge count and with
-m * n / 64 words.
+edges, the row reduction runs on rows bit-packed into uint64 words
+straight from the CSR arrays, and the placement's bitsets hold one m-bit
+set per check, so memory grows with the edge count and with m * n / 64
+words.
 """
 
 from __future__ import annotations

@@ -488,17 +488,13 @@ def test_bad_setting_exits_2_naming_key(tmp_path, capsys, subcommand,
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("subcommand, settings", [
-    ("magphase", ("snr_db=200",)),
-    ("rssi-compare", ("snr_db=200", "bins=2")),
-])
-def test_snr_where_correlation_rounds_to_one_exits_2(tmp_path, capsys,
-                                                      subcommand, settings):
-    overrides = [a for setting in settings for a in ("--set", setting)]
-    assert run_cli(subcommand, "--out", tmp_path / "x",
-                   *BOUNDARY_RUNS[subcommand], *overrides) == 2
-    err = capsys.readouterr().err
-    assert "--set snr_db:" in err and f"{RHO_ONE_DB:.2f} dB" in err
+def test_snr_where_correlation_rounds_to_one_names_the_limit(tmp_path,
+                                                            capsys):
+    assert run_cli("rssi-compare", "--out", tmp_path / "x",
+                   *BOUNDARY_RUNS["rssi-compare"], "--set", "snr_db=200",
+                   "--set", "bins=2") == 2
+    assert f"--set snr_db: must be below {RHO_ONE_DB:.2f} dB" in (
+        capsys.readouterr().err)
     assert not (tmp_path / "x").exists()
 
 
