@@ -408,7 +408,7 @@ class _BoundedDraws:
     def __init__(self, rng: np.random.Generator, block: int):
         self._rng = rng
         self._entry = rng.bit_generator.state
-        self._block = max(int(block), 1)
+        self._block = max(block, 1)
         self._words: list[int] = []
         self._next = 0
         self._spent = 0  # words of the blocks before the current one
@@ -433,7 +433,6 @@ class _BoundedDraws:
         self._rng.bit_generator.state = self._entry
         if used:
             self._rng.integers(0, _WORD, size=used, dtype=np.uint32)
-        self._words, self._next, self._spent = [], 0, used
 
 
 def construct_irregular(n: int, m: int, var_degree_distribution: dict, *,
@@ -454,9 +453,10 @@ def construct_irregular(n: int, m: int, var_degree_distribution: dict, *,
     one at a time, so the distance-3 set of the current variable is a
     running union: taking check c ORs in the variable's own checks and the
     reach of c, the checks of the finished variables on c, to which a
-    finished variable adds its checks on each of them.  Checks sit in buckets by load, each kept both as a list
-    sorted by index and as a bitset; loads only grow, so the buckets below
-    the first non-empty one are never visited again.  A pick walks the
+    finished variable adds its checks on each of them.  Checks sit in
+    buckets by load, each kept both as a list sorted by index and as a
+    bitset; loads only grow, so the buckets below the first non-empty one
+    are never visited again.  A pick walks the
     buckets from there, counts the blocked checks of each as one popcount
     of the blocked set and the bucket's bitset, and maps its draw k to the
     k-th unblocked entry of the first bucket not wholly blocked by a few
