@@ -527,8 +527,9 @@ def _generator(kind, seed):
     return np.random.Generator(getattr(np.random, kind)(seed))
 
 
-# k = 1 draws nothing; 3 and 2**31 + 1 reject often (2**32 mod k is 1 and
-# 2**31 - 1); 2**32 - 1 is the largest bound the pooled rule takes
+# k = 1 draws nothing; 2**31 + 1 rejects about half its words, since
+# 2**32 mod k = 2**31 - 1; 2**32 - 1 is the largest bound the pooled rule
+# takes
 SPECIAL_BOUNDS = (1, 2, 3, 2**31 - 1, 2**31 + 1, 2**32 - 1)
 
 
