@@ -27,6 +27,7 @@ from . import __version__, capacity, claims
 from .channel import (
     ChannelConfig,
     PathSet,
+    bin_power_fractions,
     build_snr_profile,
     flat_profile,
     freq_coefficients,
@@ -248,6 +249,21 @@ def _correlation_below_one(grid: list) -> None:
                           f"1, got {bad[0]}")
 
 
+def _bin_correlations_below_one(cfg: ChannelConfig, grid: list) -> None:
+    """Reject SNRs at which a delay bin's SNR reaches 2**53, where its
+    correlation s/(1+s) rounds to 1: the largest bin SNR is M max(w_l)
+    times the per-tone SNR, so the limit depends on the channel."""
+    bad = [v for v in grid
+           if build_snr_profile(cfg, v).per_bin_snr.max() >= 2.0**53]
+    if bad:
+        gain = cfg.m_tones * float(np.max(bin_power_fractions(cfg)))
+        limit = RHO_ONE_DB - 10.0 * math.log10(gain)
+        raise ConfigError(f"--set snr_db: must be below {limit:.2f} dB on "
+                          f"this channel, where every delay bin's SNR stays "
+                          f"below 2**53 and its correlation s/(1+s) below "
+                          f"1, got {bad[0]}")
+
+
 def _quantizer(levels: int, thresholds: list, symbols: int) -> Quantizer:
     """Equiprobable cells, or the ``quantizer.thresholds`` given.
 
@@ -286,6 +302,7 @@ def cmd_capacity_sweep(args) -> int:
     cfg, coherence = _channel_from_args(args)
     s = _settings(args, {"snr_db": [-5.0 + 2.5 * k for k in range(15)]})
     _finite_snr(s, allow_silence=True)
+    _bin_correlations_below_one(cfg, s["snr_db"])
     run = Run("capacity_sweep", args, s, channel=_config_dict(cfg),
               coherence_s=coherence)
     rows = []

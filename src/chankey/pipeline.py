@@ -15,12 +15,20 @@ rotation) depends on neither the SNR nor the code: ``draw_session`` makes
 it, and ``run_session`` measures a draw at the session's SNR.
 ``sweep_rate_vs_snr`` maps post-decoding key bit error rate over a rate/SNR
 grid, measuring each trial's one draw at every grid point, and reports the
-waterfall threshold per rate.
+waterfall threshold per rate.  Its trials run in contiguous ranges on every
+CPU the process may use (``os.fork`` on POSIX); a trial's integer counts
+depend on nothing but the trial, so the rows are the same for any split.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import sys
+import threading
+import traceback
 import weakref
 from dataclasses import dataclass, field, replace
 
@@ -37,6 +45,7 @@ from .codec import (
     decode_with_phase_offset,
     evidence_to_llr,
 )
+from .codec.matrix import graph_for
 from .quantize import (
     Quantizer,
     bit_planes,
@@ -348,6 +357,16 @@ def sweep_rate_vs_snr(template: SessionConfig, rates, snr_grid, trials: int,
     code per rate.  Each grid position sums its integer error, bit and
     agreement counts, so the rows are those of running every point's trials
     in turn, and a duplicated rate or SNR keeps its own row.
+
+    The trials are split into contiguous ranges, one per CPU in the
+    process's affinity mask (at most one per trial), and run at once: this
+    process runs the first range and ``os.fork`` children the others.
+    Integer sums do not depend on the split, so the rows are identical for
+    any number of CPUs; ``taskset -c 0`` gives a serial run.  The sweep
+    runs serially where ``os.fork`` is missing or another Python thread is
+    alive.  A child's exception is raised here with the child's traceback
+    as its cause, and every child is reaped before the sweep returns or
+    raises.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -358,23 +377,125 @@ def sweep_rate_vs_snr(template: SessionConfig, rates, snr_grid, trials: int,
     snr_grid = list(snr_grid)
     if not (codes and snr_grid):
         return []
-    # [errors, bits, agreed] per grid position
+    plane_codes = [code for _, code in codes]
+    for code in plane_codes:  # built once here, shared by forked children
+        code.systemization()
+        graph_for(code)
+
+    def tally(trial_range):
+        return _tally_trials(template, plane_codes, snr_grid, trial_range)
+
+    tallies = _split_trials(tally, trials)
+    # every session of a code has the same key length
+    return [SweepRow(rate=rate, snr_db=snr_db, sessions=trials, agreed=agreed,
+                     ber=errors / bits, key_bits_per_session=bits // trials)
+            for (rate, _), rate_tallies in zip(codes, tallies)
+            for snr_db, (errors, bits, agreed) in zip(snr_grid, rate_tallies)]
+
+
+def _tally_trials(template: SessionConfig, codes, snr_grid,
+                  trial_range: range) -> list:
+    """``[errors, bits, agreed]`` per (code, SNR) position, summed over the
+    trials of ``trial_range``, as Python ints."""
     tallies = [[[0, 0, 0] for _ in snr_grid] for _ in codes]
-    for t in range(trials):
+    for t in trial_range:
         trial = replace(template, seed=derive_seed(template.seed, t))
         draw = draw_session(trial)
-        for (_, code), rate_tallies in zip(codes, tallies):
+        for code, rate_tallies in zip(codes, tallies):
             for snr_db, tally in zip(snr_grid, rate_tallies):
                 res = run_session(replace(trial, code=code, snr_f_db=snr_db),
                                   draw)
                 tally[0] += int(round(res.bit_error_rate * res.key_length))
                 tally[1] += res.key_length
                 tally[2] += int(res.agreed)
-    # every session of a code has the same key length
-    return [SweepRow(rate=rate, snr_db=snr_db, sessions=trials, agreed=agreed,
-                     ber=errors / bits, key_bits_per_session=bits // trials)
-            for (rate, _), rate_tallies in zip(codes, tallies)
-            for snr_db, (errors, bits, agreed) in zip(snr_grid, rate_tallies)]
+    return tallies
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, or every CPU
+    where the platform has no mask."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+class _ChildTraceback(Exception):
+    """The formatted traceback of an exception raised in a sweep child."""
+
+
+def _split_trials(tally, trials: int) -> list:
+    """Sum the nested integer lists ``tally(r)`` over a split of
+    ``range(trials)`` into one contiguous range per worker.
+
+    This process runs the first range and forks one child per other range;
+    each child pickles its result, or the exception it raised with its
+    traceback, into a pipe and leaves by ``os._exit``.  On any error every
+    child not yet reaped is killed and reaped before the error propagates.
+    """
+    workers = min(trials, _usable_cpus())
+    if (workers == 1 or not hasattr(os, "fork")
+            or threading.active_count() > 1):
+        return tally(range(trials))
+    bounds = [k * trials // workers for k in range(workers + 1)]
+    parts = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = {}  # pid -> read end of its pipe, until the child is reaped
+    try:
+        for part in parts[1:]:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    _send(tally, part, write_fd)
+                finally:
+                    os._exit(0)
+            os.close(write_fd)
+            children[pid] = open(read_fd, "rb")
+        results = [tally(parts[0])]
+        for pid, pipe in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            results.append(_unpack(data, pid, status))
+    except BaseException:
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    return np.sum(results, axis=0).tolist()
+
+
+def _send(tally, part: range, write_fd: int) -> None:
+    """Child side: pickle ``(tally(part), None, None)``, or ``(None,
+    exception, traceback)`` if it raised, into the pipe."""
+    try:
+        message = (tally(part), None, None)
+    except BaseException as exc:
+        message = (None, exc, traceback.format_exc())
+    try:
+        data = pickle.dumps(message)
+    except Exception:  # an exception that does not pickle
+        data = pickle.dumps((None, RuntimeError(repr(message[1])),
+                             message[2]))
+    with open(write_fd, "wb") as pipe:
+        pipe.write(data)
+    sys.stdout.flush()
+    sys.stderr.flush()
+
+
+def _unpack(data: bytes, pid: int, status: int):
+    """Parent side: a reaped child's result, or raise what it sent."""
+    if not data:
+        raise RuntimeError(f"sweep child {pid} ended without a result "
+                           f"(wait status {status})")
+    result, exc, child_traceback = pickle.loads(data)
+    if exc is not None:
+        raise exc from _ChildTraceback(child_traceback)
+    return result
 
 
 def waterfall_thresholds(rows) -> dict:

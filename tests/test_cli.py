@@ -475,6 +475,7 @@ BOUNDARY_RUNS = {
     # the estimators need the correlation s/(1+s) below 1
     ("magphase", "snr_db=200"), ("magphase", "snr_db=5,1e4"),
     ("rssi-compare", "snr_db=200"), ("rssi-compare", "snr_db=10,400"),
+    ("capacity-sweep", "snr_db=310"), ("capacity-sweep", "snr_db=-inf,150"),
 ])
 def test_bad_setting_exits_2_naming_key(tmp_path, capsys, subcommand,
                                         setting):
@@ -496,6 +497,21 @@ def test_snr_where_correlation_rounds_to_one_names_the_limit(tmp_path,
     assert f"--set snr_db: must be below {RHO_ONE_DB:.2f} dB" in (
         capsys.readouterr().err)
     assert not (tmp_path / "x").exists()
+
+
+def test_capacity_sweep_limit_is_the_largest_bin_snr(tmp_path, capsys):
+    # Table I's strongest delay bin has about 10 times the per-tone SNR, so
+    # its SNR reaches 2**53 at 149.52 dB, some 10 dB before a flat bin's
+    assert run_cli("capacity-sweep", "--config", TABLE1_CFG, "--out",
+                   tmp_path / "x", "--set", "snr_db=20,149.53") == 2
+    assert "--set snr_db: must be below 149.52 dB on this channel" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "x").exists()
+    out = tmp_path / "ok"
+    assert run_cli("capacity-sweep", "--config", TABLE1_CFG, "--out", out,
+                   "--set", "snr_db=149.52") == 0
+    rows = (out / "capacity_sweep.csv").read_text().splitlines()[2:]
+    assert all(math.isfinite(float(row.split(",")[2])) for row in rows)
 
 
 def test_snr_limit_covers_every_correlation_of_one():

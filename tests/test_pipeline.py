@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -471,29 +473,123 @@ def test_sweep_keeps_duplicate_grid_entries():
     assert rows[0] == rows[1] == rows[3] == rows[4]
 
 
-def _count_split_streams(monkeypatch):
-    calls = []
+def _count_split_streams(monkeypatch, tmp_path):
+    """The sorted seeds of every ``split_streams`` call the pipeline makes,
+    in this process or in a sweep's children: each call appends a line to a
+    file."""
+    log = tmp_path / "split_streams.log"
+    log.touch()
 
     def counting(seed, n):
-        calls.append(seed)
+        with open(log, "a") as fh:
+            fh.write(f"{seed!r}\n")
         return split_streams(seed, n)
 
     monkeypatch.setattr("chankey.pipeline.split_streams", counting)
-    return calls
+    return lambda: sorted(log.read_text().splitlines())
 
 
-def test_sweep_draws_each_trial_once(monkeypatch):
-    calls = _count_split_streams(monkeypatch)
+def test_sweep_draws_each_trial_once(monkeypatch, tmp_path):
+    calls = _count_split_streams(monkeypatch, tmp_path)
     template = _small_session(0.0, seed=5)
     sweep_rate_vs_snr(template, [0.5, 0.75], [10.0, 25.0], trials=3)
-    assert calls == [derive_seed(5, t) for t in range(3)]
+    assert calls() == sorted(repr(derive_seed(5, t)) for t in range(3))
 
 
-def test_sweep_below_min_rate_makes_no_draw(monkeypatch):
-    calls = _count_split_streams(monkeypatch)
+def test_sweep_below_min_rate_makes_no_draw(monkeypatch, tmp_path):
+    calls = _count_split_streams(monkeypatch, tmp_path)
     template = _small_session(0.0, seed=5)
     assert sweep_rate_vs_snr(template, [0.1, 0.2], [10.0, 25.0], trials=3) == []
-    assert calls == []
+    assert calls() == []
+
+
+# ---------------------------------------------------------------------------
+# trials split over forked children
+
+
+def _force_cpus(monkeypatch, cpus):
+    """Make the sweep see ``cpus`` usable CPUs; returns the list of pids
+    it forks."""
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    forked = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forked
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.golden
+@pytest.mark.parametrize("variant", SWEEP_VARIANTS)
+def test_sweep_rows_same_for_any_worker_count(variant, monkeypatch):
+    # 3 trials on 2 CPUs split unevenly; 2 trials on 3 CPUs take 2 workers
+    quantizer, mode, family, extra = SWEEP_VARIANTS[variant]
+    template = _small_session(0.0, seed=(23, 1), quantizer=quantizer,
+                              mode=mode, family=family, **extra)
+    for trials in (2, 3):
+        rows = {}
+        for cpus in (1, 2, 3):
+            forked = _force_cpus(monkeypatch, cpus)
+            rows[cpus] = sweep_rate_vs_snr(template, [0.5, 0.75],
+                                           [8.0, 14.0, 25.0], trials, family)
+            assert len(forked) == min(trials, cpus) - 1
+        assert rows[1] == rows[2] == rows[3]
+        assert len(rows[1]) == 6
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("failing", ["child", "parent"])
+def test_sweep_error_reraises_and_reaps_every_child(monkeypatch, failing):
+    forked = _force_cpus(monkeypatch, 3)
+    parent = os.getpid()
+    draw = pipeline.draw_session
+
+    def draw_or_fail(config):
+        if (os.getpid() != parent) == (failing == "child"):
+            raise ValueError(f"no draw in pid {os.getpid()}")
+        return draw(config)
+
+    monkeypatch.setattr(pipeline, "draw_session", draw_or_fail)
+    with pytest.raises(ValueError, match="no draw in pid") as info:
+        sweep_rate_vs_snr(_small_session(0.0, seed=5), [0.5], [10.0, 25.0],
+                          trials=4)
+    assert len(forked) == 2
+    raised_in = int(str(info.value).rsplit(" ", 1)[1])
+    assert (raised_in in forked) == (failing == "child")
+    if failing == "child":  # the child's own traceback rides along
+        assert "draw_or_fail" in str(info.value.__cause__)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("cause", ["thread", "no_fork"])
+def test_sweep_runs_serially_without_safe_fork(monkeypatch, cause):
+    forked = _force_cpus(monkeypatch, 2)
+    template = _small_session(0.0, seed=5)
+    args = (template, [0.5], [10.0, 25.0], 3, "regular")
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if cause == "thread":
+        thread.start()
+    else:
+        monkeypatch.delattr(os, "fork")
+    try:
+        rows = sweep_rate_vs_snr(*args)
+    finally:
+        stop.set()
+        if cause == "thread":
+            thread.join()
+    assert forked == []
+    assert rows == _reference_sweep(*args)
 
 
 SMALL_CODE = make_plane_code(N_SMALL, 0.5, "regular", 7)
