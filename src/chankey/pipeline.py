@@ -360,7 +360,8 @@ def sweep_rate_vs_snr(template: SessionConfig, rates, snr_grid, trials: int,
 
     The trials are split into contiguous ranges, one per CPU in the
     process's affinity mask (at most one per trial), and run at once: this
-    process runs the first range and ``os.fork`` children the others.
+    process runs the first range and forks (``os.fork``) a child for each
+    other range.
     Integer sums do not depend on the split, so the rows are identical for
     any number of CPUs; ``taskset -c 0`` gives a serial run.  The sweep
     runs serially where ``os.fork`` is missing or another Python thread is
@@ -432,6 +433,8 @@ def _split_trials(tally, trials: int) -> list:
     each child pickles its result, or the exception it raised with its
     traceback, into a pipe and leaves by ``os._exit``.  On any error every
     child not yet reaped is killed and reaped before the error propagates.
+    Children are forked, not spawned, so that they share the codes built
+    here: a spawned worker would import chankey and rebuild them.
     """
     workers = min(trials, _usable_cpus())
     if (workers == 1 or not hasattr(os, "fork")
@@ -445,14 +448,19 @@ def _split_trials(tally, trials: int) -> list:
     try:
         for part in parts[1:]:
             read_fd, write_fd = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
             if pid == 0:
                 try:
                     _send(tally, part, write_fd)
                 finally:
                     os._exit(0)
-            os.close(write_fd)
             children[pid] = open(read_fd, "rb")
+            os.close(write_fd)
         results = [tally(parts[0])]
         for pid, pipe in list(children.items()):
             with pipe:
@@ -478,7 +486,8 @@ def _send(tally, part: range, write_fd: int) -> None:
         message = (None, exc, traceback.format_exc())
     try:
         data = pickle.dumps(message)
-    except Exception:  # an exception that does not pickle
+        pickle.loads(data)
+    except Exception:  # an exception that does not pickle and unpickle
         data = pickle.dumps((None, RuntimeError(repr(message[1])),
                              message[2]))
     with open(write_fd, "wb") as pipe:

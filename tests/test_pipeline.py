@@ -571,6 +571,30 @@ def test_sweep_error_reraises_and_reaps_every_child(monkeypatch, failing):
     _assert_no_child_left()
 
 
+class _TwoArgumentError(Exception):
+    # pickles, but unpickling calls it with its one message argument
+    def __init__(self, what, where):
+        super().__init__(f"{what} in {where}")
+
+
+def test_sweep_child_error_that_cannot_unpickle_keeps_its_name(monkeypatch):
+    _force_cpus(monkeypatch, 2)
+    parent = os.getpid()
+    draw = pipeline.draw_session
+
+    def draw_or_fail(config):
+        if os.getpid() != parent:
+            raise _TwoArgumentError("no draw", "child")
+        return draw(config)
+
+    monkeypatch.setattr(pipeline, "draw_session", draw_or_fail)
+    with pytest.raises(RuntimeError,
+                       match="_TwoArgumentError.*no draw in child"):
+        sweep_rate_vs_snr(_small_session(0.0, seed=5), [0.5], [10.0],
+                          trials=2)
+    _assert_no_child_left()
+
+
 @pytest.mark.parametrize("cause", ["thread", "no_fork"])
 def test_sweep_runs_serially_without_safe_fork(monkeypatch, cause):
     forked = _force_cpus(monkeypatch, 2)
@@ -587,7 +611,8 @@ def test_sweep_runs_serially_without_safe_fork(monkeypatch, cause):
     finally:
         stop.set()
         if cause == "thread":
-            thread.join()
+            thread.join(timeout=10)
+    assert not thread.is_alive()
     assert forked == []
     assert rows == _reference_sweep(*args)
 
