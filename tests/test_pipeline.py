@@ -548,18 +548,25 @@ def test_sweep_rows_same_for_any_worker_count(variant, monkeypatch):
     _assert_no_child_left()
 
 
-@pytest.mark.parametrize("failing", ["child", "parent"])
-def test_sweep_error_reraises_and_reaps_every_child(monkeypatch, failing):
-    forked = _force_cpus(monkeypatch, 3)
+def _fail_draws(monkeypatch, in_child, error):
+    """Make ``draw_session`` raise ``error(pid)`` in a sweep's children,
+    or in this process."""
     parent = os.getpid()
     draw = pipeline.draw_session
 
     def draw_or_fail(config):
-        if (os.getpid() != parent) == (failing == "child"):
-            raise ValueError(f"no draw in pid {os.getpid()}")
+        if (os.getpid() != parent) == in_child:
+            raise error(os.getpid())
         return draw(config)
 
     monkeypatch.setattr(pipeline, "draw_session", draw_or_fail)
+
+
+@pytest.mark.parametrize("failing", ["child", "parent"])
+def test_sweep_error_reraises_and_reaps_every_child(monkeypatch, failing):
+    forked = _force_cpus(monkeypatch, 3)
+    _fail_draws(monkeypatch, failing == "child",
+                lambda pid: ValueError(f"no draw in pid {pid}"))
     with pytest.raises(ValueError, match="no draw in pid") as info:
         sweep_rate_vs_snr(_small_session(0.0, seed=5), [0.5], [10.0, 25.0],
                           trials=4)
@@ -579,15 +586,8 @@ class _TwoArgumentError(Exception):
 
 def test_sweep_child_error_that_cannot_unpickle_keeps_its_name(monkeypatch):
     _force_cpus(monkeypatch, 2)
-    parent = os.getpid()
-    draw = pipeline.draw_session
-
-    def draw_or_fail(config):
-        if os.getpid() != parent:
-            raise _TwoArgumentError("no draw", "child")
-        return draw(config)
-
-    monkeypatch.setattr(pipeline, "draw_session", draw_or_fail)
+    _fail_draws(monkeypatch, True,
+                lambda pid: _TwoArgumentError("no draw", "child"))
     with pytest.raises(RuntimeError,
                        match="_TwoArgumentError.*no draw in child"):
         sweep_rate_vs_snr(_small_session(0.0, seed=5), [0.5], [10.0],
