@@ -239,29 +239,21 @@ def _finite_snr(s: dict, allow_silence: bool = False):
 RHO_ONE_DB = 10.0 * math.log10(2.0**53)
 
 
-def _correlation_below_one(grid: list) -> None:
-    """Reject SNRs whose correlation s/(1+s) may round to 1: the estimators
-    take 1 - rho^2 and need |rho| < 1."""
-    bad = [v for v in grid if v >= RHO_ONE_DB]
+def _correlation_below_one(grid: list,
+                           cfg: ChannelConfig | None = None) -> None:
+    """Reject SNRs at which the strongest delay bin's SNR may reach 2**53,
+    where its correlation s/(1+s) rounds to 1: the estimators take
+    1 - rho^2 and need |rho| < 1.  That bin has ``gain`` times the per-tone
+    SNR: 1 for a flat bin (no ``cfg``), M max(w_l) on the channel ``cfg``."""
+    gain = 1.0 if cfg is None else cfg.m_tones * float(
+        np.max(bin_power_fractions(cfg)))
+    limit = RHO_ONE_DB - 10.0 * math.log10(gain)
+    bad = [v for v in grid if v >= limit]
     if bad:
-        raise ConfigError(f"--set snr_db: must be below {RHO_ONE_DB:.2f} dB "
-                          f"here, where the correlation s/(1+s) stays below "
-                          f"1, got {bad[0]}")
-
-
-def _bin_correlations_below_one(cfg: ChannelConfig, grid: list) -> None:
-    """Reject SNRs at which a delay bin's SNR reaches 2**53, where its
-    correlation s/(1+s) rounds to 1: the largest bin SNR is M max(w_l)
-    times the per-tone SNR, so the limit depends on the channel."""
-    bad = [v for v in grid
-           if build_snr_profile(cfg, v).per_bin_snr.max() >= 2.0**53]
-    if bad:
-        gain = cfg.m_tones * float(np.max(bin_power_fractions(cfg)))
-        limit = RHO_ONE_DB - 10.0 * math.log10(gain)
         raise ConfigError(f"--set snr_db: must be below {limit:.2f} dB on "
-                          f"this channel, where every delay bin's SNR stays "
-                          f"below 2**53 and its correlation s/(1+s) below "
-                          f"1, got {bad[0]}")
+                          f"this channel, where its strongest delay bin's "
+                          f"SNR stays below 2**53 and the correlation "
+                          f"s/(1+s) below 1, got {bad[0]}")
 
 
 def _quantizer(levels: int, thresholds: list, symbols: int) -> Quantizer:
@@ -302,7 +294,7 @@ def cmd_capacity_sweep(args) -> int:
     cfg, coherence = _channel_from_args(args)
     s = _settings(args, {"snr_db": [-5.0 + 2.5 * k for k in range(15)]})
     _finite_snr(s, allow_silence=True)
-    _bin_correlations_below_one(cfg, s["snr_db"])
+    _correlation_below_one(s["snr_db"], cfg)
     run = Run("capacity_sweep", args, s, channel=_config_dict(cfg),
               coherence_s=coherence)
     rows = []
@@ -489,7 +481,7 @@ def cmd_ldpc_waterfall(args) -> int:
     s = _settings(args, {"rates": [0.25, 0.5, 0.625, 0.75],
                          "variants": list(WATERFALL_VARIANTS), "blocks": 120,
                          "snr_step": 1.0, "snr_db": []})
-    _finite_snr(s)
+    _correlation_below_one(_finite_snr(s), cfg)
     rates, variants, blocks = s["rates"], s["variants"], s["blocks"]
     for variant in variants:
         if variant not in WATERFALL_VARIANTS:
@@ -558,8 +550,12 @@ def cmd_keygen(args) -> int:
         if any(pair.partition("=")[0].strip() == "snr_db"
                for pair in args.set or ()):
             raise ConfigError("give --noise or --set snr_db, not both")
-        snr_db = 200.0 if args.noise == 0 else 10 * math.log10(
-            cfg.sigma_h2 / args.noise)
+        # no noise is taken as 200 dB
+        snr = cfg.sigma_h2 / args.noise if args.noise else 1e20
+        if not 0.0 < snr < math.inf:
+            raise ConfigError(f"--noise: must give a finite SNR in dB here, "
+                              f"got sigma_h2 / {args.noise} = {snr}")
+        snr_db = 10 * math.log10(snr)
     s = _settings(args, {"rate": 0.5, "levels": 2, "quantizer.thresholds": [],
                          "mode": "soft", "blocks": 120, "snr_db": snr_db})
     rate, mode, blocks = s["rate"], s["mode"], s["blocks"]

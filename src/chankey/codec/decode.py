@@ -11,7 +11,8 @@ coset rather than the zero codeword.
   a probability vector over the four levels.
 * ``decode_with_phase_offset`` -- binary decoding with one extra variable
   node for the session's unknown oscillator rotation, connected to every
-  evidence node; the rotation hypothesis set is a uniform grid.
+  evidence node; Bob's evidence comes once per hypothesis of a rotation
+  grid.
 
 All three run their flooding iterations through ``_flood``, the one stop
 rule: the estimate meets the target syndrome, no message moves by
@@ -44,8 +45,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..quantize import Quantizer, bit_planes, soft_evidence
-from ..sounding import interleave
 from .matrix import SparseParityCheck, graph_for
 
 LLR_CLAMP = 30.0
@@ -292,8 +291,7 @@ def decode_quaternary(pcm_m: SparseParityCheck, pcm_l: SparseParityCheck,
             yield estimate, max(sp_m.last_delta, sp_l.last_delta)
 
     def satisfies(estimate):
-        est_m, est_l = bit_planes(estimate)
-        return sp_m.satisfied(est_m) and sp_l.satisfied(est_l)
+        return sp_m.satisfied(estimate >> 1) and sp_l.satisfied(estimate & 1)
 
     return _flood(steps(), satisfies, max_iter)
 
@@ -303,38 +301,25 @@ def decode_quaternary(pcm_m: SparseParityCheck, pcm_l: SparseParityCheck,
 
 
 def decode_with_phase_offset(pcm: SparseParityCheck, syndrome_bits: np.ndarray,
-                             raw_obs: np.ndarray, theta_grid: np.ndarray,
-                             rho, sigma, quantizer: Quantizer,
+                             evidence, theta_grid: np.ndarray,
                              max_iter: int = DEFAULT_MAX_ITER) -> DecodeResult:
     """Binary coset decoding with one unknown rotation on Bob's observations.
 
-    A single rotation variable node connects to every evidence node.  Per grid
-    hypothesis the complex observations are de-rotated and turned into soft
-    evidence; the rotation belief starts uniform and is refined from the
-    code's extrinsic output each iteration.  A single-point grid reproduces
-    the plain binary decoder exactly.
-
-    ``raw_obs`` holds Bob's complex observations; interleaved real parts
-    must match the code length (N = 2 * len(raw_obs)).  ``rho`` and
-    ``sigma`` are scalars or per-real-symbol vectors, as in soft_evidence.
+    A single rotation variable node connects to every evidence node.
+    ``evidence`` is the ``(len(theta_grid), N, 2)`` array of Bob's binary
+    posteriors under each grid hypothesis, that is from his observations
+    de-rotated by it.  The rotation belief starts uniform and is refined
+    from the code's extrinsic output each iteration.  A single-point grid
+    reproduces the plain binary decoder exactly.
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
     if theta_grid.size == 0:
         raise ValueError("rotation grid must be nonempty")
-    if quantizer.levels != 2:
-        raise ValueError("rotation-aware decoding supports binary data only")
-    raw_obs = np.asarray(raw_obs, dtype=complex)
-    n = 2 * raw_obs.size
-    if n != pcm.n:
-        raise ValueError("code length must equal 2 * observation count")
+    num_grid, n = theta_grid.size, pcm.n
+    prob = np.asarray(evidence, dtype=float)
+    if prob.shape != (num_grid, n, 2):
+        raise ValueError(f"evidence must be ({num_grid}, {n}, 2)")
     s = np.asarray(syndrome_bits, dtype=np.uint8)
-    num_grid = theta_grid.size
-
-    # every hypothesis's channel evidence in one call: prob[b, i, level]
-    y = interleave(raw_obs * np.exp(-1j * theta_grid)[:, None])
-    rho, sigma = (np.tile(np.broadcast_to(v, n), num_grid)
-                  for v in (rho, sigma))
-    prob = soft_evidence(y, rho, sigma, quantizer).reshape(num_grid, n, 2)
 
     if num_grid == 1:
         # degenerate grid: the rotation node is deterministic and the

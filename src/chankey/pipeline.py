@@ -257,9 +257,13 @@ def run_session(config: SessionConfig,
 
     theta_error = None
     if config.phase_mode != "none":
+        # Bob's binary posteriors under every rotation hypothesis at once
+        grid = rotation_grid(config.theta_grid_size)
+        y_rot = interleave(b_obs.reshape(-1) * np.exp(-1j * grid)[:, None])
+        ev = soft_evidence(y_rot, np.tile(rho_vec, grid.size),
+                           np.tile(sigma_vec, grid.size), q)
         result = decode_with_phase_offset(
-            pcm, syndromes[0], b_obs.reshape(-1),
-            rotation_grid(config.theta_grid_size), rho_vec, sigma_vec, q,
+            pcm, syndromes[0], ev.reshape(grid.size, pcm.n, 2), grid,
             config.max_iter)
         err = np.angle(np.exp(1j * (result.theta_hat - theta)))
         theta_error = float(abs(err))

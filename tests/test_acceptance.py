@@ -296,11 +296,9 @@ def test_criterion_9_rotation_tracking():
         y_raw = rho * x_raw + math.sqrt(1 - rho * rho) * sx \
             * rng.standard_normal(PHASE_N)
         s = code.syndrome(quantize(x_raw, Q2, scale=sx))
-        obs = y_raw[0::2] + 1j * y_raw[1::2]
-        res_b1 = decode_with_phase_offset(code, s, obs, np.array([0.0]), rho,
-                                          sigma, Q2)
-        res_plain = decode_binary(
-            code, s, evidence_to_llr(soft_evidence(y_raw, rho, sigma, Q2)))
+        ev = soft_evidence(y_raw, rho, sigma, Q2)
+        res_b1 = decode_with_phase_offset(code, s, ev[None], np.array([0.0]))
+        res_plain = decode_binary(code, s, evidence_to_llr(ev))
         if not (np.array_equal(res_b1.estimate, res_plain.estimate)
                 and res_b1.iterations_used == res_plain.iterations_used
                 and res_b1.syndrome_satisfied == res_plain.syndrome_satisfied):

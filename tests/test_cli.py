@@ -476,6 +476,8 @@ BOUNDARY_RUNS = {
     ("magphase", "snr_db=200"), ("magphase", "snr_db=5,1e4"),
     ("rssi-compare", "snr_db=200"), ("rssi-compare", "snr_db=10,400"),
     ("capacity-sweep", "snr_db=310"), ("capacity-sweep", "snr_db=-inf,150"),
+    # so do the capacities that ldpc-waterfall sets its key rates against
+    ("ldpc-waterfall", "snr_db=200"), ("ldpc-waterfall", "snr_db=10,149.53"),
 ])
 def test_bad_setting_exits_2_naming_key(tmp_path, capsys, subcommand,
                                         setting):
@@ -600,6 +602,15 @@ def test_noise_must_be_finite_nonnegative(tmp_path, capsys, noise):
                 "--noise", noise, "--set", "blocks=10")
     assert exc.value.code == 2
     assert "--noise" in capsys.readouterr().err
+
+
+def test_keygen_noise_beyond_float_range_names_noise(tmp_path, capsys):
+    # sigma_h2 / 1e-320 overflows to inf: no finite SNR in dB
+    assert run_cli("keygen", "--out", tmp_path / "x", "--trials", 1,
+                   "--noise", 1e-320, "--set", "blocks=10") == 2
+    err = capsys.readouterr().err
+    assert "--noise: must give a finite SNR" in err and "snr_db" not in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_keygen_noise_and_snr_override_exit_2(tmp_path, capsys):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from chankey.codec.decode import (
 )
 from chankey.quantize import Quantizer, bit_planes, quantize, soft_evidence
 from chankey.rng import make_rng
+from chankey.sounding import interleave
 
 Q2 = Quantizer.equiprobable(2)
 Q4 = Quantizer.equiprobable(4)
@@ -272,6 +277,17 @@ def _phase_code():
     return pcm
 
 
+def _rotated_evidence(obs, grid, rho, sigma):
+    """Binary posteriors of ``obs`` de-rotated by each grid hypothesis,
+    formed as a key session forms them: ``(len(grid), 2 len(obs), 2)``."""
+    grid = np.asarray(grid, dtype=float)
+    y = interleave(obs * np.exp(-1j * grid)[:, None])
+    n = 2 * obs.size
+    rho, sigma = (np.tile(np.broadcast_to(v, n), grid.size)
+                  for v in (rho, sigma))
+    return soft_evidence(y, rho, sigma, Q2).reshape(grid.size, n, 2)
+
+
 def test_phase_single_point_grid_equals_plain_decoder():
     pcm = _phase_code()
     rho = 0.99
@@ -280,10 +296,8 @@ def test_phase_single_point_grid_equals_plain_decoder():
     y_raw = rho * x_raw + math.sqrt(1 - rho**2) * rng.standard_normal(256)
     xa = quantize(x_raw, Q2)
     s = pcm.syndrome(xa)
-    obs = y_raw[0::2] + 1j * y_raw[1::2]
-    res_phase = decode_with_phase_offset(pcm, s, obs, np.array([0.0]), rho,
-                                         math.sqrt(2), Q2)
     ev = soft_evidence(y_raw, rho, math.sqrt(2), Q2)
+    res_phase = decode_with_phase_offset(pcm, s, ev[None], np.array([0.0]))
     res_plain = decode_binary(pcm, s, evidence_to_llr(ev))
     np.testing.assert_array_equal(res_phase.estimate, res_plain.estimate)
     assert res_phase.iterations_used == res_plain.iterations_used
@@ -304,8 +318,8 @@ def test_phase_repeated_hypothesis_with_per_symbol_channel(grid):
     y_raw = rho * x_raw + np.sqrt(1 - rho**2) * rng.standard_normal(256)
     s = pcm.syndrome(quantize(x_raw, Q2))
     obs = y_raw[0::2] + 1j * y_raw[1::2]
-    res_phase = decode_with_phase_offset(pcm, s, obs, np.array(grid), rho,
-                                         sigma, Q2)
+    res_phase = decode_with_phase_offset(
+        pcm, s, _rotated_evidence(obs, grid, rho, sigma), np.array(grid))
     ev = soft_evidence(y_raw, rho, sigma, Q2)
     res_plain = decode_binary(pcm, s, evidence_to_llr(ev))
     np.testing.assert_array_equal(res_phase.estimate, res_plain.estimate)
@@ -324,8 +338,9 @@ def test_phase_noiseless_on_grid_exact():
         xa = quantize(x_raw, Q2)
         theta = grid[rng.integers(0, B)]
         obs = (x_raw[0::2] + 1j * x_raw[1::2]) * np.exp(1j * theta)
-        res = decode_with_phase_offset(pcm, pcm.syndrome(xa), obs, grid, rho,
-                                       math.sqrt(2), Q2)
+        res = decode_with_phase_offset(
+            pcm, pcm.syndrome(xa),
+            _rotated_evidence(obs, grid, rho, math.sqrt(2)), grid)
         assert res.theta_hat == pytest.approx(theta, abs=1e-12)
         np.testing.assert_array_equal(res.estimate, xa)
 
@@ -343,8 +358,9 @@ def test_phase_off_grid_midpoint_adjacent():
         k = int(rng.integers(0, B))
         theta = (k + 0.5) * 2 * np.pi / B
         obs = (y_raw[0::2] + 1j * y_raw[1::2]) * np.exp(1j * theta)
-        res = decode_with_phase_offset(pcm, pcm.syndrome(xa), obs, grid, rho,
-                                       math.sqrt(2), Q2)
+        res = decode_with_phase_offset(
+            pcm, pcm.syndrome(xa),
+            _rotated_evidence(obs, grid, rho, math.sqrt(2)), grid)
         assert res.theta_hat in (grid[k], grid[(k + 1) % B])
 
 
@@ -391,8 +407,8 @@ def test_phase_joint_exhaustive_oracle_small():
             continue  # tied joint optimum (a wrong rotation mimics a coset
             # member by chance at this tiny size): no unique answer to match
         unique += 1
-        res = decode_with_phase_offset(pcm, s, obs, grid, rho, math.sqrt(2),
-                                       Q2)
+        res = decode_with_phase_offset(
+            pcm, s, _rotated_evidence(obs, grid, rho, math.sqrt(2)), grid)
         hits += int(np.array_equal(res.estimate, scored[0][1])
                     and res.theta_hat == pytest.approx(scored[0][2]))
     assert unique >= 15
@@ -401,16 +417,31 @@ def test_phase_joint_exhaustive_oracle_small():
 
 def test_phase_rejects_bad_arguments():
     pcm = _phase_code()
-    obs = np.zeros(128, dtype=complex)
-    with pytest.raises(ValueError):
-        decode_with_phase_offset(pcm, np.zeros(192, np.uint8), obs,
-                                 np.array([]), 0.9, 1.0, Q2)
-    with pytest.raises(ValueError):
-        decode_with_phase_offset(pcm, np.zeros(192, np.uint8), obs,
-                                 np.array([0.0]), 0.9, 1.0, Q4)
-    with pytest.raises(ValueError):
-        decode_with_phase_offset(pcm, np.zeros(192, np.uint8), obs[:100],
-                                 np.array([0.0]), 0.9, 1.0, Q2)
+    s = np.zeros(192, np.uint8)
+    with pytest.raises(ValueError, match="nonempty"):
+        decode_with_phase_offset(pcm, s, np.full((0, 256, 2), 0.5),
+                                 np.array([]))
+    # one (N, 2) block per hypothesis, of binary posteriors
+    for shape in [(1, 256, 2), (2, 200, 2), (2, 256, 4), (256, 2)]:
+        with pytest.raises(ValueError, match="evidence must be"):
+            decode_with_phase_offset(pcm, s, np.full(shape, 0.5),
+                                     np.array([0.0, np.pi]))
+
+
+def test_codec_loads_no_session_module():
+    # the decoders take Bob's evidence as formed by the key session, so the
+    # codec loads no channel, sounding or quantizer module.  A fresh
+    # interpreter, because this one has loaded them all.
+    src = str(Path(decode_binary.__code__.co_filename).resolve().parents[2])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = ("import sys, chankey.codec; print(*sorted(m for m in "
+             "sys.modules if m.startswith('chankey.')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["chankey.codec", "chankey.codec.decode",
+                                  "chankey.codec.matrix", "chankey.rng"]
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +457,8 @@ def test_decoders_reject_zero_iterations(decoder):
         "quaternary": lambda: decode_quaternary(
             pcm, pcm, s, s, np.full((16, 4), 0.25), max_iter=0),
         "phase_offset": lambda: decode_with_phase_offset(
-            pcm, s, np.ones(8, dtype=complex), np.arange(4) * np.pi / 2,
-            0.9, 1.0, Q2, max_iter=0),
+            pcm, s, np.full((4, 16, 2), 0.5), np.arange(4) * np.pi / 2,
+            max_iter=0),
     }
     with pytest.raises(ValueError, match="max_iter"):
         calls[decoder]()
@@ -584,9 +615,11 @@ def test_decoders_report_satisfied_exactly(seed, decoder, grid, max_iter, rho):
             res = decode_binary(pcm, targets[0], llr, max_iter=max_iter)
         else:
             obs = y_raw[0::2] + 1j * y_raw[1::2]
+            thetas = 2 * np.pi * np.arange(grid) / grid
             res = decode_with_phase_offset(
-                pcm, targets[0], obs, 2 * np.pi * np.arange(grid) / grid,
-                rho, math.sqrt(2), Q2, max_iter=max_iter)
+                pcm, targets[0], _rotated_evidence(obs, thetas, rho,
+                                                   math.sqrt(2)),
+                thetas, max_iter=max_iter)
         estimates = [res.estimate]
     truth = all(np.array_equal(pcm.syndrome(e), t)
                 for e, t in zip(estimates, targets))

@@ -74,6 +74,9 @@ def test_config_validation():
         SessionConfig(channel=SMALL, snr_f_db=10, blocks=16, quantizer=Q2,
                       code=code, phase_mode="constant_theta",
                       decoding_mode="hard", seed=0)
+    with pytest.raises(ValueError, match="binary soft"):
+        SessionConfig(channel=SMALL, snr_f_db=10, blocks=16, quantizer=Q4,
+                      code=code, phase_mode="constant_theta", seed=0)
 
 
 def test_config_rejects_per_block_theta():
