@@ -604,10 +604,16 @@ def test_noise_must_be_finite_nonnegative(tmp_path, capsys, noise):
     assert "--noise" in capsys.readouterr().err
 
 
-def test_keygen_noise_beyond_float_range_names_noise(tmp_path, capsys):
-    # sigma_h2 / 1e-320 overflows to inf: no finite SNR in dB
-    assert run_cli("keygen", "--out", tmp_path / "x", "--trials", 1,
-                   "--noise", 1e-320, "--set", "blocks=10") == 2
+@pytest.mark.parametrize("sigma_h2, noise", [(1.0, 1e-320), (1e-30, 1e300)])
+def test_keygen_noise_beyond_float_range_names_noise(tmp_path, capsys,
+                                                     sigma_h2, noise):
+    # sigma_h2 / noise overflows to inf or underflows to 0: no finite SNR
+    # in dB (the underflow crashed with a math domain error)
+    cfg = tmp_path / "channel.cfg"
+    cfg.write_text(re.sub(r"(?m)^sigma_h2 .*$", f"sigma_h2 = {sigma_h2}",
+                          TABLE1_CFG.read_text()))
+    assert run_cli("keygen", "--config", cfg, "--out", tmp_path / "x",
+                   "--trials", 1, "--noise", noise, "--set", "blocks=10") == 2
     err = capsys.readouterr().err
     assert "--noise: must give a finite SNR" in err and "snr_db" not in err
     assert not (tmp_path / "x").exists()
