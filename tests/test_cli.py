@@ -86,7 +86,7 @@ def test_outputs_deterministic(tmp_path):
 def test_keygen_noiseless_identical_keys(tmp_path, capsys):
     out = tmp_path / "kg"
     code = run_cli("keygen", "--seed", 4, "--out", out, "--trials", 2,
-                   "--noise", 0, "--set", "blocks=12")
+                   "--set", "snr_db=200", "--set", "blocks=12")
     assert code == 0
     stdout = capsys.readouterr().out
     assert "agreement: 2/2" in stdout
@@ -140,7 +140,7 @@ def test_malformed_override_exits_2(tmp_path):
 
 @pytest.mark.parametrize("subcommand, typo", [
     ("keygen", "rat=0.9"), ("ldpc-waterfall", "block=12"),
-    ("keygen", "quantizer.levels=4"),
+    ("keygen", "quantizer.levels=4"), ("ldpc-waterfall", "snr_step=1"),
 ])
 def test_unknown_override_exits_2(tmp_path, capsys, subcommand, typo):
     key = typo.partition("=")[0]
@@ -386,6 +386,23 @@ def test_phase_demo_small(tmp_path):
     assert (out / "theta_err_hist.csv").exists()
 
 
+def test_phase_demo_judges_its_claims_at_its_operating_point_only(
+        tmp_path, monkeypatch):
+    # criterion 9 and the quarter-turn collapse are claims about 18 dB: a
+    # forced failure shows there, and a -20 dB run is not judged on them
+    monkeypatch.setattr("chankey.claims.rotation_tracking",
+                        lambda baseline, points: (False, "forced"))
+    small = ("--seed", 9, "--trials", 2, "--set", "blocks=4",
+             "--set", "grid=4")
+    assert run_cli("phase-demo", *small, "--set", "snr_db=18",
+                   "--out", tmp_path / "at18") == 3
+    out = tmp_path / "low"
+    assert run_cli("phase-demo", *small, "--set", "snr_db=-20",
+                   "--out", out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["violations"] == []
+
+
 def test_magphase_small(tmp_path):
     out = tmp_path / "mp"
     code = run_cli("magphase", "--seed", 10, "--out", out,
@@ -403,6 +420,8 @@ def test_magphase_small(tmp_path):
     ("rssi-compare", "--config=nope.cfg"), ("magphase", "--config=nope.cfg"),
     ("phase-demo", "--config=nope.cfg"),
     ("capacity-sweep", "--full"), ("keygen", "--full"),
+    ("ldpc-waterfall", "--full"), ("phase-demo", "--full"),
+    ("keygen", "--noise=0"),
 ])
 def test_flag_the_handler_ignores_exits_2(tmp_path, subcommand, flag):
     with pytest.raises(SystemExit) as exc:
@@ -446,7 +465,6 @@ BOUNDARY_RUNS = {
 
 @pytest.mark.parametrize("subcommand, setting", [
     ("phase-demo", "grid=0"), ("phase-demo", "grid=-3"),
-    ("ldpc-waterfall", "snr_step=0"), ("ldpc-waterfall", "snr_step=-1"),
     ("ldpc-waterfall", "rates="), ("ldpc-waterfall", "rates=0.1,0.2"),
     ("corr-matrix", "realizations=0"), ("corr-matrix", "realizations=-5"),
     ("keygen", "blocks=0"), ("keygen", "blocks=ten"),
@@ -569,6 +587,65 @@ def test_keygen_bad_thresholds_exit_2(tmp_path, capsys, mode, settings):
     assert not (tmp_path / "x").exists()
 
 
+KEYGEN_SMALL = ("keygen", "--trials", 1, "--set", "blocks=10")
+# runs at the edges of SNR, channel and rate, each with the one exit code it
+# must give: 0 where it runs and its self-checks hold, 2 for a setting it
+# rejects; never 1 (a fault) and never a 3 that a claim did not earn
+EDGE_RUNS = [
+    *[pytest.param((*KEYGEN_SMALL, "--set", f"snr_db={snr}", "--set", extra),
+                   0, id=f"keygen-{snr}dB-{extra}")
+      for snr in (200, 400) for extra in ("levels=2", "levels=4", "mode=hard")],
+    pytest.param((*KEYGEN_SMALL, "--set", "snr_db=-30"), 0,
+                 id="keygen--30dB"),
+    pytest.param((*KEYGEN_SMALL, "--config", "tones1.cfg"), 0,
+                 id="keygen-one-tone"),
+    pytest.param((*KEYGEN_SMALL, "--config", "bins1.cfg"), 0,
+                 id="keygen-one-bin"),
+    pytest.param(("corr-matrix", "--config", "tones1.cfg",
+                  "--set", "realizations=2000"), 0, id="corr-matrix-one-tone"),
+    pytest.param(("corr-matrix", "--config", "bins1.cfg",
+                  "--set", "realizations=2000"), 0, id="corr-matrix-one-bin"),
+    pytest.param(("ldpc-waterfall", "--trials", 1, "--set", "blocks=10",
+                  "--set", "rates=0.5", "--set", "snr_db=-30",
+                  "--set", "variants=quaternary_regular_soft"), 0,
+                 id="ldpc-waterfall-quaternary--30dB"),
+    pytest.param(("magphase", "--set", "samples=100000",
+                  "--set", "snr_db=-30"), 0, id="magphase--30dB"),
+    pytest.param(("rssi-compare", "--set", "samples=10000",
+                  "--set", "snr_db=-30"), 0, id="rssi-compare--30dB"),
+    pytest.param(("phase-demo", "--seed", 9, "--trials", 2,
+                  "--set", "blocks=4", "--set", "grid=4",
+                  "--set", "snr_db=-20"), 0, id="phase-demo--20dB"),
+    pytest.param((*KEYGEN_SMALL, "--set", "snr_db=-inf"), 2,
+                 id="keygen--inf-dB"),
+    pytest.param(("capacity-sweep", "--set", "snr_db=-30,200"), 2,
+                 id="capacity-sweep-200dB"),
+    pytest.param(("magphase", "--set", "snr_db=200"), 2, id="magphase-200dB"),
+    pytest.param((*KEYGEN_SMALL, "--set", "rate=0.01"), 2,
+                 id="keygen-rate-0.01"),
+    pytest.param(("ldpc-waterfall", "--trials", 1, "--set", "blocks=10",
+                  "--set", "rates=0.99", "--set", "snr_db=10",
+                  "--set", "variants=binary_irregular_soft"), 2,
+                 id="ldpc-waterfall-irregular-rate-0.99"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", EDGE_RUNS)
+def test_edge_settings_exit_with_their_code(tmp_path, monkeypatch, argv,
+                                            expected):
+    # one-bin channels (L = 1): a single tone, and Table I without spread
+    table1 = TABLE1_CFG.read_text()
+    (tmp_path / "tones1.cfg").write_text(
+        table1.replace("m_tones      = 52", "m_tones = 1").replace(
+            "bandwidth_hz = 16.25e6", "bandwidth_hz = 0.3125e6"))
+    (tmp_path / "bins1.cfg").write_text(
+        table1.replace("tau_max_s    = 800e-9", "tau_max_s = 0"))
+    for name in ("tones1.cfg", "bins1.cfg"):
+        assert load_config(tmp_path / name).num_delay_bins == 1
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv, "--out", tmp_path / "x") == expected
+
+
 def test_keygen_rate_out_of_range_names_rate(tmp_path, capsys):
     assert run_cli("keygen", "--out", tmp_path / "x", "--trials", 1,
                    "--set", "blocks=10", "--set", "rate=1.5") == 2
@@ -593,39 +670,6 @@ def test_manifest_hash_tracks_each_setting(tmp_path, argv, setting):
     run_cli(*argv, "--out", tmp_path / "a")
     run_cli(*argv, "--set", setting, "--out", tmp_path / "b")
     assert manifest_line(tmp_path / "a") != manifest_line(tmp_path / "b")
-
-
-@pytest.mark.parametrize("noise", ["-1", "inf", "nan"])
-def test_noise_must_be_finite_nonnegative(tmp_path, capsys, noise):
-    with pytest.raises(SystemExit) as exc:
-        run_cli("keygen", "--out", tmp_path / "x", "--trials", 1,
-                "--noise", noise, "--set", "blocks=10")
-    assert exc.value.code == 2
-    assert "--noise" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("sigma_h2, noise", [(1.0, 1e-320), (1e-30, 1e300)])
-def test_keygen_noise_beyond_float_range_names_noise(tmp_path, capsys,
-                                                     sigma_h2, noise):
-    # sigma_h2 / noise overflows to inf or underflows to 0: no finite SNR
-    # in dB (the underflow crashed with a math domain error)
-    cfg = tmp_path / "channel.cfg"
-    cfg.write_text(re.sub(r"(?m)^sigma_h2 .*$", f"sigma_h2 = {sigma_h2}",
-                          TABLE1_CFG.read_text()))
-    assert run_cli("keygen", "--config", cfg, "--out", tmp_path / "x",
-                   "--trials", 1, "--noise", noise, "--set", "blocks=10") == 2
-    err = capsys.readouterr().err
-    assert "--noise: must give a finite SNR" in err and "snr_db" not in err
-    assert not (tmp_path / "x").exists()
-
-
-def test_keygen_noise_and_snr_override_exit_2(tmp_path, capsys):
-    # --noise fixes the SNR, so a --set snr_db beside it cannot take effect
-    assert run_cli("keygen", "--out", tmp_path / "x", "--trials", 1,
-                   "--noise", 0.1, "--set", "snr_db=-5",
-                   "--set", "blocks=10") == 2
-    err = capsys.readouterr().err
-    assert "--noise" in err and "snr_db" in err
 
 
 def test_unknown_waterfall_variant_exits_2(tmp_path, capsys):

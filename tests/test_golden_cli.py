@@ -40,7 +40,7 @@ RUNS = (
     ("keygen-4hard", ["keygen", "--seed", 5, "--trials", 2,
                       "--set", "blocks=10", "--set", "levels=4",
                       "--set", "mode=hard", "--set", "rate=0.75",
-                      "--noise", 0.02]),
+                      "--set", "snr_db=16.989700043360187"]),
     ("phase-demo", ["phase-demo", "--seed", 9, "--trials", 2,
                     "--set", "blocks=4", "--set", "grid=4"]),
 )
