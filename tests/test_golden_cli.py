@@ -46,7 +46,7 @@ RUNS = (
 )
 
 EXPECTED_SHA256 = (
-    "1cb9b285d35cfb391f289883f6ca465a147c5df57d32609069ced30913902ed0")
+    "978b00c5da743ce74390860646af1742a7ee2e0e88d5c137cd8145b10cf2c94c")
 EXPECTED_BODIES_SHA256 = (
     "49913588bb888678a87aba6b7d23c339b5f7567355ae3c3d3ccb918051ec8c7d")
 
