@@ -184,8 +184,8 @@ def _settings(args, defaults: dict) -> dict:
     for pair in args.set or ():
         key, _, text = (part.strip() for part in pair.partition("="))
         if key not in defaults:
-            raise ConfigError(f"unknown override '{key}' (accepted: "
-                              f"{', '.join(defaults)})")
+            raise ConfigError(f"--set {key}: unknown override '{key}' "
+                              f"(accepted: {', '.join(defaults)})")
         default = defaults[key]
         many = isinstance(default, list)
         kind = type(default[0] if default else 0.0) if many else type(default)

@@ -429,6 +429,18 @@ def test_flag_the_handler_ignores_exits_2(tmp_path, subcommand, flag):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("noise", ["-1", "inf", "nan"])
+def test_noise_must_be_finite_nonnegative(tmp_path, capsys, noise):
+    # keygen takes its SNR only as --set snr_db: any --noise, the values
+    # that once failed its range check included, exits 2 naming the flag
+    with pytest.raises(SystemExit) as exc:
+        run_cli("keygen", "--out", tmp_path / "x", "--trials", 1,
+                "--noise", noise, "--set", "blocks=10")
+    assert exc.value.code == 2
+    assert "--noise" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 # small runs, so that a count the parser lets through finishes quickly
 SMALL_RUNS = {
     "ldpc-waterfall": ("--set", "variants=binary_regular_soft",
@@ -496,6 +508,8 @@ BOUNDARY_RUNS = {
     ("capacity-sweep", "snr_db=310"), ("capacity-sweep", "snr_db=-inf,150"),
     # so do the capacities that ldpc-waterfall sets its key rates against
     ("ldpc-waterfall", "snr_db=200"), ("ldpc-waterfall", "snr_db=10,149.53"),
+    # the grid is an explicit snr_db list: there is no step setting left
+    ("ldpc-waterfall", "snr_step=0"), ("ldpc-waterfall", "snr_step=-1"),
 ])
 def test_bad_setting_exits_2_naming_key(tmp_path, capsys, subcommand,
                                         setting):
