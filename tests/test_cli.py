@@ -178,6 +178,29 @@ def test_corr_matrix_one_tone_passes(tmp_path):
     assert freq.shape == ()
 
 
+def test_corr_matrix_names_delay_bins_no_path_reached(tmp_path):
+    # one path per realization reaches one delay bin: in 10 realizations
+    # some of the 13 bins get none and have no correlation to report
+    cfg = tmp_path / "one_path.cfg"
+    cfg.write_text(TABLE1_CFG.read_text().replace(
+        "n_paths      = 300", "n_paths = 1"))
+    out = tmp_path / "cm"
+    assert run_cli("corr-matrix", "--config", cfg, "--out", out,
+                   "--set", "realizations=10") == 3
+    time = np.loadtxt(out / "time_corr.csv", delimiter=",", skiprows=2)
+    empty = np.flatnonzero(np.isnan(time.diagonal()))
+    live = np.flatnonzero(~np.isnan(time.diagonal()))
+    assert empty.size and live.size >= 2
+    assert np.isnan(time[empty]).all() and np.isnan(time[:, empty]).all()
+    assert np.isfinite(time[np.ix_(live, live)]).all()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["violations"] == [
+        f"delay bins {', '.join(map(str, empty))} received no path in 10 "
+        f"realizations"]
+    assert run_cli("corr-matrix", "--config", cfg, "--out", tmp_path / "ok",
+                   "--set", "realizations=100") == 0
+
+
 def test_corr_matrix_table1_small(tmp_path):
     out = tmp_path / "cm"
     code = run_cli("corr-matrix", "--config", TABLE1_CFG, "--seed", 6,
