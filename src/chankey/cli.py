@@ -1,11 +1,11 @@
 """Command-line harness for desk-scale experiments.
 
 Each subcommand resolves its configuration, writes a manifest (seed,
-package version, and as ``params`` the resolved ``--set`` settings plus the
-values derived from flags) into the output directory, and emits CSV files
-whose first line names the manifest hash, so any result file can be traced
-to the exact run that produced it.  Runs are deterministic given
-(config, seed).
+package version, ``--trials`` count, and as ``params`` the resolved ``--set``
+settings plus the channel read from ``--config``) into the output directory,
+and emits CSV files whose first line names the manifest hash, so any result
+file can be traced to the exact run that produced it.  Runs are
+deterministic given (config, seed).
 
 Exit codes: 0 on success, 2 on configuration errors, 3 when a
 self-checking experiment's built-in assertions fail.
@@ -70,10 +70,11 @@ def _positive_int(text: str) -> int:
 
 
 # Flags beyond --seed, --out and --set; build_parser gives each subcommand
-# only the ones its handler reads.
+# only the ones its handler reads, each with that subcommand's default.
 FLAGS = {
     "--config": dict(help="channel config file (key = value)"),
-    "--trials": dict(type=_positive_int, help="sessions per grid point"),
+    "--trials": dict(type=_positive_int,
+                     help="sessions per grid point (default %(default)s)"),
 }
 
 
@@ -109,27 +110,22 @@ class Run:
         self.out.mkdir(parents=True, exist_ok=True)
         return self.out / name
 
-    def write_csv(self, name: str, header, rows) -> Path:
-        path = self.path(name)
-        with open(path, "w") as fh:
+    def write_csv(self, name: str, header, rows) -> None:
+        with open(self.path(name), "w") as fh:
             fh.write(f"# manifest: {self.hash}\n")
             fh.write(",".join(header) + "\n")
             for row in rows:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
-        return path
 
     def finish(self) -> int:
-        self.manifest["self_check"] = (
-            "failed" if self.violations else "passed")
+        self.manifest["self_check"] = "failed" if self.violations else "passed"
         self.manifest["violations"] = self.violations
         with open(self.path("manifest.json"), "w") as fh:
             json.dump(self.manifest, fh, sort_keys=True, indent=2, default=str)
             fh.write("\n")
-        if self.violations:
-            for v in self.violations:
-                print(f"self-check failed: {v}", file=sys.stderr)
-            return EXIT_SELF_CHECK
-        return EXIT_OK
+        for v in self.violations:
+            print(f"self-check failed: {v}", file=sys.stderr)
+        return EXIT_SELF_CHECK if self.violations else EXIT_OK
 
 
 def _fmt(v) -> str:
@@ -244,30 +240,6 @@ def _correlation_below_one(grid: list,
                           f"s/(1+s) below 1, got {bad[0]}")
 
 
-def _quantizer(levels: int, thresholds: list, symbols: int) -> Quantizer:
-    """Equiprobable cells, or the ``quantizer.thresholds`` given.
-
-    Given thresholds must make a ``Quantizer`` in which every cell expects
-    at least one of the session's ``symbols`` values: a cell that is almost
-    never filled would make a key without entropy report success.
-    """
-    if not thresholds:
-        return Quantizer.equiprobable(levels)
-    from scipy.special import ndtr
-    name = "--set quantizer.thresholds"
-    try:
-        quantizer = Quantizer(levels=levels, thresholds=tuple(thresholds))
-    except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}, got {thresholds}") from None
-    cells = np.diff(ndtr([-math.inf, *thresholds, math.inf]))
-    cell = int(np.argmin(cells))
-    if cells[cell] * symbols < 1:
-        raise ConfigError(f"{name}: cell {cell} of {thresholds} expects "
-                          f"{cells[cell] * symbols:.3g} of the session's "
-                          f"{symbols} values, fewer than 1")
-    return quantizer
-
-
 def _plane_code(key: str, n_data: int, rate: float, family: str, seed):
     """The run's plane code at ``rate``, or ConfigError naming ``key``."""
     try:
@@ -304,9 +276,8 @@ def cmd_capacity_sweep(args) -> int:
     run.write_csv("capacity_sweep.csv",
                   ["snr_db", "profile", "C_bits_per_dim",
                    "bits_per_coherence", "bits_per_second"], rows)
-    zero = [r for r in rows if r[0] <= -60]
-    for r in zero:
-        run.check(r[2] < 1e-6, "capacity not ~0 at tiny SNR")
+    for r in rows:
+        run.check(r[0] > -60 or r[2] < 1e-6, "capacity not ~0 at tiny SNR")
     return run.finish()
 
 
@@ -499,9 +470,7 @@ def cmd_ldpc_waterfall(args) -> int:
     codes = {(family, rate): _plane_code("rates", n_data, rate, family,
                                          args.seed)
              for family in families for rate in kept}
-    trials = args.trials or 100
-    run = Run("ldpc_waterfall", args, s, channel=_config_dict(cfg),
-              trials=trials)
+    run = Run("ldpc_waterfall", args, s, channel=_config_dict(cfg))
     point_rows = []
     swept = {}
     for variant in variants:
@@ -513,7 +482,8 @@ def cmd_ldpc_waterfall(args) -> int:
             decoding_mode=vconf["mode"], seed=derive_seed(args.seed))
         snr_grid = s["snr_db"] or list(np.arange(
             vconf["snr_lo"], vconf["snr_hi"] + 1.0))
-        swept[variant] = sweep_rate_vs_snr(template, rates, snr_grid, trials,
+        swept[variant] = sweep_rate_vs_snr(template, rates, snr_grid,
+                                           args.trials,
                                            family=vconf["family"])
         for row in swept[variant]:
             point_rows.append((variant, row.rate, row.snr_db, row.sessions,
@@ -542,8 +512,8 @@ def cmd_ldpc_waterfall(args) -> int:
 
 def cmd_keygen(args) -> int:
     cfg, _ = _channel_from_args(args)
-    s = _settings(args, {"rate": 0.5, "levels": 2, "quantizer.thresholds": [],
-                         "mode": "soft", "blocks": 120, "snr_db": 10.0})
+    s = _settings(args, {"rate": 0.5, "levels": 2, "mode": "soft",
+                         "blocks": 120, "snr_db": 10.0})
     rate, mode, blocks = s["rate"], s["mode"], s["blocks"]
     snr_db = _finite_snr(s)
     if s["levels"] not in (2, 4):
@@ -552,13 +522,12 @@ def cmd_keygen(args) -> int:
         raise ConfigError(f"--set mode: must be one of {DECODING_MODES}, "
                           f"got '{mode}'")
     n_data = 2 * blocks * cfg.num_delay_bins
-    quantizer = _quantizer(s["levels"], s["quantizer.thresholds"], n_data)
+    quantizer = Quantizer.equiprobable(s["levels"])
     code = _plane_code("rate", n_data, rate, "regular", args.seed)
-    sessions = args.trials or 10
-    run = Run("keygen", args, s, channel=_config_dict(cfg), sessions=sessions)
+    run = Run("keygen", args, s, channel=_config_dict(cfg))
     agreed = 0
     lines = []
-    for t in range(sessions):
+    for t in range(args.trials):
         session = SessionConfig(channel=cfg, snr_f_db=snr_db, blocks=blocks,
                                 quantizer=quantizer, code=code,
                                 decoding_mode=mode,
@@ -576,7 +545,7 @@ def cmd_keygen(args) -> int:
         fh.write(f"# manifest: {run.hash}\n")
         fh.write("# seed, snr_db, rate, mode, agreed, ber, key_len_bits, iterations\n")
         fh.write("\n".join(lines) + "\n")
-    print(f"agreement: {agreed}/{sessions}")
+    print(f"agreement: {agreed}/{args.trials}")
     return run.finish()
 
 
@@ -586,13 +555,11 @@ PHASE_DEMO_SNR_DB = 18.0
 
 
 def cmd_phase_demo(args) -> int:
-    s = _settings(args, {"grid": 8, "snr_db": PHASE_DEMO_SNR_DB,
-                         "blocks": 20})
+    s = _settings(args, {"grid": 8, "snr_db": PHASE_DEMO_SNR_DB, "blocks": 20})
     grid_size, blocks = s["grid"], s["blocks"]
     snr_db = _finite_snr(s)
-    trials = args.trials or 20
     cfg = ChannelConfig(**TABLE1_DEFAULTS | dict(n_paths=100, profile="flat"))
-    run = Run("phase_demo", args, s, trials=trials)
+    run = Run("phase_demo", args, s)
     n_data = 2 * blocks * cfg.num_delay_bins
     code = make_plane_code(n_data, 0.25, "irregular",
                            derive_seed(args.seed, 0xC0DE))
@@ -610,12 +577,12 @@ def cmd_phase_demo(args) -> int:
             base = replace(template, phase_mode="constant_theta", theta=theta,
                            theta_grid_size=grid_size if tracked else 1)
         ok, errs = 0, []
-        for t in range(trials):
+        for t in range(args.trials):
             res = run_session(replace(base, seed=derive_seed(args.seed, t)))
             ok += int(res.agreed)
             if tracked and res.theta_error is not None:
                 errs.append(res.theta_error)
-        return ok / trials, errs
+        return ok / args.trials, errs
 
     rows = []
     on_grid_points = []  # criterion 9's (theta, success rate, theta errors)
@@ -655,19 +622,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     commands = {
-        "capacity-sweep": (cmd_capacity_sweep, ("--config",),
+        "capacity-sweep": (cmd_capacity_sweep, {"--config": None},
                            "Key capacity vs SNR for the configured channel"),
-        "rssi-compare": (cmd_rssi_compare, (),
+        "rssi-compare": (cmd_rssi_compare, {},
                          "Full-coefficient vs signal-strength capacity"),
-        "magphase": (cmd_magphase, (),
+        "magphase": (cmd_magphase, {},
                      "Real/imaginary vs magnitude/phase information split"),
-        "corr-matrix": (cmd_corr_matrix, ("--config",),
+        "corr-matrix": (cmd_corr_matrix, {"--config": None},
                         "Empirical coefficient correlation matrices"),
-        "ldpc-waterfall": (cmd_ldpc_waterfall, ("--config", "--trials"),
+        "ldpc-waterfall": (cmd_ldpc_waterfall,
+                           {"--config": None, "--trials": 100},
                            "Reconciliation error rate vs rate and SNR"),
-        "keygen": (cmd_keygen, ("--config", "--trials"),
+        "keygen": (cmd_keygen, {"--config": None, "--trials": 10},
                    "Run end-to-end key sessions"),
-        "phase-demo": (cmd_phase_demo, ("--trials",),
+        "phase-demo": (cmd_phase_demo, {"--trials": 20},
                        "Rotation tracking on and off the hypothesis grid"),
     }
     for name, (func, flags, help_text) in commands.items():
@@ -676,8 +644,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="experiment-specific overrides")
-        for flag in flags:
-            p.add_argument(flag, **FLAGS[flag])
+        for flag, default in flags.items():
+            p.add_argument(flag, default=default, **FLAGS[flag])
         p.set_defaults(func=func)
     return parser
 

@@ -19,7 +19,7 @@ from chankey.channel import (
     sample_paths,
     time_coefficients,
 )
-from chankey.cli import RHO_ONE_DB, _independence_bound, main
+from chankey.cli import RHO_ONE_DB, _independence_bound, build_parser, main
 from chankey.rng import row_chunks, split_streams
 
 TABLE1_CFG = Path(__file__).resolve().parents[1] / "configs" / "80211a.cfg"
@@ -606,13 +606,15 @@ def test_waterfall_irregular_only_takes_any_rate(tmp_path):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("mode", ["soft", "hard"])
 @pytest.mark.parametrize("settings", [
-    ("quantizer.thresholds=40",),  # Phi(40) is 1.0: the top cell is empty
+    # keygen quantizes into equiprobable cells only: any thresholds, the
+    # ones that once left a cell empty or malformed included, are an
+    # unknown override
+    ("quantizer.thresholds=40",),
     ("quantizer.thresholds=-40",),
     ("levels=4", "quantizer.thresholds=-1,0,39"),
-    ("quantizer.thresholds=0,1",),  # wrong count
-    ("levels=4", "quantizer.thresholds=1,0,-1"),  # not ascending
+    ("quantizer.thresholds=0,1",),
+    ("levels=4", "quantizer.thresholds=1,0,-1"),
     ("levels=4", "quantizer.thresholds=0,0,1"),
-    # the top cell expects 1.7e-13 and 0.0082 of the session's 260 values
     ("quantizer.thresholds=8",),
     ("quantizer.thresholds=4",),
 ])
@@ -620,7 +622,9 @@ def test_keygen_bad_thresholds_exit_2(tmp_path, capsys, mode, settings):
     sets = [arg for pair in settings for arg in ("--set", pair)]
     assert run_cli("keygen", "--out", tmp_path / "x", "--trials", 1,
                    "--set", "blocks=10", "--set", f"mode={mode}", *sets) == 2
-    assert "--set quantizer.thresholds:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--set quantizer.thresholds:" in err
+    assert "unknown override" in err
     assert not (tmp_path / "x").exists()
 
 
@@ -694,8 +698,7 @@ def test_keygen_rate_out_of_range_names_rate(tmp_path, capsys):
     (("ldpc-waterfall", "--trials", 1, "--set", "blocks=10",
       "--set", "rates=0.5", "--set", "variants=binary_regular_soft",
       "--set", "snr_db=10"), "snr_db=16"),
-    (("keygen", "--trials", 1, "--set", "blocks=10"),
-     "quantizer.thresholds=0.5"),
+    (("keygen", "--trials", 1, "--set", "blocks=10"), "levels=4"),
 ])
 def test_manifest_hash_tracks_each_setting(tmp_path, argv, setting):
     def manifest_line(out):
@@ -707,6 +710,22 @@ def test_manifest_hash_tracks_each_setting(tmp_path, argv, setting):
     run_cli(*argv, "--out", tmp_path / "a")
     run_cli(*argv, "--set", setting, "--out", tmp_path / "b")
     assert manifest_line(tmp_path / "a") != manifest_line(tmp_path / "b")
+
+
+@pytest.mark.parametrize("subcommand, trials", [
+    ("ldpc-waterfall", 100), ("keygen", 10), ("phase-demo", 20)])
+def test_trials_default_per_subcommand(subcommand, trials):
+    assert build_parser().parse_args([subcommand]).trials == trials
+
+
+@pytest.mark.parametrize("flags, trials", [((), 10), (("--trials", 2), 2)])
+def test_manifest_records_the_trial_count_once(tmp_path, flags, trials):
+    out = tmp_path / "kg"
+    assert run_cli("keygen", *flags, "--set", "blocks=10", "--out", out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["trials"] == trials
+    assert not {"trials", "sessions"} & manifest["params"].keys()
+    assert len((out / "sessions.log").read_text().splitlines()) == 2 + trials
 
 
 def test_unknown_waterfall_variant_exits_2(tmp_path, capsys):
