@@ -46,7 +46,7 @@ RUNS = (
 )
 
 EXPECTED_SHA256 = (
-    "978b00c5da743ce74390860646af1742a7ee2e0e88d5c137cd8145b10cf2c94c")
+    "357e3ea8bd5034082d74bd1a7b2b6d8fadd3f0c780429d52ef3d9d92c815e6fd")
 EXPECTED_BODIES_SHA256 = (
     "49913588bb888678a87aba6b7d23c339b5f7567355ae3c3d3ccb918051ec8c7d")
 
