@@ -2,7 +2,7 @@
 
 Each subcommand resolves its configuration, writes a manifest (seed,
 package version, ``--trials`` count, and as ``params`` the resolved ``--set``
-settings plus the channel read from ``--config``) into the output directory,
+settings plus the channel the run uses) into the output directory,
 and emits CSV files whose first line names the manifest hash, so any result
 file can be traced to the exact run that produced it.  Runs are
 deterministic given (config, seed).
@@ -118,7 +118,8 @@ class Run:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
 
     def finish(self) -> int:
-        self.manifest["self_check"] = "failed" if self.violations else "passed"
+        self.manifest["self_check"] = (
+            "failed" if self.violations else "passed")
         self.manifest["violations"] = self.violations
         with open(self.path("manifest.json"), "w") as fh:
             json.dump(self.manifest, fh, sort_keys=True, indent=2, default=str)
@@ -376,14 +377,6 @@ def _independence_bound(realizations: int, bins: int) -> float:
     return math.sqrt(math.log(pairs / CORR_FALSE_ALARM) / realizations)
 
 
-def _correlations(sums: np.ndarray) -> np.ndarray:
-    """|corr| from summed outer products; nan for a coefficient never seen."""
-    var = np.real(np.diag(sums))
-    scale = np.sqrt(np.outer(var, var))
-    return np.divide(np.abs(sums), scale, out=np.full(scale.shape, np.nan),
-                     where=scale > 0)
-
-
 def cmd_corr_matrix(args) -> int:
     cfg, _ = _channel_from_args(args)
     s = _settings(args, {"realizations": 100_000})
@@ -408,14 +401,20 @@ def cmd_corr_matrix(args) -> int:
         del paths  # the sums below then peak as with one-row draws
         sum_f += freqs.conj().T @ freqs
         sum_t += times.conj().T @ times
-    corr_f, corr_t = _correlations(sum_f), _correlations(sum_t)
+    var_f = np.real(np.diag(sum_f))
+    var_t = np.real(np.diag(sum_t))
+    corr_f = np.abs(sum_f) / np.sqrt(np.outer(var_f, var_f))
+    # a delay bin that no sampled path reached has no correlation: nan
+    scale_t = np.sqrt(np.outer(var_t, var_t))
+    corr_t = np.divide(np.abs(sum_t), scale_t, out=np.full((L, L), np.nan),
+                       where=scale_t > 0)
     run.write_csv("freq_corr.csv", [f"c{j}" for j in range(m)], corr_f)
     run.write_csv("time_corr.csv", [f"c{j}" for j in range(L)], corr_t)
     off_t = corr_t - np.diag(np.diag(corr_t))
     off_f = corr_f - np.diag(np.diag(corr_f))
     run.check(bool(np.all(np.diag(corr_f) == 1.0)), "freq diagonal not unit")
-    # a bin that no sampled path reached fails; the bins that received
-    # power are judged for independence among themselves
+    # an empty bin fails; the bins that received power are judged for
+    # independence among themselves
     empty = np.isnan(np.diag(corr_t))
     run.check(not empty.any(),
               f"delay bins {', '.join(map(str, np.flatnonzero(empty)))} "
@@ -555,7 +554,8 @@ PHASE_DEMO_SNR_DB = 18.0
 
 
 def cmd_phase_demo(args) -> int:
-    s = _settings(args, {"grid": 8, "snr_db": PHASE_DEMO_SNR_DB, "blocks": 20})
+    s = _settings(args, {"grid": 8, "snr_db": PHASE_DEMO_SNR_DB,
+                         "blocks": 20})
     grid_size, blocks = s["grid"], s["blocks"]
     snr_db = _finite_snr(s)
     cfg = ChannelConfig(**TABLE1_DEFAULTS | dict(n_paths=100, profile="flat"))
