@@ -606,9 +606,8 @@ def test_waterfall_irregular_only_takes_any_rate(tmp_path):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("mode", ["soft", "hard"])
 @pytest.mark.parametrize("settings", [
-    # keygen quantizes into equiprobable cells only: any thresholds, the
-    # ones that once left a cell empty or malformed included, are an
-    # unknown override
+    # keygen quantizes into equiprobable cells only, so quantizer.thresholds
+    # is an unknown override whatever its value, well formed or not
     ("quantizer.thresholds=40",),
     ("quantizer.thresholds=-40",),
     ("levels=4", "quantizer.thresholds=-1,0,39"),
