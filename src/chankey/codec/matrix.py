@@ -13,17 +13,18 @@ so its codes, and a passed ``Generator``'s final state, are those of one
 
 The key of an observation is its index within the coset selected by the
 syndrome: after a one-time column classification into pivot and free columns
-(GF(2) row reduction), the free-column values index the coset bijectively.
+(a GF(2) echelon basis of the row space), the free-column values index the
+coset bijectively.
 
 ``syndrome`` and the decoders' stop test share one parity over H: ``parity``
 of the degree-class edge layout (``_Graph``) that ``graph_for`` caches.
 
 Construction and row reduction never form a dense m x n matrix.  Row
 pairs for the 4-cycle repair are read off the column incidence of the
-edges, the row reduction runs on rows bit-packed into uint64 words
-straight from the CSR arrays, and the placement's bitsets hold one m-bit
-set per check, so memory grows with the edge count and with m * n / 64
-words.
+edges, the row reduction inserts the rows one at a time into an echelon
+basis of Python ints, converted from the CSR arrays a chunk of rows at a
+time, and the placement's bitsets hold one m-bit set per check, so memory
+grows with the edge count and with m * n bits.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from bisect import bisect_left, insort
 
 import numpy as np
 
-from ..rng import make_rng
+from ..rng import make_rng, row_chunks
 
 # Budget multipliers for the random-swap repairs in construct_regular.
 _REPAIR_TRIES = 200
@@ -92,39 +93,34 @@ class SparseParityCheck:
 
     # -- derived structures (cached) ----------------------------------------
 
-    def _packed_rows(self) -> np.ndarray:
-        """Rows as bit-packed uint64 words; column c is bit c % 64 of word c // 64."""
-        words = (self.n + 63) // 64
-        packed = np.zeros(self.m * words, dtype=np.uint64)
-        row_id = np.repeat(np.arange(self.m), self.row_degrees())
-        bits = np.left_shift(np.uint64(1), (self._indices & 63).astype(np.uint64))
-        np.bitwise_or.at(packed, row_id * words + (self._indices >> 6), bits)
-        return packed.reshape(self.m, words)
-
     def syndrome(self, x: np.ndarray) -> np.ndarray:
         """Row parities of integer x, ``(H @ x) & 1``, as uint8 in row order."""
-        x = np.asarray(x)
-        if x.size != self.n:
-            raise ValueError(f"vector length {x.size} != {self.n} columns")
+        x = self._vector(x)
         g = graph_for(self)
         out = np.empty(self.m, dtype=np.uint8)
         out[g.check_order] = g.parity(x)
         return out
 
-    def systemization(self):
-        """(pivot_cols, free_cols, rank) from GF(2) row reduction.
+    def _vector(self, x) -> np.ndarray:
+        """``x`` as an array, which must be 1-D of length n."""
+        x = np.asarray(x)
+        if x.shape != (self.n,):
+            raise ValueError(f"expected a vector of shape ({self.n},), "
+                             f"got shape {x.shape}")
+        return x
 
-        The rows are packed into uint64 words and reduced left to right; the
-        pivot columns of an echelon form depend only on the matrix.  Computed
-        once and cached; the fixed column classification makes the coset
-        index reproducible across calls.
+    def systemization(self):
+        """(pivot_cols, free_cols, rank) of the GF(2) row space.
+
+        The pivot columns of an echelon form depend only on the row space;
+        ``_echelon_pivots`` finds them by inserting the rows into an
+        echelon basis.  Computed once and cached; the fixed column
+        classification makes the coset index reproducible across calls.
         """
         if "system" not in self._cache:
-            pivots, rank = _gf2_pivots(self._packed_rows(), self.n)
-            mask = np.zeros(self.n, dtype=bool)
-            mask[pivots] = True
-            free = np.nonzero(~mask)[0]
-            self._cache["system"] = (pivots, free, rank)
+            pivots = _echelon_pivots(self._indices, self._indptr, self.n)
+            free = np.setdiff1d(np.arange(self.n), pivots, assume_unique=True)
+            self._cache["system"] = (pivots, free, pivots.size)
         return self._cache["system"]
 
     @property
@@ -211,40 +207,40 @@ def graph_for(pcm: SparseParityCheck) -> _Graph:
 
 
 # ---------------------------------------------------------------------------
-# GF(2) elimination on bit-packed rows
+# GF(2) elimination on Python-int rows
 
 
-# The 64 single-bit masks of a packed word, bit b of word w being column 64w + b.
-_BITS = tuple(np.uint64(1) << np.uint64(b) for b in range(64))
+def _echelon_pivots(indices: np.ndarray, indptr: np.ndarray,
+                    n: int) -> np.ndarray:
+    """Pivot columns of the CSR rows' GF(2) row space, ascending.
 
-
-def _gf2_pivots(packed: np.ndarray, n: int):
-    """Pivot columns and rank of bit-packed binary rows (row echelon).
-
-    Consumes ``packed``.  Rows ``r:`` are the ones not yet used as pivots;
-    they are zero in every column left of the current one, so eliminating
-    a column XORs only the words from its own word on.  A used pivot row is
-    never read again, so the top unused row simply takes its slot.
+    Each row becomes a Python int with column c at bit n - 1 - c, so its
+    ``bit_length()`` is n minus its leftmost column.  A row is XORed with
+    the basis row of its top bit until that bit is new, where the row is
+    stored, or the row vanishes; the stored tops are the leading columns of
+    an echelon basis.  The rows are packed into little-endian 64-bit words
+    one ``row_chunks`` piece at a time, so only one piece's words are held
+    next to the basis.
     """
-    m = packed.shape[0]
-    pivots = []
-    r = 0
-    for col in range(n):
-        w = col >> 6
-        active = packed[r:]
-        hits = (active[:, w] & _BITS[col & 63]).nonzero()[0]
-        if hits.size == 0:
-            continue
-        first = hits[0]
-        if hits.size > 1:
-            active[hits[1:], w:] ^= active[first, w:]
-        if first:
-            active[first] = active[0]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    return np.array(pivots, dtype=np.int64), r
+    words = (n + 63) // 64
+    basis: dict[int, int] = {}
+    for rows in row_chunks(indptr.size - 1, 8 * words):
+        ptr = indptr[rows.start:rows.stop + 1]
+        bit = (n - 1) - indices[ptr[0]:ptr[-1]].astype(np.int64)
+        cell = np.repeat(np.arange(ptr.size - 1), np.diff(ptr)) * words
+        packed = np.zeros((ptr.size - 1) * words, dtype="<u8")
+        np.bitwise_or.at(packed, cell + (bit >> 6),
+                         np.left_shift(1, (bit & 63).astype("<u8")))
+        buf = packed.tobytes()
+        for start in range(0, len(buf), 8 * words):
+            row = int.from_bytes(buf[start:start + 8 * words], "little")
+            top = row.bit_length()
+            while top in basis:
+                row ^= basis[top]
+                top = row.bit_length()
+            if top:
+                basis[top] = row
+    return np.array(sorted(n - top for top in basis), dtype=np.int64)
 
 
 def coset_index(pcm: SparseParityCheck, x: np.ndarray) -> np.ndarray:
@@ -254,9 +250,7 @@ def coset_index(pcm: SparseParityCheck, x: np.ndarray) -> np.ndarray:
     the syndrome, identifies x uniquely; a rank-deficient matrix yields a
     rank-derived key length and a warning.
     """
-    x = np.asarray(x)
-    if x.size != pcm.n:
-        raise ValueError("vector length mismatch")
+    x = pcm._vector(x)
     pivots, free, rank = pcm.systemization()
     if rank < pcm.m:
         warnings.warn(

@@ -18,6 +18,7 @@ from chankey.codec.matrix import (
     _overlapping_pairs,
     _realized_counts,
 )
+from chankey.pipeline import make_plane_code
 from chankey.rng import make_rng
 
 
@@ -210,6 +211,17 @@ def test_syndrome_rejects_length_mismatch():
         pcm.syndrome(np.zeros(15, dtype=np.uint8))
 
 
+@pytest.mark.parametrize("shape", [(16, 1), (1, 16), (2, 8)])
+def test_syndrome_and_coset_index_reject_non_vectors(shape):
+    # both take only 1-D length-n vectors, even when the size is n
+    pcm = construct_regular(16, 8, 2, seed=11)
+    x = np.zeros(shape, dtype=np.uint8)
+    with pytest.raises(ValueError, match=rf"shape \({shape[0]}, {shape[1]}\)"):
+        pcm.syndrome(x)
+    with pytest.raises(ValueError, match=rf"shape \({shape[0]}, {shape[1]}\)"):
+        coset_index(pcm, x)
+
+
 # ---------------------------------------------------------------------------
 # coset keys
 
@@ -362,6 +374,7 @@ def _valid_dense(m, n, rng, density):
     return dense
 
 
+@pytest.mark.golden
 @settings(max_examples=60, deadline=None)
 @given(m=st.integers(1, 24), n=st.integers(1, 150),
        density=st.floats(0.02, 0.6), dependent=st.integers(0, 3),
@@ -384,6 +397,7 @@ def test_pivots_match_dense(m, n, density, dependent, seed):
                                   np.arange(n))
 
 
+@pytest.mark.golden
 def test_pivots_with_repeated_row():
     rng = make_rng(21)
     dense = _valid_dense(12, 90, rng, 0.2)
@@ -392,6 +406,33 @@ def test_pivots_with_repeated_row():
     ref_pivots, ref_rank = _dense_gf2_pivots(dense)
     np.testing.assert_array_equal(pcm.systemization()[0], ref_pivots)
     assert pcm.rank == ref_rank <= 12
+
+
+@pytest.mark.golden
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 16),
+       n=st.one_of(st.sampled_from((63, 64, 65, 127, 128, 129, 191, 192, 193)),
+                   st.integers(1, 200)),
+       density=st.floats(0.02, 0.5), seed=st.integers(0, 2**32 - 1))
+def test_pivots_depend_only_on_row_space(m, n, density, seed):
+    # permuted rows, repeated rows and appended XORs of rows span the same
+    # row space, so the pivot columns and the rank must not move
+    rng = make_rng(seed)
+    dense = _valid_dense(m, n, rng, density)
+    ref_pivots, ref_rank = _dense_gf2_pivots(dense)
+    combos = [np.bitwise_xor.reduce(dense[rng.random(m) < 0.5], axis=0)
+              for _ in range(3)]
+    for rows in (dense,
+                 np.vstack([dense, dense[rng.integers(0, m, size=3)]]),
+                 np.vstack([dense] + [c for c in combos if c.any()])):
+        # shuffled, so added rows also come before the rows they repeat
+        rows = rows[rng.permutation(rows.shape[0])]
+        pcm = SparseParityCheck([np.nonzero(r)[0] for r in rows], n)
+        pivots, free, rank = pcm.systemization()
+        np.testing.assert_array_equal(pivots, ref_pivots)
+        assert rank == ref_rank
+        np.testing.assert_array_equal(
+            np.sort(np.concatenate([pivots, free])), np.arange(n))
 
 
 @settings(max_examples=30, deadline=None)
@@ -421,6 +462,22 @@ def test_regular_long_code_bounded_memory():
     np.testing.assert_array_equal(_col_degrees(pcm), 3)
     np.testing.assert_array_equal(pcm.row_degrees(), 6)
     assert all(np.all(np.diff(r) > 0) for r in pcm.rows)
+
+
+def test_irregular_long_code_systemization_bounded_memory():
+    # N = 31,200: the rows become Python ints one chunk at a time, so only
+    # the echelon basis and one chunk's words are held at once
+    pcm = make_plane_code(31200, 0.5, "irregular", 5)
+    tracemalloc.start()
+    try:
+        pivots, free, rank = pcm.systemization()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert rank == pivots.size == pcm.m
+    np.testing.assert_array_equal(np.sort(np.concatenate([pivots, free])),
+                                  np.arange(pcm.n))
 
 
 def _mask_peg(n, m, var_dist, seed, fallbacks):
