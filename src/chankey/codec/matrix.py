@@ -223,8 +223,9 @@ def _echelon_pivots(indices: np.ndarray, indptr: np.ndarray,
     next to the basis.
     """
     words = (n + 63) // 64
+    row_bytes = 8 * words
     basis: dict[int, int] = {}
-    for rows in row_chunks(indptr.size - 1, 8 * words):
+    for rows in row_chunks(indptr.size - 1, row_bytes):
         ptr = indptr[rows.start:rows.stop + 1]
         bit = (n - 1) - indices[ptr[0]:ptr[-1]].astype(np.int64)
         cell = np.repeat(np.arange(ptr.size - 1), np.diff(ptr)) * words
@@ -232,8 +233,8 @@ def _echelon_pivots(indices: np.ndarray, indptr: np.ndarray,
         np.bitwise_or.at(packed, cell + (bit >> 6),
                          np.left_shift(1, (bit & 63).astype("<u8")))
         buf = packed.tobytes()
-        for start in range(0, len(buf), 8 * words):
-            row = int.from_bytes(buf[start:start + 8 * words], "little")
+        for start in range(0, len(buf), row_bytes):
+            row = int.from_bytes(buf[start:start + row_bytes], "little")
             top = row.bit_length()
             while top in basis:
                 row ^= basis[top]

@@ -216,9 +216,10 @@ def test_syndrome_and_coset_index_reject_non_vectors(shape):
     # both take only 1-D length-n vectors, even when the size is n
     pcm = construct_regular(16, 8, 2, seed=11)
     x = np.zeros(shape, dtype=np.uint8)
-    with pytest.raises(ValueError, match=rf"shape \({shape[0]}, {shape[1]}\)"):
+    named = rf"shape \({shape[0]}, {shape[1]}\)"
+    with pytest.raises(ValueError, match=named):
         pcm.syndrome(x)
-    with pytest.raises(ValueError, match=rf"shape \({shape[0]}, {shape[1]}\)"):
+    with pytest.raises(ValueError, match=named):
         coset_index(pcm, x)
 
 
