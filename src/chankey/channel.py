@@ -35,7 +35,9 @@ class ChannelConfig:
     ``pdp_decay_s`` is the time constant of the exponential power-delay
     profile; when omitted it defaults to ``tau_max_s / 3``.  The ``flat``
     profile gives every path the same gain variance, which realizes the
-    idealized equal-variance model used in the capacity analysis.
+    idealized equal-variance model used in the capacity analysis.  The
+    total path power is 1: keys and capacities depend on the channel only
+    through per-bin SNRs and correlations, where a gain scale cancels.
     """
 
     m_tones: int
@@ -45,11 +47,9 @@ class ChannelConfig:
     tau_max_s: float
     pdp_decay_s: float | None = None
     profile: str = "exponential"
-    sigma_h2: float = 1.0
 
     def __post_init__(self):
-        for name in ("bandwidth_hz", "duration_s", "tau_max_s", "sigma_h2",
-                     "pdp_decay_s"):
+        for name in ("bandwidth_hz", "duration_s", "tau_max_s", "pdp_decay_s"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -68,8 +68,6 @@ class ChannelConfig:
             raise ValueError("tau_max_s must lie in [0, duration_s]")
         if self.profile not in PROFILE_MODES:
             raise ValueError(f"profile must be one of {PROFILE_MODES}")
-        if self.sigma_h2 <= 0:
-            raise ValueError("sigma_h2 must be positive")
         if self.pdp_decay_s is not None and self.pdp_decay_s <= 0:
             raise ValueError("pdp_decay_s must be positive")
         if self.num_delay_bins > self.m_tones:
@@ -174,7 +172,7 @@ def sample_paths(config: ChannelConfig, streams) -> PathSet:
 
     Delays are i.i.d. uniform on [0, tau_max].  Gain variances follow the
     configured power-delay profile and are normalized per realization so the
-    total path power equals sigma_h2.
+    total path power is 1.
 
     ``streams`` is a list of Generators, e.g. one per coherence block from
     ``split_streams``, and row i of the ``(len(streams), n_paths)`` delays
@@ -195,16 +193,14 @@ def sample_paths(config: ChannelConfig, streams) -> PathSet:
         rng.standard_normal(out=normals[i])
     delays *= config.tau_max_s
     # weight -> variance -> gain scale in one buffer, each step rounded as
-    # sqrt(sigma_h2 * w / sum(w) / 2) with w = exp(-delay / decay)
+    # sqrt(w / sum(w) / 2) with w = exp(-delay / decay)
     if config.profile == "exponential" and config.tau_max_s > 0:
         scale = np.negative(delays)
         scale /= config.decay_s
         np.exp(scale, out=scale)
     else:
         scale = np.ones_like(delays)
-    total = scale.sum(axis=1, keepdims=True)
-    scale *= config.sigma_h2
-    scale /= total
+    scale /= scale.sum(axis=1, keepdims=True)
     scale /= 2.0
     np.sqrt(scale, out=scale)
     gains = np.empty((len(streams), P), dtype=complex)
@@ -252,20 +248,18 @@ def time_coefficients(paths: PathSet, config: ChannelConfig) -> np.ndarray:
 def build_snr_profile(config: ChannelConfig, snr_f_db: float) -> SnrProfile:
     """Derive noise variance and per-bin SNRs for a per-tone SNR in dB.
 
-    The per-bin variances are ``M * sigma_h2 * w_l`` with ``w_l`` from
-    ``bin_power_fractions``, so ``sum_l SNR_tau(l) == M * SNR_f`` exactly.
+    Path power is normalized to 1, so the noise variance is ``1 / SNR_f``
+    and the per-bin variances are ``M * w_l`` with ``w_l`` from
+    ``bin_power_fractions``: ``sum_l SNR_tau(l) == M * SNR_f`` exactly.
     ``snr_f_db = -inf`` (zero SNR) is accepted and zeroes the profile.
     """
     if math.isnan(snr_f_db) or snr_f_db == math.inf:
         raise ValueError("snr_f_db must be finite or -inf")
     snr_f = 10.0 ** (snr_f_db / 10.0) if snr_f_db != -math.inf else 0.0
-    noise_var = config.sigma_h2 / snr_f if snr_f > 0 else math.inf
-    fractions = bin_power_fractions(config)
-    sigma_h2_bins = config.m_tones * config.sigma_h2 * fractions
-    per_bin_snr = sigma_h2_bins / noise_var if snr_f > 0 else np.zeros_like(fractions)
+    noise_var = 1.0 / snr_f if snr_f > 0 else math.inf
     return SnrProfile(
-        noise_var=noise_var if snr_f > 0 else math.inf,
-        per_bin_snr=per_bin_snr,
+        noise_var=noise_var,
+        per_bin_snr=config.m_tones * bin_power_fractions(config) / noise_var,
         per_tone_snr=snr_f,
     )
 
@@ -274,16 +268,15 @@ def load_config(path) -> ChannelConfig:
     """Read a ChannelConfig from a plain ``key = value`` text file.
 
     Recognized keys: m_tones, bandwidth_hz, duration_s, n_paths, tau_max_s,
-    pdp_decay_s, profile, sigma_h2.  Lines starting with '#' are comments;
-    unknown keys are ignored so experiment files can carry extra settings.
+    pdp_decay_s, profile.  Lines starting with '#' are comments; unknown
+    keys are ignored so experiment files can carry extra settings.
     """
     values = read_keyvalue_file(path)
     kwargs = {}
     for key in ("m_tones", "n_paths"):
         if key in values:
             kwargs[key] = _integer_value(key, values[key])
-    for key in ("bandwidth_hz", "duration_s", "tau_max_s", "pdp_decay_s",
-                "sigma_h2"):
+    for key in ("bandwidth_hz", "duration_s", "tau_max_s", "pdp_decay_s"):
         if key in values:
             kwargs[key] = float(values[key])
     if "profile" in values:

@@ -40,6 +40,7 @@ from .pipeline import (
     DECODING_MODES,
     MIN_SWEEP_RATE,
     SessionConfig,
+    block_row_bytes,
     make_plane_code,
     run_session,
     sweep_rate_vs_snr,
@@ -387,7 +388,7 @@ def cmd_corr_matrix(args) -> int:
     sum_t = np.zeros((L, L), dtype=complex)
     # one stream per chunk, listed once per row of each draw, whose rows
     # are sized as draw_session's blocks
-    chunk, row_bytes = 2000, 16 * max(cfg.n_paths, 2 * L)
+    chunk, row_bytes = 2000, block_row_bytes(cfg)
     streams = split_streams(args.seed, math.ceil(realizations / chunk))
     for c, rng in enumerate(streams):
         count = min(chunk, realizations - c * chunk)

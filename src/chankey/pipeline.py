@@ -31,6 +31,7 @@ import threading
 import traceback
 import weakref
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -45,6 +46,7 @@ from .codec import (
     decode_with_phase_offset,
     evidence_to_llr,
 )
+from .codec.decode import DEFAULT_MAX_ITER
 from .codec.matrix import graph_for
 from .quantize import (
     Quantizer,
@@ -79,7 +81,7 @@ class SessionConfig:
     phase_mode: str = "none"
     theta_grid_size: int = 16
     theta: float | None = None
-    max_iter: int = 50
+    max_iter: ClassVar[int] = DEFAULT_MAX_ITER  # every decoder's own cap
     seed: int | tuple = field(kw_only=True)
 
     def __post_init__(self):
@@ -151,6 +153,11 @@ def _draw_source(config: SessionConfig) -> tuple:
     return tuple(getattr(config, name) for name in DRAW_FIELDS)
 
 
+def block_row_bytes(channel: ChannelConfig) -> int:
+    """``row_chunks``'s row size for blocks drawn as ``draw_session``'s."""
+    return 16 * max(channel.n_paths, 2 * channel.num_delay_bins)
+
+
 @dataclass(frozen=True)
 class SessionDraw:
     """The SNR- and code-free randomness of one session.
@@ -194,7 +201,7 @@ def draw_session(config: SessionConfig) -> SessionDraw:
     L = channel.num_delay_bins
     h = np.empty((config.blocks, L), dtype=complex)
     noise = np.empty((config.blocks, 2, L), dtype=complex)
-    for rows in row_chunks(config.blocks, 16 * max(channel.n_paths, 2 * L)):
+    for rows in row_chunks(config.blocks, block_row_bytes(channel)):
         chunk = block_streams[rows]
         h[rows] = time_coefficients(sample_paths(channel, chunk), channel)
         noise[rows] = draw_noise(chunk, L)
@@ -221,8 +228,8 @@ def _session_vectors(config: SessionConfig, draw: SessionDraw | None = None):
     obs_a, obs_b = sound_blocks(draw.h, draw.noise, profile.noise_var)
     b_obs = obs_b * np.exp(1j * draw.theta)
 
-    sigma_h2 = profile.per_bin_snr * profile.noise_var
-    sigma_complex = np.sqrt(sigma_h2 + profile.noise_var)
+    bin_var = profile.per_bin_snr * profile.noise_var
+    sigma_complex = np.sqrt(bin_var + profile.noise_var)
     rho = profile.rho_time
     per_block_rho = np.repeat(rho, 2)
     per_block_sigma = np.repeat(sigma_complex, 2)
@@ -263,8 +270,7 @@ def run_session(config: SessionConfig,
         ev = soft_evidence(y_rot, np.tile(rho_vec, grid.size),
                            np.tile(sigma_vec, grid.size), q)
         result = decode_with_phase_offset(
-            pcm, syndromes[0], ev.reshape(grid.size, pcm.n, 2), grid,
-            config.max_iter)
+            pcm, syndromes[0], ev.reshape(grid.size, pcm.n, 2), grid)
         err = np.angle(np.exp(1j * (result.theta_hat - theta)))
         theta_error = float(abs(err))
     else:
@@ -275,11 +281,9 @@ def run_session(config: SessionConfig,
             bob = quantize(y_raw, q, scale=source_std)
             ev = hard_evidence(bob, rho_vec, q)
         if q.levels == 2:
-            result = decode_binary(pcm, syndromes[0], evidence_to_llr(ev),
-                                   config.max_iter)
+            result = decode_binary(pcm, syndromes[0], evidence_to_llr(ev))
         else:
-            result = decode_quaternary(pcm, pcm, *syndromes, ev,
-                                       config.max_iter)
+            result = decode_quaternary(pcm, pcm, *syndromes, ev)
     key_b = np.concatenate([coset_index(pcm, p)
                             for p in planes(result.estimate)])
 
@@ -410,7 +414,7 @@ def _tally_trials(template: SessionConfig, codes, snr_grid,
             for snr_db, tally in zip(snr_grid, rate_tallies):
                 res = run_session(replace(trial, code=code, snr_f_db=snr_db),
                                   draw)
-                tally[0] += int(round(res.bit_error_rate * res.key_length))
+                tally[0] += int(np.count_nonzero(res.key_a != res.key_b))
                 tally[1] += res.key_length
                 tally[2] += int(res.agreed)
     return tallies

@@ -1,8 +1,8 @@
 """Scalar quantization and Bob-side channel evidence.
 
-Alice quantizes each real observation independently into 2 or 4 levels with
-thresholds fixed in units of the source standard deviation (default:
-equiprobable Gaussian quantiles, which maximizes key entropy per symbol).
+Alice quantizes each real observation independently into 2 or 4 equiprobable
+cells, split at the Gaussian quantiles in units of the source standard
+deviation (which maximizes key entropy per symbol).
 Four-level symbols split into most/least significant bit planes
 ``x = x_L + 2 x_M``.
 
@@ -17,7 +17,7 @@ closed form from Owen's T function, exact at every correlation |rho| < 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -27,29 +27,28 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Quantizer:
-    """Ascending thresholds (in source-sigma units) defining q cells.
+    """q = ``levels`` cells of probability 1/q each for a Gaussian source.
 
-    Values on a threshold go to the upper cell.  With natural ascending
-    labels the most significant bit of a 4-level symbol is the sign bit.
+    ``thresholds`` holds the q - 1 ascending Gaussian quantiles k/q (in
+    source-sigma units) that split the cells.  Values on a threshold go to
+    the upper cell.  With natural ascending labels the most significant bit
+    of a 4-level symbol is the sign bit.
     """
 
     levels: int
-    thresholds: tuple
+    thresholds: tuple = field(init=False)
 
     def __post_init__(self):
         if self.levels not in (2, 4):
             raise ValueError("levels must be 2 or 4")
-        if len(self.thresholds) != self.levels - 1:
-            raise ValueError("need exactly levels-1 thresholds")
-        if any(b <= a for a, b in zip(self.thresholds, self.thresholds[1:])):
-            raise ValueError("thresholds must be strictly ascending")
+        from scipy.special import ndtri
+        probs = np.arange(1, self.levels) / self.levels
+        object.__setattr__(self, "thresholds", tuple(ndtri(probs)))
 
     @classmethod
     def equiprobable(cls, levels: int) -> "Quantizer":
-        """Gaussian-quantile thresholds giving each cell probability 1/q."""
-        from scipy.special import ndtri
-        probs = np.arange(1, levels) / levels
-        return cls(levels=levels, thresholds=tuple(ndtri(probs)))
+        """The quantizer of ``levels`` equiprobable cells."""
+        return cls(levels)
 
 
 def quantize(x: np.ndarray, quantizer: Quantizer, scale=1.0) -> np.ndarray:
@@ -119,7 +118,7 @@ def soft_evidence(y: np.ndarray, rho: np.ndarray | float, sigma: np.ndarray | fl
 
 
 @lru_cache(maxsize=32)
-def _confusion_cached(rho: float, levels: int, thresholds: tuple) -> tuple:
+def _confusion_cached(rho: float, quantizer: Quantizer) -> tuple:
     """Joint cell probabilities of a standardized bivariate Gaussian pair.
 
     Each cell is the double difference of the joint CDF over its corners.
@@ -131,7 +130,7 @@ def _confusion_cached(rho: float, levels: int, thresholds: tuple) -> tuple:
     from scipy.special import ndtr, owens_t
     if abs(rho) >= 1.0:
         raise ValueError("need |rho| < 1")
-    t = np.asarray(thresholds, dtype=float) + 0.0  # no -0.0: it flips a_h
+    t = np.asarray(quantizer.thresholds, dtype=float)
     h, k, r = t[:, None], t[None, :], math.sqrt(1.0 - rho * rho)
     with np.errstate(divide="ignore", invalid="ignore"):
         a_h, a_k = (k - rho * h) / (h * r), (h - rho * k) / (k * r)
@@ -148,8 +147,7 @@ def _confusion_cached(rho: float, levels: int, thresholds: tuple) -> tuple:
 
 def confusion_matrix(rho: float, quantizer: Quantizer) -> np.ndarray:
     """q x q matrix P[alice level = a, bob level = b] under correlation rho."""
-    return np.array(_confusion_cached(float(rho), quantizer.levels,
-                                      quantizer.thresholds))
+    return np.array(_confusion_cached(float(rho), quantizer))
 
 
 def hard_evidence(y_symbols: np.ndarray, rho: np.ndarray | float,
@@ -168,7 +166,4 @@ def hard_evidence(y_symbols: np.ndarray, rho: np.ndarray | float,
     cond = joint / joint.sum(axis=1, keepdims=True)
     post = cond[which.ravel(), :, y_symbols.ravel()]
     post /= post.sum(axis=1, keepdims=True)
-    # a Bob level of probability zero under rho would make its rows 0/0
-    if not np.all(np.isfinite(post)):
-        raise ValueError("posteriors must be finite")
     return post

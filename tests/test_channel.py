@@ -55,7 +55,7 @@ def test_config_invariants():
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("field", ["bandwidth_hz", "duration_s", "tau_max_s",
-                                   "sigma_h2", "pdp_decay_s"])
+                                   "pdp_decay_s"])
 def test_config_rejects_non_finite_floats(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         ChannelConfig(**{**TABLE1, field: value})
@@ -67,7 +67,7 @@ def test_sample_paths_degenerate_single_path():
     paths = sample_paths(cfg, [make_rng(0)])
     assert paths.delays.shape == (1, 1)
     assert paths.delays[0, 0] == 0.0
-    # the whole budget sits on the single path: E|beta|^2 = sigma_h2 exactly
+    # the whole unit budget sits on the single path: E|beta|^2 = 1 exactly
     gains = sample_paths(cfg, [make_rng(s) for s in range(4000)]).gains
     many = np.abs(gains[:, 0]) ** 2
     assert np.mean(many) == pytest.approx(1.0, abs=3 * np.std(many) / math.sqrt(4000))
@@ -85,7 +85,7 @@ def test_sample_paths_flat_power_normalization():
     gains = sample_paths(cfg, [make_rng(s) for s in range(10_000)]).gains
     totals = np.sum(np.abs(gains) ** 2, axis=1)
     se = np.std(totals) / math.sqrt(len(totals))
-    assert np.mean(totals) == pytest.approx(cfg.sigma_h2, abs=3 * se)
+    assert np.mean(totals) == pytest.approx(1.0, abs=3 * se)
 
 
 def test_sample_paths_rejects_bad_inputs():
@@ -102,7 +102,7 @@ def _reference_paths(config, rng):
         weights = np.exp(-delays / config.decay_s)
     else:
         weights = np.ones(config.n_paths)
-    variances = config.sigma_h2 * weights / weights.sum()
+    variances = weights / weights.sum()
     scale = np.sqrt(variances / 2.0)
     gains = scale * (rng.standard_normal(config.n_paths)
                      + 1j * rng.standard_normal(config.n_paths))
@@ -156,7 +156,7 @@ def test_freq_coefficients_single_bin_delay():
 def test_freq_variance_flat_across_tones(small_mc):
     _, freqs = small_mc
     var = np.mean(np.abs(freqs) ** 2, axis=0)
-    # |H_n|^2 is exponential with mean sigma_h2: se of the mean = sigma_h2/sqrt(R)
+    # |H_n|^2 is exponential with mean 1: se of the mean = 1/sqrt(R)
     se = 1.0 / math.sqrt(freqs.shape[0])
     assert np.all(np.abs(var - 1.0) < 3.5 * se)
 
@@ -298,6 +298,14 @@ def test_load_config_roundtrip(tmp_path):
     )
     cfg = load_config(path)
     assert cfg == ChannelConfig(**TABLE1)
+
+
+def test_load_config_ignores_sigma_h2(tmp_path):
+    # path power is normalized to 1, so a gain variance is an unknown key
+    path = tmp_path / "link.cfg"
+    values = {**TABLE1, "sigma_h2": "nan"}
+    path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    assert load_config(path) == ChannelConfig(**TABLE1)
 
 
 @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "2.7", "1e400", "five"])

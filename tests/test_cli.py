@@ -114,11 +114,12 @@ def test_missing_config_exits_2(tmp_path):
 
 def test_non_finite_config_value_exits_2_naming_field(tmp_path, capsys):
     cfg = tmp_path / "nan.cfg"
-    cfg.write_text(TABLE1_CFG.read_text().replace("sigma_h2     = 1.0",
-                                                  "sigma_h2 = nan"))
+    text = TABLE1_CFG.read_text()
+    assert "tau_max_s    = 800e-9" in text
+    cfg.write_text(text.replace("tau_max_s    = 800e-9", "tau_max_s = nan"))
     out = tmp_path / "x"
     assert run_cli("capacity-sweep", "--config", cfg, "--out", out) == 2
-    assert "sigma_h2" in capsys.readouterr().err
+    assert "tau_max_s" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -793,9 +794,8 @@ print(loaded())
 def test_capacity_paths_import_no_scipy_submodule():
     # scipy.special costs ~0.3 s and ~26 MB to import, and scipy.stats more;
     # the capacity commands need none of them, and code construction needs
-    # no scipy at all.  A fresh interpreter, because pytest's
-    # IntegrationWarning filter imports scipy.integrate, and with it
-    # scipy.special, into this process.
+    # no scipy at all.  A fresh interpreter, because other tests of this
+    # process import scipy.special.
     src = str(Path(chankey.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}

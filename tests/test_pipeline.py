@@ -19,6 +19,7 @@ from chankey.channel import (
 )
 from chankey import pipeline
 from chankey.codec import SparseParityCheck
+from chankey.codec.decode import DEFAULT_MAX_ITER
 from chankey.pipeline import (
     MIN_SWEEP_RATE,
     PHASE_MODES,
@@ -101,6 +102,22 @@ def test_config_requires_seed():
     with pytest.raises(TypeError, match="seed"):
         SessionConfig(channel=SMALL, snr_f_db=10, blocks=16, quantizer=Q2,
                       code=code)
+
+
+def test_settings_that_change_no_output_are_not_accepted():
+    # a gain variance cancels from every key and capacity, the quantizer's
+    # thresholds follow from its levels, and every session decodes with
+    # the decoders' own iteration cap
+    with pytest.raises(TypeError, match="sigma_h2"):
+        ChannelConfig(**dataclasses.asdict(SMALL), sigma_h2=1.0)
+    with pytest.raises(TypeError):
+        Quantizer(2, (0.0,))
+    code = make_plane_code(N_SMALL, 0.5, "regular", 7)
+    with pytest.raises(TypeError, match="max_iter"):
+        SessionConfig(channel=SMALL, snr_f_db=10, blocks=16, quantizer=Q2,
+                      code=code, max_iter=10, seed=0)
+    assert SessionConfig.max_iter == DEFAULT_MAX_ITER
+    assert _small_session(10).max_iter == DEFAULT_MAX_ITER
 
 
 def test_noiseless_session_agrees():

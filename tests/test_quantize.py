@@ -31,11 +31,7 @@ def test_equiprobable_thresholds():
 
 def test_quantizer_validation():
     with pytest.raises(ValueError):
-        Quantizer(levels=3, thresholds=(0.0, 1.0))
-    with pytest.raises(ValueError):
-        Quantizer(levels=4, thresholds=(0.0, 0.0, 1.0))
-    with pytest.raises(ValueError):
-        Quantizer(levels=2, thresholds=())
+        Quantizer(levels=3)
 
 
 def test_quantize_sign():
@@ -176,9 +172,7 @@ SIGNED_RHOS = st.one_of(st.floats(-0.999999, 0.999999),
 
 @pytest.mark.golden
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(),
-       quantizer=st.sampled_from([Q2, Q4, Quantizer(2, (0.4,)),
-                                  Quantizer(4, (-1.1, 0.3, 0.8))]),
+@given(data=st.data(), quantizer=st.sampled_from([Q2, Q4]),
        size=st.integers(0, 120), scalar_rho=st.booleans(),
        scalar_sigma=st.booleans(), y_scale=st.sampled_from([1.0, 1e3, 1e8]))
 def test_soft_evidence_matches_cell_edge_matrix(data, quantizer, size,
@@ -313,16 +307,6 @@ def test_confusion_cells_clipped_at_zero():
     assert np.all(confusion_matrix(-0.9871, Q4) >= 0)
 
 
-def test_confusion_negative_zero_threshold():
-    # a -0.0 edge must not flip the sign of its infinite T argument (the
-    # cache keys -0.0 and 0.0 alike, so one wrong entry would serve both)
-    q = Quantizer(levels=4, thresholds=(-1.0, -0.0, 1.0))
-    joint = confusion_matrix(0.6, q)
-    cells = np.diff(ndtr(_cell_edges(q)))
-    np.testing.assert_allclose(joint.sum(axis=1), cells, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(joint, joint.T, rtol=0, atol=1e-12)
-
-
 def test_confusion_rejects_unit_rho():
     for rho in (1.0, -1.0):
         with pytest.raises(ValueError, match="rho"):
@@ -354,9 +338,7 @@ def _hard_evidence_per_rho(y_symbols, rho, quantizer):
 
 @pytest.mark.golden
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(),
-       quantizer=st.sampled_from([Q2, Q4, Quantizer(2, (0.4,)),
-                                  Quantizer(4, (-1.1, 0.3, 0.8))]),
+@given(data=st.data(), quantizer=st.sampled_from([Q2, Q4]),
        size=st.integers(1, 200), distinct=st.integers(1, 6),
        scalar=st.booleans())
 def test_hard_evidence_matches_per_rho_loop(data, quantizer, size, distinct,
@@ -384,15 +366,6 @@ def test_hard_evidence_empty_input(rho):
 def test_hard_evidence_rejects_out_of_range():
     with pytest.raises(ValueError):
         hard_evidence(np.array([2]), rho=0.5, quantizer=Q2)
-
-
-def test_hard_evidence_rejects_zero_probability_level():
-    # ndtr(40) is 1.0, so Bob's upper cell has probability 0 and its
-    # posterior row is 0/0
-    quantizer = Quantizer(2, (40.0,))
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError,
-                                                      match="finite"):
-        hard_evidence(np.array([0, 1]), rho=0.5, quantizer=quantizer)
 
 
 # ---------------------------------------------------------------------------

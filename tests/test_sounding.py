@@ -70,7 +70,7 @@ def test_cross_party_correlation_matches_rho(sounded_blocks):
     widths = np.minimum(FLAT.tau_max_s, (np.arange(L) + 0.5) / w) - np.maximum(
         0.0, (np.arange(L) - 0.5) / w)
     widths[-1] = FLAT.tau_max_s - max(0.0, (L - 1.5) / w)
-    sigma2 = FLAT.m_tones * FLAT.sigma_h2 * widths / FLAT.tau_max_s
+    sigma2 = FLAT.m_tones * widths / FLAT.tau_max_s
     rho_expected = sigma2 / (sigma2 + prof.noise_var)
     for ell in range(L):
         r = np.corrcoef(a[:, ell].real, b[:, ell].real)[0, 1]
