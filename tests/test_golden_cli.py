@@ -46,7 +46,7 @@ RUNS = (
 )
 
 EXPECTED_SHA256 = (
-    "357e3ea8bd5034082d74bd1a7b2b6d8fadd3f0c780429d52ef3d9d92c815e6fd")
+    "4b15ca51e609b9e3a6c2269887a709b0203f10f72443832e6039cddc66f0b711")
 EXPECTED_BODIES_SHA256 = (
     "49913588bb888678a87aba6b7d23c339b5f7567355ae3c3d3ccb918051ec8c7d")
 
