@@ -10,6 +10,15 @@ draw once per listed stream, so a stream listed k times gives k draws in turn.
 Large draws run in row chunks (``row_chunks``) whose largest temporary fits
 in ``CHUNK_BYTES``.
 
+Every Generator here is built by ``_philox``, the one construction rule: a
+Philox bit generator keyed by a seed sequence, at an explicit zero counter
+array.  Philox is counter-based, so its whole state is a 128-bit key and a
+256-bit counter.  numpy's default ``counter=None`` converts the integer 0
+through its big-int path, which costs more than the rest of the
+construction; the uint64 array takes the array path to the same state.
+(``key=`` is no shortcut: numpy then seeds a SeedSequence from OS entropy
+before using the key.)
+
 ``split_streams`` keys each stream exactly as ``SeedSequence(seed).spawn``
 would, but derives the keys itself: ``_child_keys`` starts from the parent's
 ``SeedSequence.pool`` and runs numpy's SeedSequence hash
@@ -37,7 +46,18 @@ def make_rng(seed) -> np.random.Generator:
         return seed
     if seed is None:  # SeedSequence(None) would draw fresh OS entropy
         raise TypeError("make_rng needs an integer or tuple seed")
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    return _philox(np.random.SeedSequence(seed))
+
+
+# Every stream starts at counter zero; read-only, since all share it.
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
+_ZERO_COUNTER.flags.writeable = False
+
+
+def _philox(seed_seq) -> np.random.Generator:
+    """Generator over the Philox keyed by ``seed_seq``, at counter zero."""
+    return np.random.Generator(np.random.Philox(seed_seq,
+                                                counter=_ZERO_COUNTER))
 
 
 # Bytes of the largest temporary of one chunk of a chunked draw: below
@@ -85,7 +105,10 @@ def split_streams(seed, n: int) -> list[np.random.Generator]:
     SeedSequence(seed).spawn(n)``, draw for draw.  The n Philox keys come
     from one vectorised pass (``_child_keys``), not from n SeedSequence
     objects, so a stream's ``bit_generator.seed_seq`` holds only its key and
-    cannot spawn.
+    cannot spawn.  Each stream is built by ``_philox`` at an explicit zero
+    counter array, so its whole ``bit_generator.state`` (key, counter and
+    the empty output buffer) equals the spawned reference's, and a session's
+    ``blocks + 1`` constructions skip numpy's big-int counter conversion.
 
     A key session splits ``blocks + 1`` streams: stream i < blocks belongs to
     coherence block i, the last one draws the rotation offsets.  Block
@@ -104,8 +127,7 @@ def split_streams(seed, n: int) -> list[np.random.Generator]:
     if seed is None:  # SeedSequence(None) would draw fresh OS entropy
         raise TypeError("split_streams needs an integer or tuple seed")
     keys = _child_keys(np.random.SeedSequence(seed), n)
-    return [np.random.Generator(np.random.Philox(_Keyed(key)))
-            for key in keys.tolist()]
+    return [_philox(_Keyed(key)) for key in keys.tolist()]
 
 
 class _Keyed(ISeedSequence):

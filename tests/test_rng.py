@@ -33,6 +33,25 @@ def _reference(parent, n):
             for child in parent.spawn(n)]
 
 
+def _assert_same_state(stream, ref):
+    """The whole bit-generator state: key and counter, the output buffer,
+    its position and the cached 32-bit half."""
+    state, want = stream.bit_generator.state, ref.bit_generator.state
+    assert state.keys() == want.keys()
+    for name in state:
+        if isinstance(state[name], dict):
+            assert state[name].keys() == want[name].keys(), name
+            for part in state[name]:
+                got, ref_part = state[name][part], want[name][part]
+                assert got.dtype == ref_part.dtype, (name, part)
+                assert np.array_equal(got, ref_part), (name, part)
+        elif isinstance(state[name], np.ndarray):
+            assert state[name].dtype == want[name].dtype, name
+            assert np.array_equal(state[name], want[name]), name
+        else:
+            assert state[name] == want[name], name
+
+
 def _assert_same_streams(streams, reference):
     assert len(streams) == len(reference)
     for stream, ref in zip(streams, reference):
@@ -40,8 +59,11 @@ def _assert_same_streams(streams, reference):
         state = stream.bit_generator.state["state"]
         assert np.array_equal(state["key"], key)
         assert np.array_equal(state["counter"], np.zeros(4, dtype=np.uint64))
+        _assert_same_state(stream, ref)
         assert np.array_equal(stream.random(3), ref.random(3))
         assert np.array_equal(stream.standard_normal(3), ref.standard_normal(3))
+        assert stream.integers(2**32) == ref.integers(2**32)  # uses a half
+        _assert_same_state(stream, ref)
 
 
 @pytest.mark.golden
@@ -57,6 +79,28 @@ def _assert_same_streams(streams, reference):
 def test_streams_match_seed_sequence_spawn(seed, n):
     _assert_same_streams(split_streams(seed, n),
                          _reference(np.random.SeedSequence(seed), n))
+
+
+@pytest.mark.golden
+@settings(max_examples=30, deadline=None)
+@given(seed=INTS | TUPLES | DERIVED)
+@example(seed=0)
+@example(seed=2**64 - 1)
+@example(seed=())
+def test_make_rng_matches_philox_of_seed_sequence(seed):
+    ref = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    _assert_same_streams([make_rng(seed)], [ref])
+
+
+def test_streams_do_not_share_counter_state():
+    # every stream starts at the one shared zero counter; drawing from one
+    # must advance only its own
+    first, second = split_streams(4, 2)
+    first.random(10)
+    assert np.array_equal(second.bit_generator.state["state"]["counter"],
+                          np.zeros(4, dtype=np.uint64))
+    assert np.array_equal(make_rng(4).bit_generator.state["state"]["counter"],
+                          np.zeros(4, dtype=np.uint64))
 
 
 @pytest.mark.golden
