@@ -12,7 +12,11 @@ argument.
 
 A session's randomness (path delays and gains, unit sounding noise and the
 rotation) depends on neither the SNR nor the code: ``draw_session`` makes
-it, and ``run_session`` measures a draw at the session's SNR.
+it, and ``run_session`` measures a draw at the session's SNR.  The
+per-entry law of the measured vectors (noise variance, correlation and
+standard deviation of every entry) depends only on the channel, SNR and
+block count, so ``_entry_law`` computes it once per such configuration and
+caches it as read-only arrays.
 ``sweep_rate_vs_snr`` maps post-decoding key bit error rate over a rate/SNR
 grid, measuring each trial's one draw at every grid point, and reports the
 waterfall threshold per rate.  Its trials run in contiguous ranges on every
@@ -22,6 +26,7 @@ depend on nothing but the trial, so the rows are the same for any split.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import pickle
@@ -101,6 +106,12 @@ class SessionConfig:
                 raise ValueError("rotation tracking needs binary soft decoding")
             if self.theta_grid_size < 1:
                 raise ValueError("theta_grid_size must be >= 1")
+        if self.theta is not None:
+            if self.phase_mode == "none":
+                raise ValueError("theta is set, but phase_mode 'none' "
+                                 "applies no rotation")
+            if not math.isfinite(self.theta):
+                raise ValueError(f"theta must be finite, got {self.theta}")
 
 
 @dataclass
@@ -224,18 +235,33 @@ def _session_vectors(config: SessionConfig, draw: SessionDraw | None = None):
                   if made != want]
         raise ValueError(f"draw does not match the session's "
                          f"{', '.join(differ)}")
-    profile = build_snr_profile(config.channel, config.snr_f_db)
-    obs_a, obs_b = sound_blocks(draw.h, draw.noise, profile.noise_var)
+    noise_var, rho_vec, sigma_vec, _ = _entry_law(
+        config.channel, config.snr_f_db, config.blocks)
+    obs_a, obs_b = sound_blocks(draw.h, draw.noise, noise_var)
     b_obs = obs_b * np.exp(1j * draw.theta)
+    return interleave(obs_a), b_obs, rho_vec, sigma_vec, draw.theta
 
+
+@functools.lru_cache(maxsize=32)
+def _entry_law(channel: ChannelConfig, snr_f_db: float, blocks: int):
+    """Noise variance and the per-entry law of a session's data vectors.
+
+    Returns ``(noise_var, rho_vec, sigma_vec, source_std)``: entry k of the
+    length-``2 blocks L`` vectors has Alice/Bob correlation ``rho_vec[k]``,
+    complex standard deviation ``sigma_vec[k]`` and real-part standard
+    deviation ``source_std[k]``.  None depends on the draw, so each
+    configuration's arrays are computed once, cached (a sweep's grid points
+    and ``chankey keygen``'s trials share them) and read-only.
+    """
+    profile = build_snr_profile(channel, snr_f_db)
     bin_var = profile.per_bin_snr * profile.noise_var
     sigma_complex = np.sqrt(bin_var + profile.noise_var)
-    rho = profile.rho_time
-    per_block_rho = np.repeat(rho, 2)
-    per_block_sigma = np.repeat(sigma_complex, 2)
-    rho_vec = np.tile(per_block_rho, config.blocks)
-    sigma_vec = np.tile(per_block_sigma, config.blocks)
-    return interleave(obs_a), b_obs, rho_vec, sigma_vec, draw.theta
+    rho_vec = np.tile(np.repeat(profile.rho_time, 2), blocks)
+    sigma_vec = np.tile(np.repeat(sigma_complex, 2), blocks)
+    source_std = sigma_vec / math.sqrt(2.0)
+    for values in (rho_vec, sigma_vec, source_std):
+        values.flags.writeable = False
+    return profile.noise_var, rho_vec, sigma_vec, source_std
 
 
 def run_session(config: SessionConfig,
@@ -251,9 +277,10 @@ def run_session(config: SessionConfig,
     her key; Bob decodes her symbols and takes the same indices.
     """
     x_raw, b_obs, rho_vec, sigma_vec, theta = _session_vectors(config, draw)
+    source_std = _entry_law(config.channel, config.snr_f_db,
+                            config.blocks)[3]
     q = config.quantizer
     pcm = config.code
-    source_std = sigma_vec / math.sqrt(2.0)
 
     def planes(symbols):
         return (symbols,) if q.levels == 2 else bit_planes(symbols)

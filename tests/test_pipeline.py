@@ -96,6 +96,23 @@ def test_config_rejects_non_finite_snr(snr_db):
                       quantizer=Q2, code=code, seed=0)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_theta(theta):
+    code = make_plane_code(N_SMALL, 0.5, "regular", 7)
+    with pytest.raises(ValueError, match="theta must be finite"):
+        SessionConfig(channel=SMALL, snr_f_db=10, blocks=16, quantizer=Q2,
+                      code=code, phase_mode="constant_theta", theta=theta,
+                      seed=0)
+
+
+def test_config_rejects_theta_without_rotation():
+    # phase_mode "none" applies no rotation, so a theta would be ignored
+    code = make_plane_code(N_SMALL, 0.5, "regular", 7)
+    with pytest.raises(ValueError, match="theta is set"):
+        SessionConfig(channel=SMALL, snr_f_db=10, blocks=16, quantizer=Q2,
+                      code=code, theta=1.0, seed=0)
+
+
 def test_config_requires_seed():
     # a session without a seed would silently share seed 0's streams
     code = make_plane_code(N_SMALL, 0.5, "regular", 7)
@@ -251,6 +268,61 @@ def test_batched_session_vectors_match_block_loop(channel, phase_mode, snr_db):
     assert theta == ref_theta
     assert np.array_equal(x_raw, ref_a)
     assert np.array_equal(interleave(b_obs), ref_b)
+
+
+def _uncached_entry_law(config):
+    """The entry law computed afresh, as ``_entry_law`` computes it."""
+    return pipeline._entry_law.__wrapped__(config.channel, config.snr_f_db,
+                                           config.blocks)
+
+
+def _assert_same_bytes(got, want):
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        else:
+            assert x == y
+
+
+@pytest.mark.golden
+def test_entry_law_cache_keeps_sessions_identical():
+    # two channels of equal L (Table I's exponential profile and the same
+    # channel flat) at two SNRs each: a cache keyed on anything coarser than
+    # (channel, SNR, blocks) would hand one configuration another's law
+    blocks = 5
+    flat = replace(TABLE1, profile="flat")
+    assert flat.num_delay_bins == TABLE1.num_delay_bins
+    code = make_plane_code(2 * blocks * TABLE1.num_delay_bins, 0.5,
+                           "regular", 7)
+    configs = [SessionConfig(channel=channel, snr_f_db=snr_db, blocks=blocks,
+                             quantizer=Q2, code=code, seed=(43, k))
+               for k, channel in enumerate([TABLE1, flat])
+               for snr_db in (4.0, 12.0)]
+    cold = []
+    for cfg in configs:
+        pipeline._entry_law.cache_clear()
+        cold.append((_session_vectors(cfg), run_session(cfg)))
+    for cfg in configs:  # every configuration's law is now cached
+        pipeline._entry_law(cfg.channel, cfg.snr_f_db, cfg.blocks)
+    assert pipeline._entry_law.cache_info().currsize == len(configs)
+    laws = {}
+    for cfg, (vectors, result) in zip(configs, cold):
+        hits = pipeline._entry_law.cache_info().hits
+        _assert_same_bytes(_session_vectors(cfg), vectors)
+        _assert_same_result(run_session(cfg), result)
+        assert pipeline._entry_law.cache_info().hits > hits
+        law = pipeline._entry_law(cfg.channel, cfg.snr_f_db, cfg.blocks)
+        _assert_same_bytes(law, _uncached_entry_law(cfg))
+        laws[cfg.channel, cfg.snr_f_db] = law
+        for values in law[1:]:
+            assert not values.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.0
+    # the flat channel's law differs from the exponential one's at each SNR
+    for snr_db in (4.0, 12.0):
+        assert not np.array_equal(laws[TABLE1, snr_db][2],
+                                  laws[flat, snr_db][2])
 
 
 def _draw_config(channel, blocks, seed):
