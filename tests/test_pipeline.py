@@ -270,12 +270,6 @@ def test_batched_session_vectors_match_block_loop(channel, phase_mode, snr_db):
     assert np.array_equal(interleave(b_obs), ref_b)
 
 
-def _uncached_entry_law(config):
-    """The entry law computed afresh, as ``_entry_law`` computes it."""
-    return pipeline._entry_law.__wrapped__(config.channel, config.snr_f_db,
-                                           config.blocks)
-
-
 def _assert_same_bytes(got, want):
     assert len(got) == len(want)
     for x, y in zip(got, want):
@@ -312,8 +306,9 @@ def test_entry_law_cache_keeps_sessions_identical():
         _assert_same_bytes(_session_vectors(cfg), vectors)
         _assert_same_result(run_session(cfg), result)
         assert pipeline._entry_law.cache_info().hits > hits
-        law = pipeline._entry_law(cfg.channel, cfg.snr_f_db, cfg.blocks)
-        _assert_same_bytes(law, _uncached_entry_law(cfg))
+        key = (cfg.channel, cfg.snr_f_db, cfg.blocks)
+        law = pipeline._entry_law(*key)
+        _assert_same_bytes(law, pipeline._entry_law.__wrapped__(*key))
         laws[cfg.channel, cfg.snr_f_db] = law
         for values in law[1:]:
             assert not values.flags.writeable
