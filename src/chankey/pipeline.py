@@ -235,33 +235,36 @@ def _session_vectors(config: SessionConfig, draw: SessionDraw | None = None):
                   if made != want]
         raise ValueError(f"draw does not match the session's "
                          f"{', '.join(differ)}")
-    noise_var, rho_vec, sigma_vec, _ = _entry_law(
+    noise_var, rho_vec, sigma_vec = _entry_law(
         config.channel, config.snr_f_db, config.blocks)
     obs_a, obs_b = sound_blocks(draw.h, draw.noise, noise_var)
     b_obs = obs_b * np.exp(1j * draw.theta)
     return interleave(obs_a), b_obs, rho_vec, sigma_vec, draw.theta
 
 
+# The cache pays off only when a configuration repeats: ``chankey keygen``'s
+# trials, and a sweep's trials, each of which walks the same SNR grid in the
+# same order.  32 entries hold one sweep's whole grid (``ldpc-waterfall``'s
+# default grids have at most 15 SNRs per variant, 18 over all variants); a
+# grid of more than 32 points evicts every entry before its reuse.
 @functools.lru_cache(maxsize=32)
 def _entry_law(channel: ChannelConfig, snr_f_db: float, blocks: int):
     """Noise variance and the per-entry law of a session's data vectors.
 
-    Returns ``(noise_var, rho_vec, sigma_vec, source_std)``: entry k of the
-    length-``2 blocks L`` vectors has Alice/Bob correlation ``rho_vec[k]``,
-    complex standard deviation ``sigma_vec[k]`` and real-part standard
-    deviation ``source_std[k]``.  None depends on the draw, so each
-    configuration's arrays are computed once, cached (a sweep's grid points
-    and ``chankey keygen``'s trials share them) and read-only.
+    Returns ``(noise_var, rho_vec, sigma_vec)``: entry k of the
+    length-``2 blocks L`` vectors has Alice/Bob correlation ``rho_vec[k]``
+    and complex standard deviation ``sigma_vec[k]``.  Neither depends on
+    the draw, so each configuration's arrays are computed once, cached and
+    read-only.
     """
     profile = build_snr_profile(channel, snr_f_db)
     bin_var = profile.per_bin_snr * profile.noise_var
     sigma_complex = np.sqrt(bin_var + profile.noise_var)
     rho_vec = np.tile(np.repeat(profile.rho_time, 2), blocks)
     sigma_vec = np.tile(np.repeat(sigma_complex, 2), blocks)
-    source_std = sigma_vec / math.sqrt(2.0)
-    for values in (rho_vec, sigma_vec, source_std):
+    for values in (rho_vec, sigma_vec):
         values.flags.writeable = False
-    return profile.noise_var, rho_vec, sigma_vec, source_std
+    return profile.noise_var, rho_vec, sigma_vec
 
 
 def run_session(config: SessionConfig,
@@ -277,8 +280,7 @@ def run_session(config: SessionConfig,
     her key; Bob decodes her symbols and takes the same indices.
     """
     x_raw, b_obs, rho_vec, sigma_vec, theta = _session_vectors(config, draw)
-    source_std = _entry_law(config.channel, config.snr_f_db,
-                            config.blocks)[3]
+    source_std = sigma_vec / math.sqrt(2.0)
     q = config.quantizer
     pcm = config.code
 

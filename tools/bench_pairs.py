@@ -4,26 +4,37 @@
         --topic streams --workload keygen_10db --workload capacity_mc \\
         --pairs 10 --seed 3471
 
-Runs ``benchmarks/run.py`` of each checkout in that checkout, so each side
-imports its own ``src/`` and runs its own benchmark.  Pair i runs both sides
+Runs ``benchmarks/run.py`` of each checkout in that checkout, at the
+benchmark's own run length, so each side imports its own ``src/`` and runs
+its own benchmark.  Pair i runs both sides
 at seed ``--seed + i``, the before side first for even i and the after side
 first for odd i; pairs go round the workloads in turn, so a drift in the
 host's speed spreads over every workload.  Uses the standard library only.
 
-Writes ``BENCH_<topic>.json`` (or ``--out``) with one schema:
+Writes ``BENCH_<topic>.json`` in the current directory with one schema:
 
 * ``command``: the benchmark command, with ``<workload>`` and ``<seed>``;
 * ``environment``: each side's environment stamp from the benchmark report
   (git commit when the checkout has one, hash of ``src/``, interpreter and
   library versions, CPUs, thread pins);
 * ``runs``: per ``<workload>.trace<0|1>``, every pair's seed, order and each
-  side's metrics, ``correct``, ``attempted`` and ``failed``, and a
-  ``summary`` per metric: each side's median and quartiles (inclusive
-  method), the change of the median in percent, the pairs the after side
-  won (ties count for neither side), whether the after median stays within
-  the metric's bound in ``BENCHMARK.json`` (end-to-end metrics only) and
-  whether a gain is shown: at least nine tenths of the pairs won, and the
-  medians apart by more than the before side's interquartile range.
+  side's metrics, ``correct``, ``attempted`` and ``failed``; each side's
+  ``failed_share`` (failed over attempted operations, summed over its
+  runs); and a ``summary`` per metric:
+
+  - each side's median and quartiles (inclusive method) and the change of
+    the median in percent;
+  - the pairs the after side won (ties count for neither side);
+  - ``gain_shown``: at least nine tenths of the pairs won, the medians
+    apart by more than the before side's interquartile range, and no
+    larger failed share on the after side;
+  - for the end-to-end metrics that have a bound in ``BENCHMARK.json``:
+    ``within_bound``, whether the after median is no worse than the before
+    median by more than the bound, and ``unresolved``, true when the before
+    side's full range (largest minus smallest run, over its median) is
+    wider than the bound and the runs do not separate (not every after run
+    better than every before run): such runs are too spread to tell the
+    bound check either way.
 
 An existing output file keeps the runs of other workloads and trace levels,
 so traced and untraced pairs can be recorded by separate invocations.
@@ -42,12 +53,11 @@ SIDES = ("before", "after")
 RUN_TIMEOUT_S = 1800
 
 
-def run_side(checkout: Path, workload: str, seconds: float, trace: int,
+def run_side(checkout: Path, workload: str, trace: int,
              seed: int) -> tuple[dict, dict]:
     """One benchmark run: its result line and the report line before it."""
     command = [sys.executable, "benchmarks/run.py", "--workload", workload,
-               "--seconds", str(seconds), "--trace", str(trace),
-               "--seed", str(seed)]
+               "--trace", str(trace), "--seed", str(seed)]
     proc = subprocess.run(command, cwd=checkout, capture_output=True,
                           text=True, timeout=RUN_TIMEOUT_S)
     lines = proc.stdout.strip().splitlines()
@@ -64,9 +74,16 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def failed_share(pairs: list[dict], side: str) -> float:
+    attempted = sum(p[side]["attempted"] for p in pairs)
+    return sum(p[side]["failed"] for p in pairs) / attempted if attempted \
+        else 0.0
+
+
 def summarize(pairs: list[dict], declared: dict) -> dict:
-    """Per metric, each side's median and quartiles, the pair wins, the
-    bound check and whether a gain is shown."""
+    """Per metric, each side's median and quartiles, the pair wins, whether
+    a gain is shown and the bound check."""
+    more_failed = failed_share(pairs, "after") > failed_share(pairs, "before")
     summary = {}
     for name in pairs[0]["before"]["metrics"]:
         spec = declared.get(name, {})
@@ -84,12 +101,19 @@ def summarize(pairs: list[dict], declared: dict) -> dict:
             "change_pct": (100.0 * (after - before) / before
                            if before else None),
             "after_better_pairs": wins, "pairs": len(pairs),
-            "gain_shown": wins >= 0.9 * len(pairs) and gain > iqr,
+            "gain_shown": (wins >= 0.9 * len(pairs) and gain > iqr
+                           and not more_failed),
         }
         if "bound" in spec:
             limit = before * (1 - spec["bound"] if higher else
                               1 + spec["bound"])
             entry["within_bound"] = after >= limit if higher else after <= limit
+            spread = max(values["before"]) - min(values["before"])
+            separated = (min(values["after"]) > max(values["before"])
+                         if higher else
+                         max(values["after"]) < min(values["before"]))
+            entry["unresolved"] = (spread > spec["bound"] * abs(before)
+                                   and not separated)
         summary[name] = entry
     return summary
 
@@ -105,14 +129,12 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True,
                         help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     checkouts = {"before": args.before, "after": args.after}
-    out = args.out or Path(f"BENCH_{args.topic}.json")
+    out = Path(f"BENCH_{args.topic}.json")
 
     spec = json.loads((args.after / "BENCHMARK.json").read_text())
     declared = {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
@@ -125,7 +147,7 @@ def main(argv=None) -> int:
             pair = {"seed": seed, "order": f"{order[0]} first"}
             for side in order:
                 result, report = run_side(checkouts[side], workload,
-                                          args.seconds, args.trace, seed)
+                                          args.trace, seed)
                 pair[side] = result
                 environment.setdefault(side, report["environment"])
                 metric = next(iter(result["metrics"]))
@@ -140,15 +162,16 @@ def main(argv=None) -> int:
         "schema": ("BENCH_<topic>.json as tools/bench_pairs.py writes it: "
                    "'before' is the parent commit, 'after' the change, each "
                    "run from its own checkout; see the tool's docstring"),
-        "command": (f"python3 benchmarks/run.py --workload <workload> "
-                    f"--seconds {args.seconds:g} --trace <trace> "
-                    f"--seed <seed>"),
+        "command": ("python3 benchmarks/run.py --workload <workload> "
+                    "--trace <trace> --seed <seed>"),
         "environment": environment,
     })
     runs = document.setdefault("runs", {})
     for workload, workload_pairs in pairs.items():
         runs[f"{workload}.trace{args.trace}"] = {
             "pairs": workload_pairs,
+            "failed_share": {side: failed_share(workload_pairs, side)
+                             for side in SIDES},
             "summary": summarize(workload_pairs, declared),
         }
     out.write_text(json.dumps(document, indent=1) + "\n")
@@ -157,7 +180,8 @@ def main(argv=None) -> int:
             print(f"{key:26s} {name:40s} {entry['before']['median']:>12.6g}"
                   f" -> {entry['after']['median']:>12.6g}  won "
                   f"{entry['after_better_pairs']}/{entry['pairs']}"
-                  f"{'  gain shown' if entry['gain_shown'] else ''}")
+                  f"{'  gain shown' if entry['gain_shown'] else ''}"
+                  f"{'  unresolved' if entry.get('unresolved') else ''}")
     return 0
 
 
