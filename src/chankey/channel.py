@@ -210,7 +210,16 @@ def sample_paths(config: ChannelConfig, streams) -> PathSet:
 
 
 def freq_coefficients(paths: PathSet, config: ChannelConfig) -> np.ndarray:
-    """Per-tone coefficients H_n = sum_k beta_k exp(-j 2 pi (n/T) tau_k)."""
+    """Per-tone coefficients H_n = sum_k beta_k exp(-j 2 pi (n/T) tau_k).
+
+    ``paths`` is one realization, ``(n_paths,)`` delays and gains; a batch
+    from ``sample_paths`` is passed one row at a time.
+    """
+    if paths.delays.ndim != 1:
+        raise ValueError(
+            "freq_coefficients takes one realization of (n_paths,) delays "
+            f"and gains, got shape {paths.delays.shape}; pass each row of a "
+            "batch as its own PathSet")
     n = np.arange(config.m_tones)
     phase = np.exp(-2j * np.pi * np.outer(n, paths.delays) / config.duration_s)
     return phase @ paths.gains

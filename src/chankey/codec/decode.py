@@ -27,8 +27,12 @@ layout of ``codec.matrix.graph_for``.  The checks of one degree form one
 contiguous block, stored edge slot by edge slot, so a per-check product or
 sign parity is a reduction over the block's d rows, done as whole-vector
 operations; the variables of one degree gather their messages into a block
-the same way.  The stop test is the layout's ``parity`` of the hard
-decision (as in ``syndrome``) against the syndrome in block order.
+the same way.  ``decode_binary`` forms each iteration's posterior
+(evidence plus totals) once and gathers it onto the edges, where the next
+step starts.  Its stop test is the per-check sign parity of that gathered
+array against the syndrome in block order; the hard decision is formed only
+for the estimate returned.  The other two decoders' evidence moves every
+iteration, so they test the layout's ``parity`` of their hard decisions.
 
 The check update is the tanh rule in product form (Kschischang, Frey
 and Loeliger, IEEE T-IT 2001): the product of a check's |tanh(v2c / 2)|
@@ -36,7 +40,9 @@ factors, divided by each edge's own factor, is the product of the others,
 with no log or exp per edge.  The factors are floored at 1e-12, so no
 divisor is zero.  At a high check degree the product may underflow to 0;
 the message is then a zero carrying the others' sign parity, as exp of a
-very negative log-sum gives.
+very negative log-sum gives.  arctanh is clamped at LLR_CLAMP / 2 before
+the +/-2 factor: doubling is exact and the sign comes last, so that equals
+clamping the messages at +/-LLR_CLAMP.
 """
 
 from __future__ import annotations
@@ -68,9 +74,11 @@ def _flood(steps, satisfies, max_iter: int) -> DecodeResult:
     """Run ``steps`` under the one stop rule shared by every decoder.
 
     ``steps`` yields ``(estimate, largest message change)`` once per
-    iteration.  Stop when ``satisfies(estimate)`` (converged, satisfied),
-    when no message moved by ``MESSAGE_TOL`` (converged, unsatisfied), or
-    after ``max_iter`` iterations (neither flag set).
+    iteration, the estimate in whatever form ``satisfies`` reads; the
+    caller converts the last one.  Stop when ``satisfies(estimate)``
+    (converged, satisfied), when no message moved by ``MESSAGE_TOL``
+    (converged, unsatisfied), or after ``max_iter`` iterations (neither
+    flag set).
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -87,7 +95,8 @@ class _BinarySP:
 
     Evidence may change between iterations (the factor-coupled and
     rotation-aware decoders update it), so each step takes the current
-    per-variable LLRs and returns the new per-variable extrinsic totals.
+    per-variable LLRs and returns the new per-variable extrinsic totals;
+    without them it starts from the posteriors last ``gather``ed.
     Messages live in the graph's degree-class edge layout; the syndrome is
     held in its check order.
     """
@@ -107,12 +116,17 @@ class _BinarySP:
         self._excl = np.empty(edges)
         self._neg = np.empty(edges, dtype=bool)
 
-    def step(self, evidence_llr: np.ndarray) -> np.ndarray:
+    def gather(self, posterior: np.ndarray) -> np.ndarray:
+        # take's "clip" mode (indices are in range) writes to out unbuffered
+        posterior.take(self.g.edge_var, out=self._work, mode="clip")
+        return posterior
+
+    def step(self, evidence_llr: np.ndarray | None = None) -> np.ndarray:
+        if evidence_llr is not None:
+            self.gather(evidence_llr + self.totals)
         g = self.g
         work, excl, neg, new = self._work, self._excl, self._neg, self._next
-        # variable-to-check messages, then |tanh(v2c / 2)| and its sign;
-        # take's "clip" mode (indices are in range) writes to out unbuffered
-        np.take(evidence_llr + self.totals, g.edge_var, out=work, mode="clip")
+        # variable-to-check messages, then |tanh(v2c / 2)| and its sign
         work -= self.c2v
         np.clip(work, -LLR_CLAMP, LLR_CLAMP, out=work)
         work *= 0.5
@@ -134,16 +148,16 @@ class _BinarySP:
 
         np.minimum(excl, 1.0 - 1e-15, out=excl)  # quotients are >= +0.0
         np.arctanh(excl, out=excl)
+        np.minimum(excl, LLR_CLAMP / 2, out=excl)  # = clamping +/-2 excl
         np.multiply(neg, -4.0, out=new)
         new += 2.0  # +/-2.0 by sign
         new *= excl
-        np.clip(new, -LLR_CLAMP, LLR_CLAMP, out=new)
 
         np.subtract(new, self.c2v, out=excl)
         self.last_delta = float(np.abs(excl, out=excl).max())
         self._next, self.c2v = self.c2v, new
 
-        np.take(new, g.var_edges, out=excl, mode="clip")
+        new.take(g.var_edges, out=excl, mode="clip")
         totals = np.empty(self.totals.size)
         for variables, edges, d in g.var_blocks:
             totals[variables] = np.add.reduce(excl[edges].reshape(d, -1),
@@ -151,9 +165,12 @@ class _BinarySP:
         self.totals = totals
         return totals
 
-    def satisfied(self, hard: np.ndarray) -> bool:
-        """Whether the 0/1 decisions ``hard`` meet the target syndrome."""
-        return np.array_equal(self.g.parity(hard), self.syndrome)
+    def satisfied(self, hard: np.ndarray | None = None) -> bool:
+        """Whether ``hard`` (default: the gathered signs) meets the syndrome."""
+        parity = (self.g.parity(hard) if hard is not None else
+                  self.g.edge_parity(np.less(self._work, 0.0, out=self._neg)))
+        # one 0/1 byte per check on both sides, so bytes compare as values
+        return parity.tobytes() == self.syndrome.tobytes()
 
 
 def decode_binary(pcm: SparseParityCheck, syndrome_bits: np.ndarray,
@@ -168,16 +185,19 @@ def decode_binary(pcm: SparseParityCheck, syndrome_bits: np.ndarray,
     if evidence_llr.size != pcm.n:
         raise ValueError("evidence length mismatch")
     evidence_llr = np.clip(evidence_llr, -LLR_CLAMP, LLR_CLAMP)
+    if np.isnan(evidence_llr).any():
+        raise ValueError("evidence must not be NaN")
     s = np.asarray(syndrome_bits, dtype=np.uint8)
     sp = _BinarySP(pcm, s)
 
     def steps():
+        totals = sp.step(evidence_llr)
         while True:
-            totals = sp.step(evidence_llr)
-            yield np.less(evidence_llr + totals, 0.0), sp.last_delta
+            yield sp.gather(evidence_llr + totals), sp.last_delta
+            totals = sp.step()
 
-    result = _flood(steps(), sp.satisfied, max_iter)
-    result.estimate = result.estimate.view(np.uint8)
+    result = _flood(steps(), lambda _: sp.satisfied(), max_iter)
+    result.estimate = np.less(result.estimate, 0.0).view(np.uint8)
     return result
 
 
@@ -187,12 +207,15 @@ def decode_binary(pcm: SparseParityCheck, syndrome_bits: np.ndarray,
 
 def _llr_to_prob(llr: np.ndarray):
     """(p0, p1) from log(p0/p1), numerically stable."""
-    p1 = 1.0 / (1.0 + np.exp(np.clip(llr, -LLR_CLAMP, LLR_CLAMP)))
+    p1 = np.clip(llr, -LLR_CLAMP, LLR_CLAMP)
+    np.divide(1.0, np.add(np.exp(p1, out=p1), 1.0, out=p1), out=p1)
     return 1.0 - p1, p1
 
 
 def _safe_llr(p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
-    return np.clip(np.log((p0 + _TINY) / (p1 + _TINY)), -LLR_CLAMP, LLR_CLAMP)
+    llr = np.add(p0, _TINY)
+    np.log(np.divide(llr, np.add(p1, _TINY), out=llr), out=llr)
+    return np.clip(llr, -LLR_CLAMP, LLR_CLAMP, out=llr)
 
 
 def evidence_to_llr(evidence) -> np.ndarray:
@@ -203,23 +226,21 @@ def evidence_to_llr(evidence) -> np.ndarray:
     return _safe_llr(g[:, 0], g[:, 1])
 
 
-def _plane_evidence(g: np.ndarray, prob_m, prob_l):
+def _plane_evidence(g_cols, prob_m, prob_l):
     """Factor-node messages into both planes.
 
-    ``g`` holds the per-symbol channel evidence over levels {0,1,2,3} and
-    ``prob_*`` the plane codes' extrinsic messages as ``_llr_to_prob``
-    pairs.  Per the coupling constraint x = x_L + 2 x_M:
+    ``g_cols`` holds the per-symbol channel evidence, one ``(N,)`` column
+    per level of {0,1,2,3}, and ``prob_*`` the plane codes' extrinsic
+    messages as ``_llr_to_prob`` pairs.  Per the coupling x = x_L + 2 x_M:
 
       to M: mu(0) ~ G(0) muL(0) + G(1) muL(1),  mu(1) ~ G(2) muL(0) + G(3) muL(1)
       to L: mu(0) ~ G(0) muM(0) + G(2) muM(1),  mu(1) ~ G(1) muM(0) + G(3) muM(1)
     """
+    g0, g1, g2, g3 = g_cols
     pm0, pm1 = prob_m
     pl0, pl1 = prob_l
-    to_m = _safe_llr(g[:, 0] * pl0 + g[:, 1] * pl1,
-                     g[:, 2] * pl0 + g[:, 3] * pl1)
-    to_l = _safe_llr(g[:, 0] * pm0 + g[:, 2] * pm1,
-                     g[:, 1] * pm0 + g[:, 3] * pm1)
-    return to_m, to_l
+    return (_safe_llr(g0 * pl0 + g1 * pl1, g2 * pl0 + g3 * pl1),
+            _safe_llr(g0 * pm0 + g2 * pm1, g1 * pm0 + g3 * pm1))
 
 
 def _symbol_marginal(prob_m, prob_l):
@@ -238,19 +259,18 @@ def _symbol_marginal(prob_m, prob_l):
     return mu
 
 
-def _symbol_decision(g_cols, mu) -> np.ndarray:
+def _symbol_decision(g_cols, mu):
     """Per symbol the level a maximizing G(a) mu(a), ties to the lowest.
 
     ``g_cols`` and ``mu`` hold one finite ``(N,)`` column per level; the
     columns of ``mu`` are overwritten.  Levels 0/1 and 2/3 are compared in
     pairs and the pair winners against each other, strictly greater winning
-    each comparison, which gives ``np.argmax``'s first maximum.
+    each comparison, which gives ``np.argmax``'s first maximum.  Returns
+    the levels' bit planes (MSB, LSB) as bools.
     """
     v0, v1, v2, v3 = (np.multiply(m, g, out=m) for m, g in zip(mu, g_cols))
     high = np.maximum(v2, v3) > np.maximum(v0, v1)
-    estimate = np.add(high, high, dtype=np.uint8)
-    estimate += np.where(high, v3 > v2, v1 > v0)
-    return estimate
+    return high, np.where(high, v3 > v2, v1 > v0)
 
 
 def decode_quaternary(pcm_m: SparseParityCheck, pcm_l: SparseParityCheck,
@@ -273,27 +293,26 @@ def decode_quaternary(pcm_m: SparseParityCheck, pcm_l: SparseParityCheck,
     if not np.all(np.isfinite(g)):
         raise ValueError("evidence must be finite")
     g_cols = np.ascontiguousarray(g.T)
-    s_m = np.asarray(syndrome_m, dtype=np.uint8)
-    s_l = np.asarray(syndrome_l, dtype=np.uint8)
-
-    sp_m = _BinarySP(pcm_m, s_m)
-    sp_l = _BinarySP(pcm_l, s_l)
+    sp_m = _BinarySP(pcm_m, np.asarray(syndrome_m, dtype=np.uint8))
+    sp_l = _BinarySP(pcm_l, np.asarray(syndrome_l, dtype=np.uint8))
 
     def steps():
         # one conversion serves this symbol decision and the next evidence
         prob_m = prob_l = _llr_to_prob(np.zeros(pcm_m.n))
         while True:
-            ev_m, ev_l = _plane_evidence(g, prob_m, prob_l)
+            ev_m, ev_l = _plane_evidence(g_cols, prob_m, prob_l)
             prob_m = _llr_to_prob(sp_m.step(ev_m))
             prob_l = _llr_to_prob(sp_l.step(ev_l))
-            estimate = _symbol_decision(g_cols,
-                                        _symbol_marginal(prob_m, prob_l))
-            yield estimate, max(sp_m.last_delta, sp_l.last_delta)
+            yield (_symbol_decision(g_cols, _symbol_marginal(prob_m, prob_l)),
+                   max(sp_m.last_delta, sp_l.last_delta))
 
-    def satisfies(estimate):
-        return sp_m.satisfied(estimate >> 1) and sp_l.satisfied(estimate & 1)
+    def satisfies(planes):
+        return sp_m.satisfied(planes[0]) and sp_l.satisfied(planes[1])
 
-    return _flood(steps(), satisfies, max_iter)
+    result = _flood(steps(), satisfies, max_iter)
+    high, low = result.estimate
+    result.estimate = np.add(high, high, dtype=np.uint8) + low
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +338,15 @@ def decode_with_phase_offset(pcm: SparseParityCheck, syndrome_bits: np.ndarray,
     prob = np.asarray(evidence, dtype=float)
     if prob.shape != (num_grid, n, 2):
         raise ValueError(f"evidence must be ({num_grid}, {n}, 2)")
+    if not np.all(np.isfinite(prob)):
+        raise ValueError("evidence must be finite")
     s = np.asarray(syndrome_bits, dtype=np.uint8)
+    prob0, prob1 = np.ascontiguousarray(np.moveaxis(prob, 2, 0))
 
     if num_grid == 1:
         # degenerate grid: the rotation node is deterministic and the
         # decoder reduces exactly to the plain binary path
-        ev_llr = _safe_llr(prob[0, :, 0], prob[0, :, 1])
-        result = decode_binary(pcm, s, ev_llr, max_iter)
+        result = decode_binary(pcm, s, _safe_llr(prob0[0], prob1[0]), max_iter)
         result.theta_hat = float(theta_grid[0])
         return result
 
@@ -341,10 +362,9 @@ def decode_with_phase_offset(pcm: SparseParityCheck, syndrome_bits: np.ndarray,
     log_to_theta = np.empty((n, num_grid))
     for b in range(num_grid):
         probe = _BinarySP(pcm, s)
-        ev_b = _safe_llr(prob[b, :, 0], prob[b, :, 1])
-        p0, p1 = _llr_to_prob(probe.step(ev_b))
+        p0, p1 = _llr_to_prob(probe.step(_safe_llr(prob0[b], prob1[b])))
         log_to_theta[:, b] = np.log(
-            np.maximum(prob[b, :, 0] * p0 + prob[b, :, 1] * p1, _TINY))
+            np.maximum(prob0[b] * p0 + prob1[b] * p1, _TINY))
     log_to_theta -= log_to_theta.max(axis=1, keepdims=True)
 
     def steps():
@@ -369,7 +389,7 @@ def decode_with_phase_offset(pcm: SparseParityCheck, syndrome_bits: np.ndarray,
 
             # code -> evidence extrinsic, then evidence -> rotation
             p0, p1 = _llr_to_prob(totals)
-            back = prob[:, :, 0] * p0[None, :] + prob[:, :, 1] * p1[None, :]
+            back = prob0 * p0 + prob1 * p1
             log_to_theta = np.log(np.maximum(back.T, _TINY), order="C")
             log_to_theta -= log_to_theta.max(axis=1, keepdims=True)
             yield estimate, max(sp.last_delta, ev_delta)

@@ -194,7 +194,11 @@ class _Graph:
         """Parity of ``bits & 1`` over each check, in ``check_order``."""
         if bits.dtype != bool:
             bits = np.bitwise_and(bits, 1)
-        on = np.take(bits, self.edge_var)
+        return self.edge_parity(bits.take(self.edge_var))
+
+    def edge_parity(self, on: np.ndarray) -> np.ndarray:
+        """Parity over each check, in ``check_order``, of the bools ``on``
+        held one per edge in the layout."""
         parts = [np.bitwise_xor.reduce(on[edges].reshape(d, -1), axis=0)
                  for edges, _, d in self.check_blocks]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)

@@ -143,6 +143,16 @@ def test_freq_coefficients_zero_delay_path():
     np.testing.assert_allclose(freq_coefficients(paths, cfg), np.ones(8))
 
 
+@pytest.mark.parametrize("rows", [1, 3])
+def test_freq_coefficients_rejects_a_batch(rows):
+    # sample_paths returns (rows, n_paths) arrays; one row is one realization
+    batch = sample_paths(SMALL, split_streams(5, rows))
+    with pytest.raises(ValueError, match=rf"one realization.*\({rows}, 12\)"):
+        freq_coefficients(batch, SMALL)
+    row = PathSet(batch.delays[0], batch.gains[0])
+    assert freq_coefficients(row, SMALL).shape == (SMALL.m_tones,)
+
+
 def test_freq_coefficients_single_bin_delay():
     cfg = ChannelConfig(m_tones=8, bandwidth_hz=2.5e6, duration_s=3.2e-6,
                         n_paths=1, tau_max_s=1.6e-6)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,15 +19,19 @@ from chankey.codec import (
     decode_with_phase_offset,
     evidence_to_llr,
 )
+from chankey.codec import decode as decode_module
 from chankey.codec.decode import (
     LLR_CLAMP,
+    MESSAGE_TOL,
     _TINY,
+    DecodeResult,
     _BinarySP,
     _llr_to_prob,
     _plane_evidence,
     _symbol_decision,
     _symbol_marginal,
 )
+from chankey.codec.matrix import graph_for
 from chankey.quantize import Quantizer, bit_planes, quantize, soft_evidence
 from chankey.rng import make_rng
 from chankey.sounding import interleave
@@ -154,6 +159,15 @@ def test_binary_rejects_bad_arguments():
         decode_binary(pcm, np.zeros(8, np.uint8), np.zeros(16), max_iter=0)
 
 
+def test_binary_rejects_nan_evidence():
+    # all-NaN LLRs on a zero syndrome used to decode "successfully" to the
+    # zero vector in one iteration; infinite LLRs stay certain bits
+    pcm = construct_regular(16, 8, 2, seed=5)
+    for bad in (np.full(16, np.nan), np.where(np.arange(16) == 3, np.nan, 1.0)):
+        with pytest.raises(ValueError, match="NaN"):
+            decode_binary(pcm, np.zeros(8, np.uint8), bad)
+
+
 # ---------------------------------------------------------------------------
 # quaternary decoder
 
@@ -165,7 +179,7 @@ def test_plane_coupling_worked_message():
     g = np.array([[0.1, 0.2, 0.3, 0.4]])
     mu_l0, mu_l1 = 0.7, 0.3
     ext_l = np.array([math.log(mu_l0 / mu_l1)])
-    to_m, _ = _plane_evidence(g, _llr_to_prob(np.zeros(1)),
+    to_m, _ = _plane_evidence(g.T, _llr_to_prob(np.zeros(1)),
                               _llr_to_prob(ext_l))
     num0 = g[0, 0] * mu_l0 + g[0, 1] * mu_l1
     num1 = g[0, 2] * mu_l0 + g[0, 3] * mu_l1
@@ -260,9 +274,9 @@ def test_symbol_decision_matches_stacked_argmax(seed, n, scale, ties):
     want_mu, want = _stacked_symbol_decision(g, ext_m, ext_l)
     mu = _symbol_marginal(_llr_to_prob(ext_m), _llr_to_prob(ext_l))
     assert np.stack(mu, axis=1).tobytes() == want_mu.tobytes()
-    got = _symbol_decision(np.ascontiguousarray(g.T), mu)
-    assert got.dtype == np.uint8
-    assert np.array_equal(got, want)
+    high, low = _symbol_decision(np.ascontiguousarray(g.T), mu)
+    assert high.dtype == low.dtype == bool
+    assert np.array_equal(2 * high + low, want)
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +440,18 @@ def test_phase_rejects_bad_arguments():
         with pytest.raises(ValueError, match="evidence must be"):
             decode_with_phase_offset(pcm, s, np.full(shape, 0.5),
                                      np.array([0.0, np.pi]))
+
+
+@pytest.mark.parametrize("grid", [1, 4])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_phase_rejects_non_finite_evidence(grid, bad):
+    # a NaN posterior used to decode to a satisfied all-zero estimate
+    pcm = _phase_code()
+    prob = np.full((grid, 256, 2), 0.5)
+    prob[-1, 7, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        decode_with_phase_offset(pcm, np.zeros(192, np.uint8), prob,
+                                 np.arange(grid) * np.pi / 2)
 
 
 def test_codec_loads_no_session_module():
@@ -625,3 +651,235 @@ def test_decoders_report_satisfied_exactly(seed, decoder, grid, max_iter, rho):
                 for e, t in zip(estimates, targets))
     assert res.syndrome_satisfied == truth
     assert res.iterations_used <= max_iter
+
+
+# ---------------------------------------------------------------------------
+# the decoders' iterations, bit for bit, against a frozen copy of the form
+# before the gathered-posterior stop test, the one clamp per message and
+# the column-wise 4-level glue
+
+
+class _FrozenSP:
+    """The sum-product plane in its earlier form: each step gathers evidence
+    plus totals itself and clips the signed messages at +/-LLR_CLAMP; the
+    stop test is the layout parity of a hard decision."""
+
+    def __init__(self, pcm, syndrome_bits):
+        self.g = graph_for(pcm)
+        self.syndrome = np.asarray(syndrome_bits)[self.g.check_order] \
+            .astype(bool)
+        self.c2v = np.zeros(self.g.edge_var.size)
+        self.totals = np.zeros(pcm.n)
+        self.last_delta = np.inf
+
+    def step(self, evidence_llr):
+        g = self.g
+        work = np.take(evidence_llr + self.totals, g.edge_var)
+        work -= self.c2v
+        np.clip(work, -LLR_CLAMP, LLR_CLAMP, out=work)
+        work *= 0.5
+        np.tanh(work, out=work)
+        neg = work < 0.0
+        np.abs(work, out=work)
+        np.maximum(work, 1e-12, out=work)
+        excl = np.empty_like(work)
+        for edges, checks, d in g.check_blocks:
+            t = work[edges].reshape(d, -1)
+            flip = neg[edges].reshape(d, -1)
+            np.divide(np.multiply.reduce(t, axis=0), t,
+                      out=excl[edges].reshape(d, -1))
+            flip ^= np.bitwise_xor.reduce(flip, axis=0) ^ self.syndrome[checks]
+        np.minimum(excl, 1.0 - 1e-15, out=excl)
+        np.arctanh(excl, out=excl)
+        new = np.multiply(neg, -4.0)
+        new += 2.0
+        new *= excl
+        np.clip(new, -LLR_CLAMP, LLR_CLAMP, out=new)
+        self.last_delta = float(np.abs(new - self.c2v).max())
+        self.c2v = new
+        on_edges = new[g.var_edges]
+        self.totals = np.empty(self.totals.size)
+        for variables, edges, d in g.var_blocks:
+            self.totals[variables] = np.add.reduce(
+                on_edges[edges].reshape(d, -1), axis=0)
+        return self.totals
+
+    def satisfied(self, hard):
+        return np.array_equal(self.g.parity(hard), self.syndrome)
+
+
+def _frozen_flood(steps, satisfies, max_iter):
+    for it, (estimate, delta) in zip(range(1, max_iter + 1), steps):
+        if satisfies(estimate):
+            return DecodeResult(estimate, True, it, True)
+        if delta < MESSAGE_TOL:
+            return DecodeResult(estimate, True, it, False)
+    return DecodeResult(estimate, False, max_iter, False)
+
+
+def _frozen_prob(llr):
+    p1 = 1.0 / (1.0 + np.exp(np.clip(llr, -LLR_CLAMP, LLR_CLAMP)))
+    return 1.0 - p1, p1
+
+
+def _frozen_llr(p0, p1):
+    return np.clip(np.log((p0 + _TINY) / (p1 + _TINY)), -LLR_CLAMP, LLR_CLAMP)
+
+
+def _frozen_binary(planes, pcm, s, evidence_llr, max_iter):
+    evidence_llr = np.clip(evidence_llr, -LLR_CLAMP, LLR_CLAMP)
+    planes.append(sp := _FrozenSP(pcm, s))
+
+    def steps():
+        while True:
+            totals = sp.step(evidence_llr)
+            yield np.less(evidence_llr + totals, 0.0), sp.last_delta
+
+    result = _frozen_flood(steps(), sp.satisfied, max_iter)
+    result.estimate = result.estimate.view(np.uint8)
+    return result
+
+
+def _frozen_quaternary(planes, pcm_m, pcm_l, s_m, s_l, g, max_iter):
+    planes += [sp_m := _FrozenSP(pcm_m, s_m), sp_l := _FrozenSP(pcm_l, s_l)]
+
+    def steps():
+        pm0, pm1 = pl0, pl1 = _frozen_prob(np.zeros(pcm_m.n))
+        while True:
+            ev_m = _frozen_llr(g[:, 0] * pl0 + g[:, 1] * pl1,
+                               g[:, 2] * pl0 + g[:, 3] * pl1)
+            ev_l = _frozen_llr(g[:, 0] * pm0 + g[:, 2] * pm1,
+                               g[:, 1] * pm0 + g[:, 3] * pm1)
+            pm0, pm1 = _frozen_prob(sp_m.step(ev_m))
+            pl0, pl1 = _frozen_prob(sp_l.step(ev_l))
+            mu = [pm0 * pl0, pm0 * pl1, pm1 * pl0, pm1 * pl1]
+            norm = np.maximum(sum(mu[1:], start=mu[0]), _TINY)
+            v0, v1, v2, v3 = (m / norm * g[:, a] for a, m in enumerate(mu))
+            high = np.maximum(v2, v3) > np.maximum(v0, v1)
+            estimate = np.add(high, high, dtype=np.uint8)
+            estimate += np.where(high, v3 > v2, v1 > v0)
+            yield estimate, max(sp_m.last_delta, sp_l.last_delta)
+
+    def satisfies(estimate):
+        return sp_m.satisfied(estimate >> 1) and sp_l.satisfied(estimate & 1)
+
+    return _frozen_flood(steps(), satisfies, max_iter)
+
+
+def _frozen_phase_offset(planes, pcm, s, prob, theta_grid, max_iter):
+    num_grid, n = theta_grid.size, pcm.n
+    if num_grid == 1:
+        result = _frozen_binary(planes, pcm, s,
+                                _frozen_llr(prob[0, :, 0], prob[0, :, 1]),
+                                max_iter)
+        result.theta_hat = float(theta_grid[0])
+        return result
+    planes.append(sp := _FrozenSP(pcm, s))
+    log_to_theta = np.empty((n, num_grid))
+    for b in range(num_grid):
+        planes.append(probe := _FrozenSP(pcm, s))
+        p0, p1 = _frozen_prob(probe.step(
+            _frozen_llr(prob[b, :, 0], prob[b, :, 1])))
+        log_to_theta[:, b] = np.log(
+            np.maximum(prob[b, :, 0] * p0 + prob[b, :, 1] * p1, _TINY))
+    log_to_theta -= log_to_theta.max(axis=1, keepdims=True)
+
+    def steps():
+        nonlocal log_to_theta
+        prev_llr = None
+        while True:
+            to_g = log_to_theta.sum(axis=0) - log_to_theta
+            to_g -= to_g.max(axis=1, keepdims=True)
+            w = np.exp(to_g)
+            w /= w.sum(axis=1, keepdims=True)
+            mixed = np.einsum("ib,bil->il", w, prob)
+            ev_llr = _frozen_llr(mixed[:, 0], mixed[:, 1])
+            ev_delta = np.inf if prev_llr is None else float(
+                np.max(np.abs(ev_llr - prev_llr)))
+            prev_llr = ev_llr
+            totals = sp.step(ev_llr)
+            estimate = np.less(ev_llr + totals, 0.0)
+            p0, p1 = _frozen_prob(totals)
+            back = prob[:, :, 0] * p0[None, :] + prob[:, :, 1] * p1[None, :]
+            log_to_theta = np.log(np.maximum(back.T, _TINY), order="C")
+            log_to_theta -= log_to_theta.max(axis=1, keepdims=True)
+            yield estimate, max(sp.last_delta, ev_delta)
+
+    result = _frozen_flood(steps(), sp.satisfied, max_iter)
+    result.estimate = result.estimate.view(np.uint8)
+    result.theta_hat = float(theta_grid[np.argmax(log_to_theta.sum(axis=0))])
+    return result
+
+
+def _special_llrs(rng, x):
+    """LLRs leaning towards the bits ``x``, with the clamp, signed zeros and
+    far-out values mixed in."""
+    llr = (1.0 - 2.0 * x) * rng.choice([0.3, 3.0, 40.0]) \
+        * rng.standard_normal(x.size)
+    pick = rng.random(x.size) < rng.choice([0.2, 0.6])
+    llr[pick] = rng.choice([LLR_CLAMP, -LLR_CLAMP, 0.0, -0.0, 1e3, -1e3],
+                           size=int(pick.sum()))
+    return llr
+
+
+def _binary_posteriors(llr):
+    """(P[bit 0], P[bit 1]) from LLRs, exactly 0 and 1 far out."""
+    p1 = 0.5 - 0.5 * np.tanh(0.5 * llr)
+    return np.stack([1.0 - p1, p1], axis=-1)
+
+
+@pytest.mark.golden
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       decoder=st.sampled_from(["binary", "quaternary", "phase_offset"]),
+       grid=st.sampled_from([1, 2, 4]), max_iter=st.sampled_from([1, 3, 50]))
+def test_decoders_match_frozen_iterations(seed, decoder, grid, max_iter):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 64))
+    # rows past degree 27 let exclusive products underflow, so the signs of
+    # zero messages are compared too
+    pcm = _mixed_degree_code(rng, n, int(rng.integers(1, 40)), max_degree=32)
+    x = rng.integers(0, 2, (2, n)).astype(np.uint8)
+    # a target drawn apart from x half the time, so some cosets are far off
+    s = pcm.syndrome(x[0] if rng.random() < 0.5 else x[1])
+    if decoder == "binary":
+        args = (pcm, s, _special_llrs(rng, x[0]))
+        ours, frozen = decode_binary, _frozen_binary
+    elif decoder == "quaternary":
+        pcm_l = _mixed_degree_code(rng, n, int(rng.integers(1, 40)), 32)
+        # per-level log-evidence leaning towards the levels 2 x_M + x_L
+        logs = np.stack([_special_llrs(rng, x[0] ^ (a >> 1) ^ 1)
+                         + _special_llrs(rng, x[1] ^ (a & 1) ^ 1)
+                         for a in range(4)], axis=1)
+        g = np.exp(np.clip(logs - logs.max(axis=1, keepdims=True), -700, 0))
+        args = (pcm, pcm_l, s, pcm_l.syndrome(x[1]),
+                g / g.sum(axis=1, keepdims=True))
+        ours, frozen = decode_quaternary, _frozen_quaternary
+    else:
+        thetas = 2 * np.pi * np.arange(grid) / grid
+        prob = np.stack([_binary_posteriors(_special_llrs(rng, x[b % 2]))
+                         for b in range(grid)])
+        args = (pcm, s, prob, thetas)
+        ours, frozen = decode_with_phase_offset, _frozen_phase_offset
+
+    planes = []
+
+    class Recording(_BinarySP):
+        def __init__(self, *a):
+            super().__init__(*a)
+            planes.append(self)
+
+    with mock.patch.object(decode_module, "_BinarySP", Recording):
+        got = ours(*args, max_iter=max_iter)
+    want_planes = []
+    want = frozen(want_planes, *args, max_iter)
+    assert got.estimate.dtype == want.estimate.dtype == np.uint8
+    assert got.estimate.tobytes() == want.estimate.tobytes()
+    assert (got.iterations_used, got.converged, got.syndrome_satisfied,
+            got.theta_hat) == (want.iterations_used, want.converged,
+                               want.syndrome_satisfied, want.theta_hat)
+    assert len(planes) == len(want_planes)
+    for ours_sp, frozen_sp in zip(planes, want_planes):
+        for name in ("c2v", "totals"):
+            assert np.array_equal(getattr(ours_sp, name).view(np.uint64),
+                                  getattr(frozen_sp, name).view(np.uint64))
