@@ -166,7 +166,7 @@ class _BinarySP:
         return totals
 
     def satisfied(self, hard: np.ndarray | None = None) -> bool:
-        """Whether ``hard`` (default: the gathered signs) meets the syndrome."""
+        """Whether bools ``hard`` (default: gathered signs) meet the target."""
         parity = (self.g.parity(hard) if hard is not None else
                   self.g.edge_parity(np.less(self._work, 0.0, out=self._neg)))
         # one 0/1 byte per check on both sides, so bytes compare as values

@@ -5,7 +5,7 @@ its bound, so its rules are pinned here: the gain needs nine tenths of the
 pairs won, a median gain above the parent's interquartile range and no
 larger failed share; ties count for neither side; a lower-is-better metric
 wins downwards; and a bound check is unresolved only when the parent's runs
-spread wider than the bound and the two sides' runs do not separate.
+spread wider than the bound and the change's runs do not all beat them.
 """
 
 import importlib.util

@@ -163,7 +163,7 @@ def test_binary_rejects_nan_evidence():
     # all-NaN LLRs on a zero syndrome used to decode "successfully" to the
     # zero vector in one iteration; infinite LLRs stay certain bits
     pcm = construct_regular(16, 8, 2, seed=5)
-    for bad in (np.full(16, np.nan), np.where(np.arange(16) == 3, np.nan, 1.0)):
+    for bad in (np.full(16, np.nan), np.where(np.arange(16) == 3, np.nan, 1)):
         with pytest.raises(ValueError, match="NaN"):
             decode_binary(pcm, np.zeros(8, np.uint8), bad)
 
